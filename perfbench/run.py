@@ -9,10 +9,10 @@ It drives the program only through its command line, from this process,
 one command at a time (one client, closed loop).  It runs rounds of
 `helb keygen --seed`, `helb blacklist encrypt` of the seeded CIDR list, and
 `helb match --json` of one unlisted and one listed address, one process per
-command, until `--seconds` have passed and at least three rounds are done.  `setup_s`, `build_s` and the lookup latencies are medians
-of wall times.  Every exit status, verdict and entry id is checked against
-the plaintext oracle in `workloads.py`, and every build's per-prefix entry
-counts against the list.
+command, for about `--seconds` (see `rounds_within`).  `setup_s`, `build_s`
+and the lookup latencies are medians of wall times.  Every exit status,
+verdict and entry id is checked against the plaintext oracle in
+`workloads.py`, and every build's per-prefix entry counts against the list.
 
 With `--trace 1` the same processes run again under `traced_helb.py`, and
 single kernels are timed by `kernels.py`; the last line then carries the
@@ -47,7 +47,7 @@ OUT = HERE / "out"
 
 # Every run must end well inside 180 s, whatever the program's speed.
 RUN_DEADLINE_S = 170
-MIN_ROUNDS = 3
+MIN_ROUNDS = 2
 STARTUP_SAMPLES = 5
 COLD_KERNEL_SAMPLES = 3
 
@@ -108,6 +108,23 @@ class Runner:
         out_path.unlink()
         err_path.unlink()
         return done
+
+
+def rounds_within(seconds: float, min_rounds: int):
+    """Round numbers 0, 1, ... of a closed loop that lasts about `seconds`.
+
+    After `min_rounds`, a round starts only if at least half of one as long
+    as the median round so far fits in the time left, so a run ends within
+    half a round of `seconds`, on either side.  Every round yielded runs to
+    its end."""
+    start = last = time.monotonic()
+    took: list[float] = []
+    while (len(took) < min_rounds
+           or time.monotonic() + statistics.median(took) / 2 <= start + seconds):
+        yield len(took)
+        now = time.monotonic()
+        took.append(now - last)
+        last = now
 
 
 def helb(*args: str) -> list[str]:
@@ -225,25 +242,22 @@ class Bench:
     # -- end-to-end run ---------------------------------------------------
 
     def end_to_end(self) -> dict[str, tuple[float, str]]:
-        """Rounds of keygen, build, miss and hit until `seconds` have passed
-        and at least `MIN_ROUNDS` are done.  Interleaving spreads every kind
+        """Rounds of keygen, build, miss and hit for about `seconds`, at
+        least `MIN_ROUNDS` of them.  Interleaving spreads every kind
         of sample over the whole run, so a slow spell of the host lands on
         few samples of each kind, not on all of one."""
         self.warm_up()
         keygen_s, build_s, hit_s, miss_s, rss_mb = [], [], [], [], []
         stream = wl.LookupStream(self.networks, self.seed)
-        stop = time.monotonic() + self.seconds
-        rounds = 0
-        while rounds < MIN_ROUNDS or time.monotonic() < stop:
+        for _ in rounds_within(self.seconds, MIN_ROUNDS):
             keygen_s.append(self.keygen().wall_s)
             build_s.append(self.build(helb(*self.build_args())).wall_s)
             for item in stream.next_round():
                 done = self.lookup(item, helb(*self.match_args(item)))
                 (hit_s if item.is_hit else miss_s).append(done.wall_s)
                 rss_mb.append(done.rss_mb)
-            rounds += 1
         store_bytes = (self.workdir / "store.bin").stat().st_size
-        self.samples.update(rounds=rounds, keygen_s=keygen_s, build_s=build_s,
+        self.samples.update(rounds=len(build_s), keygen_s=keygen_s, build_s=build_s,
                             hit_s=hit_s, miss_s=miss_s, rss_mb=rss_mb)
         return {
             "setup_s": (statistics.median(keygen_s), "s"),
@@ -269,11 +283,12 @@ class Bench:
         self.build(traced_helb(build_spans, "build", *self.build_args()))
         build_trace = json.loads(build_spans.read_text())["spans"]
 
+        # Half the run for lookups leaves the other half for the kernels, so
+        # a traced run lasts about as long as an untraced one.
         untraced, traced = [], []
         stream = wl.LookupStream(self.networks, self.seed)
-        stop = time.monotonic() + self.seconds
         rounds = 0
-        while rounds == 0 or time.monotonic() < stop:
+        for rounds in rounds_within(self.seconds / 2, 1):
             batch = stream.next_round()
             for item in batch:
                 untraced.append(self.lookup(item, helb(*self.match_args(item))).wall_s)
@@ -283,16 +298,14 @@ class Bench:
                 done = self.lookup(item, traced_helb(path, lookup_id,
                                                      *self.match_args(item)))
                 traced.append((item, done.wall_s, json.loads(path.read_text())))
-            rounds += 1
-        self.samples.update(rounds=rounds, untraced_s=untraced,
-                            traced_s=[wall for _, wall, _ in traced])
+        traced_s = [wall for _, wall, _ in traced]
+        self.samples.update(rounds=rounds + 1, untraced_s=untraced, traced_s=traced_s)
 
         kernels = self.kernels()
         metrics = layer_metrics(build_trace, traced, kernels)
         metrics["cli.startup_ms"] = (statistics.median(startup) * 1000, "ms")
-        overhead = (statistics.median(self.samples["traced_s"])
-                    - statistics.median(untraced)) * 1000
-        metrics["trace.overhead_ms_per_lookup"] = (overhead, "ms")
+        metrics["trace.overhead_ms_per_lookup"] = (
+            tracing_overhead_ms(untraced, traced_s), "ms")
         spans = {"build": build_trace,
                  "lookups": [dict(trace, ip=wl.format_ipv4(item.ip),
                                   expected=item.expected)
@@ -314,6 +327,16 @@ class Bench:
         out["bfv.ring_mul_cold_ms"] = statistics.median(cold)
         self.samples["ring_mul_cold_ms"] = cold
         return out
+
+
+def tracing_overhead_ms(untraced_s: list[float], traced_s: list[float]) -> float:
+    """Median of the per-lookup differences, traced minus untraced.
+
+    Both lists hold the same addresses in the same order, so each pair does
+    the same work; pairing keeps hits and misses apart, where a difference
+    of two pooled medians would mostly show which samples fell mid-pool."""
+    return statistics.median(
+        t - u for u, t in zip(untraced_s, traced_s, strict=True)) * 1000
 
 
 # -- span aggregation -----------------------------------------------------

@@ -8,6 +8,7 @@ Run from the repository root with:
 from __future__ import annotations
 
 import ipaddress
+import itertools
 import random
 import sys
 import unittest
@@ -111,6 +112,18 @@ class SpanTest(unittest.TestCase):
         self.assertEqual(run.self_seconds(spans),
                          {"cli": 2.0, "ipmatch": 1.5 + 1.0, "bfv": 5.5})
         self.assertEqual(run.total_seconds(spans, "bfv.encrypt"), 3.0)
+
+    def test_overhead_pairs_each_lookup_with_its_traced_twin(self):
+        # misses near 5 s and hits near 3 s: the difference of the pooled
+        # medians would be 4.3 - 4.0 s, set by one slow traced hit
+        untraced = [5.0, 3.0, 5.4, 2.6]
+        traced = [5.1, 3.5, 5.2, 2.7]
+        self.assertAlmostEqual(run.tracing_overhead_ms(untraced, traced), 100.0)
+
+    def test_rounds_within_keeps_the_minimum(self):
+        self.assertEqual(list(run.rounds_within(0, 2)), [0, 1])
+        self.assertEqual(list(itertools.islice(run.rounds_within(60, 1), 3)),
+                         [0, 1, 2])
 
     def test_recorder_nests_spans_and_keeps_counts(self):
         class Result:
