@@ -186,12 +186,7 @@ def bench_scale(counts=None, *, params: bfv.BfvParams | None = None,
         store = ipmatch.build_store(entries, keys, rng, packed=packed)
         t1 = time.perf_counter()
         target = entries[-1].network
-        if packed:
-            result = ipmatch.match_batch_bfv(target, store, keys, rng,
-                                             exhaustive=True)
-        else:
-            result = ipmatch.match_subtract(target, store, keys, rng,
-                                            exhaustive=True)
+        result = ipmatch.match(target, store, keys, rng, exhaustive=True)
         t2 = time.perf_counter()
         if not result.matched:
             raise AssertionError("scale bench target must match its own entry")

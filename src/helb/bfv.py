@@ -138,7 +138,6 @@ class BfvCiphertext:
     c0: RingPoly
     c1: RingPoly
     params: BfvParams
-    ops_applied: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +395,7 @@ def _combine(ct1: BfvCiphertext, ct2: BfvCiphertext, op) -> BfvCiphertext:
     q = ct1.params.ciphertext_mod
     c0 = tuple(op(a, b) % q for a, b in zip(ct1.c0.coeffs, ct2.c0.coeffs))
     c1 = tuple(op(a, b) % q for a, b in zip(ct1.c1.coeffs, ct2.c1.coeffs))
-    return BfvCiphertext(RingPoly(c0), RingPoly(c1), ct1.params,
-                         max(ct1.ops_applied, ct2.ops_applied) + 1)
+    return BfvCiphertext(RingPoly(c0), RingPoly(c1), ct1.params)
 
 
 def eval_add(ct1: BfvCiphertext, ct2: BfvCiphertext) -> BfvCiphertext:

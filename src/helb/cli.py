@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Commands: `keygen`, `blacklist encrypt`, `match`, `bench`, `bench scale`.
-`match` exits 0 on a match, 1 on no match, and 2 on any error; all other
-commands exit 0 on success and 2 on error.  Passing `--seed` anywhere
-switches to deterministic test mode (small keys allowed, reproducible
-randomness); never use seeded keys outside testing.
+`match` exits 0 on a match, 1 on no match, and 2 on any error, internal
+faults included; all other commands exit 0 on success and 2 on error.
+Passing `--seed` anywhere switches to deterministic test mode (small keys
+allowed, reproducible randomness); never use seeded keys outside testing.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import click
 
 from . import bench as bench_mod
 from . import bfv, ipmatch, phe, serial
-from .errors import HelbError, SchemeMismatch
+from .errors import HelbError
 from .numtheory import RandomSource
 from .phe import SchemeId
 
@@ -42,6 +42,8 @@ def _cli_errors(fn):
             _fail(str(exc))
         except OSError as exc:
             _fail(str(exc))
+        except Exception as exc:  # an unforeseen fault must not read as a miss
+            _fail(f"internal error: {type(exc).__name__}: {exc}")
 
     return wrapper
 
@@ -131,53 +133,34 @@ def blacklist_encrypt(key_path, cidr_file, out_path, packed, seed):
               help="Secret key file (matching needs the zero test).")
 @click.option("--store", "store_path", required=True, type=click.Path(exists=True))
 @click.option("--ip", required=True, help="IPv4 address to test.")
-@click.option("--protocol", type=click.Choice(["auto", "sub", "xor"]),
-              default="auto", show_default=True)
 @click.option("--exhaustive", is_flag=True,
               help="Scan every entry instead of stopping at the first match.")
 @click.option("--blind", is_flag=True,
-              help="Randomize differences before the zero test (additive schemes).")
+              help="Randomize differences before the zero test (additive schemes only).")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 @click.option("--debug", "debug_differences", is_flag=True,
               help="Include per-entry decrypted differences (reveals distances).")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for the subtraction scan.")
 @click.option("--list-kind", type=click.Choice(["blacklist", "whitelist"]),
               default="blacklist", show_default=True,
               help="Label only: whitelist membership uses the same mechanics.")
 @click.option("--seed", type=int, default=None)
 @_cli_errors
-def match(keys_path, store_path, ip, protocol, exhaustive, blind, as_json,
-          debug_differences, threads, list_kind, seed):
+def match(keys_path, store_path, ip, exhaustive, blind, as_json,
+          debug_differences, list_kind, seed):
     """Test an address against an encrypted store (exit 0 hit, 1 miss)."""
     keys = serial.read_key_file(keys_path)
     params = keys.params if isinstance(keys, (bfv.BfvKeyPair, bfv.BfvPublicKey)) else None
     store = serial.read_store(store_path, bfv_params=params)
-    value = ipmatch.parse_ipv4(ip)
-    rng = _rng(seed)
-
-    is_gm_store = store.scheme == SchemeId.GOLDWASSER_MICALI.value
-    if protocol == "auto":
-        protocol = "xor" if is_gm_store else "sub"
-    if protocol == "xor":
-        if not is_gm_store:
-            raise SchemeMismatch(
-                f"XOR protocol needs a goldwasser_micali store, not {store.scheme}")
-        result = ipmatch.match_xor(value, store, keys, rng,
-                                   exhaustive=exhaustive, debug=debug_differences)
-    elif store.packed:
-        result = ipmatch.match_batch_bfv(value, store, keys, rng,
-                                         exhaustive=exhaustive)
-    else:
-        result = ipmatch.match_subtract(value, store, keys, rng,
-                                        exhaustive=exhaustive, blind=blind,
-                                        debug=debug_differences, threads=threads)
+    result = ipmatch.match(ipmatch.parse_ipv4(ip), store, keys, _rng(seed),
+                           exhaustive=exhaustive, blind=blind,
+                           debug=debug_differences)
 
     if as_json:
         payload = {
             "ip": ip,
             "scheme": store.scheme,
-            "protocol": protocol,
+            "protocol": ("xor" if store.scheme == SchemeId.GOLDWASSER_MICALI.value
+                         else "sub"),
             "list_kind": list_kind,
             "matched": result.matched,
             "entry_id": result.entry_id,

@@ -1,17 +1,18 @@
-"""IPv4/CIDR handling, encrypted blacklist stores, and the match protocols.
+"""IPv4/CIDR handling, encrypted blacklist stores, and the match engine.
 
 Addresses are plain 32-bit integers (big-endian octet packing, validated
 at parse time).  A store groups ciphertexts of masked network addresses by
-prefix length; matching masks the target with each group's subnet mask,
-encrypts it once per group, and runs either the subtraction protocol
-(additive schemes and the lattice backend) or the XOR protocol
-(Goldwasser-Micali), deciding membership with a zero test per entry.
+prefix length.  `match` masks the target with each group's subnet mask,
+encrypts it once per group, combines it with every stored record and
+zero-tests the result.  The store's scheme picks the combination:
+subtraction for the additive schemes and the lattice backend, XOR of all
+`GM_WIDTH` bits for Goldwasser-Micali.  A packed lattice record holds up to
+ring_dim networks, and its zero coefficients mark the matching ones.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import bfv, phe
@@ -28,7 +29,8 @@ from .numtheory import RandomSource
 from .phe import SchemeId
 
 BFV_SCHEME = "bfv"
-GM_WIDTH = 32
+GM_WIDTH = phe.goldwasser_micali.DEFAULT_WIDTH
+_GM = SchemeId.GOLDWASSER_MICALI.value
 _MAX_ADDR = 0xFFFFFFFF
 
 
@@ -142,8 +144,8 @@ def _require_bfv_fits_addresses(params: bfv.BfvParams) -> None:
             "padding value are distinct residues")
 
 
-def build_store(entries, keys, rng: RandomSource, *, packed: bool = False,
-                gm_width: int = GM_WIDTH) -> EncryptedStore:
+def build_store(entries, keys, rng: RandomSource, *,
+                packed: bool = False) -> EncryptedStore:
     """Mask, deduplicate, group and encrypt a CIDR list under `keys`."""
     if not entries:
         raise InvalidOptions("cannot build a store from an empty blacklist")
@@ -166,204 +168,131 @@ def build_store(entries, keys, rng: RandomSource, *, packed: bool = False,
         seen.add(key)
         cleaned.setdefault(entry.prefix_len, []).append(masked)
 
-    groups: dict[int, list] = {}
-    next_id = 0
+    # one ciphertext per `size` networks: ring_dim when packed, else one
     if scheme == BFV_SCHEME:
         params = keys.params
         _require_bfv_fits_addresses(params)
-        n = params.ring_dim
-        pad = _pad_value(params)
-        for prefix_len, values in cleaned.items():
-            group = []
-            if packed:
-                for i in range(0, len(values), n):
-                    chunk = values[i:i + n]
-                    coeffs = chunk + [pad] * (n - len(chunk))
-                    ct = bfv.encrypt(keys, bfv.encode(coeffs, params), params, rng)
-                    group.append((next_id, len(chunk), ct))
-                    next_id += len(chunk)
-            else:
-                for value in values:
-                    ct = bfv.encrypt(keys, bfv.encode([value], params), params, rng)
-                    group.append((next_id, ct))
-                    next_id += 1
-            groups[prefix_len] = group
+        size = params.ring_dim if packed else 1
+        pad = [_pad_value(params)]
+
+        def encrypt(chunk):
+            coeffs = chunk + pad * (size - len(chunk))
+            return bfv.encrypt(keys, bfv.encode(coeffs, params), params, rng)
     else:
-        is_gm = scheme == SchemeId.GOLDWASSER_MICALI.value
-        for prefix_len, values in cleaned.items():
-            group = []
-            for value in values:
-                if is_gm:
-                    ct = phe.encrypt(keys, value, rng, width=gm_width)
-                else:
-                    ct = phe.encrypt(keys, value, rng)
-                group.append((next_id, ct))
-                next_id += 1
-            groups[prefix_len] = group
+        size = 1
+
+        def encrypt(chunk):
+            return phe.encrypt(keys, chunk[0], rng)
+
+    groups: dict[int, list] = {}
+    next_id = 0
+    for prefix_len, values in cleaned.items():
+        group = groups[prefix_len] = []
+        for i in range(0, len(values), size):
+            chunk = values[i:i + size]
+            ct = encrypt(chunk)
+            group.append((next_id, len(chunk), ct) if packed else (next_id, ct))
+            next_id += len(chunk)
 
     meta = {"duplicates_removed": duplicates, "entries_normalized": normalized}
     pub = keys.public if hasattr(keys, "public") else keys
     return EncryptedStore(scheme, groups, packed, meta, pub)
 
 
-def _scan_order(store: EncryptedStore):
-    # longest prefix first; within a group, insertion order
-    return sorted(store.groups, reverse=True)
-
-
-def _check_store_keys(store: EncryptedStore, keys, want_bfv: bool | None = None):
+def _check_store_keys(store: EncryptedStore, keys) -> None:
     scheme = _store_scheme_of(keys)
     if scheme != store.scheme:
         raise SchemeMismatch(
             f"store was built for {store.scheme}, keys are {scheme}")
-    if want_bfv is True and scheme != BFV_SCHEME:
-        raise SchemeMismatch("this protocol needs a lattice-backend store")
     if not hasattr(keys, "public"):
         raise SchemeMismatch("matching needs the full key pair, not just the "
                              "public key")
     # stores loaded from disk carry no key material (pub is None)
     if store.pub is not None and store.pub != keys.public:
         raise SchemeMismatch("store was built under a different public key")
-    return scheme
 
 
-def match_subtract(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
-                   exhaustive: bool = False, blind: bool = False,
-                   debug: bool = False, threads: int = 1) -> MatchResult:
-    """Subtraction protocol: encrypt the masked target, subtract each entry,
-    and zero-test the difference.  Works on additive schemes and the
-    lattice backend; first match wins unless `exhaustive` is set.
+def _debug_decrypt(keys, diff) -> int | None:
+    try:
+        return phe.decrypt(keys, diff)
+    except DecryptionFailure:
+        return None
 
-    With threads > 1 the per-entry tests of each group run on a thread
-    pool; verdict and entry id are the same for any thread count (blinding
-    factors are drawn up front, in scan order).
+
+def _hooks(store: EncryptedStore, keys, rng: RandomSource, *, blind: bool,
+           debug: bool):
+    """The two steps in which the backends differ.
+
+    `encrypt(masked)` encrypts a group's masked target.  `test(target,
+    record)` combines it with one stored record, zero-tests the result, and
+    returns (matching slot offsets, decrypted difference or None).  The
+    offsets are () or (0,) for a one-entry record, any of range(fill) for a
+    packed one.
     """
-    scheme = _check_store_keys(store, keys)
-    if store.packed:
-        raise SchemeMismatch("packed store: use match_batch_bfv")
-    if scheme == SchemeId.GOLDWASSER_MICALI.value:
-        raise SchemeMismatch("Goldwasser-Micali store: use match_xor")
-    use_bfv = scheme == BFV_SCHEME
-    if blind and use_bfv:
+    if blind and store.scheme in (BFV_SCHEME, _GM):
         raise InvalidOptions("blinding is only available for the additive schemes")
+    if store.scheme == BFV_SCHEME:
+        params = keys.params
+        width = params.ring_dim if store.packed else 1
 
-    stats = {"encryptions": 0, "sub_calls": 0, "zero_tests": 0}
-    differences: dict[int, int | None] = {}
-    matched_id = None
+        def encrypt(masked):
+            return bfv.encrypt(keys, bfv.encode([masked] * width, params),
+                               params, rng)
 
-    def test_entry(ct, blinder):
-        if use_bfv:
-            diff = bfv.eval_sub(target, ct)
-            pt = bfv.decrypt(keys, diff, keys.params)
-            return not any(pt.coeffs), pt.coeffs[0]
-        diff = phe.sub_encrypted(keys, target, ct)
-        if blinder is not None:
-            diff = phe.scalar_mul(keys, diff, blinder)
-        zero = phe.is_zero(keys, diff)
-        value = None
-        if debug:
-            try:
-                value = phe.decrypt(keys, diff)
-            except DecryptionFailure:
-                value = None
-        return zero, value
+        def test(target, record):
+            diff = bfv.eval_sub(target, record[-1])
+            coeffs = bfv.decrypt(keys, diff, params).coeffs
+            if store.packed:
+                return [slot for slot in range(record[1]) if coeffs[slot] == 0], None
+            return (() if any(coeffs) else (0,)), coeffs[0]
 
-    for prefix_len in _scan_order(store):
-        masked = ip & prefix_to_mask(prefix_len)
-        if use_bfv:
-            params = keys.params
-            target = bfv.encrypt(keys, bfv.encode([masked], params), params, rng)
+        return encrypt, test
+
+    def encrypt(masked):
+        return phe.encrypt(keys, masked, rng)
+
+    def test(target, record):
+        if store.scheme == _GM:
+            diff = phe.xor_encrypted(keys, target, record[-1])
         else:
-            target = phe.encrypt(keys, masked, rng)
-        stats["encryptions"] += 1
-        group = store.groups[prefix_len]
-        blinders = [phe.blinding_factor(keys, rng) if blind and not use_bfv else None
-                    for _ in group]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(
-                    lambda pair: test_entry(pair[0][1], pair[1]),
-                    zip(group, blinders)))
-        else:
-            outcomes = None
-        for idx, (entry_id, ct) in enumerate(group):
-            if outcomes is not None:
-                zero, value = outcomes[idx]
-            else:
-                zero, value = test_entry(ct, blinders[idx])
-            stats["sub_calls"] += 1
-            stats["zero_tests"] += 1
-            if debug:
-                differences[entry_id] = value
-            if zero and matched_id is None:
-                matched_id = entry_id
-                if not exhaustive:
-                    return MatchResult(True, entry_id,
-                                       differences if debug else None, stats)
-    return MatchResult(matched_id is not None, matched_id,
-                       differences if debug else None, stats)
+            diff = phe.sub_encrypted(keys, target, record[-1])
+            if blind:
+                diff = phe.scalar_mul(keys, diff, phe.blinding_factor(keys, rng))
+        offsets = (0,) if phe.is_zero(keys, diff) else ()
+        return offsets, _debug_decrypt(keys, diff) if debug else None
+
+    return encrypt, test
 
 
-def match_xor(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
-              exhaustive: bool = False, debug: bool = False) -> MatchResult:
-    """XOR protocol for Goldwasser-Micali stores: XOR the encrypted masked
-    target with each entry and test that every bit decrypts to zero."""
-    scheme = _check_store_keys(store, keys)
-    if scheme != SchemeId.GOLDWASSER_MICALI.value:
-        raise SchemeMismatch("XOR matching needs a Goldwasser-Micali store")
+def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
+          exhaustive: bool = False, blind: bool = False,
+          debug: bool = False) -> MatchResult:
+    """Test `ip` against `store` under the key pair `keys`.
 
-    stats = {"encryptions": 0, "xor_calls": 0, "zero_tests": 0}
-    differences: dict[int, int | None] = {}
+    Scans prefix groups longest first and records in insertion order; the
+    first match wins, and `exhaustive` only keeps the scan going to the end.
+    `blind` multiplies each difference by a fresh unit before the zero test
+    (additive schemes only).  `debug` reports each record's decrypted
+    difference by entry id; packed records, which hold many entries, report
+    none.
+    """
+    _check_store_keys(store, keys)
+    encrypt, test = _hooks(store, keys, rng, blind=blind, debug=debug)
+    op = "xor_calls" if store.scheme == _GM else "sub_calls"
+    stats = {"encryptions": 0, op: 0, "zero_tests": 0}
+    differences = {} if debug and not store.packed else None
     matched_id = None
-    for prefix_len in _scan_order(store):
-        masked = ip & prefix_to_mask(prefix_len)
-        target = None
-        for entry_id, ct in store.groups[prefix_len]:
-            if target is None or target.width != ct.width:
-                target = phe.encrypt(keys, masked, rng, width=ct.width)
-                stats["encryptions"] += 1
-            diff = phe.xor_encrypted(keys, target, ct)
-            stats["xor_calls"] += 1
-            zero = phe.is_zero(keys, diff)
-            stats["zero_tests"] += 1
-            if debug:
-                differences[entry_id] = phe.decrypt(keys, diff)
-            if zero and matched_id is None:
-                matched_id = entry_id
-                if not exhaustive:
-                    return MatchResult(True, entry_id,
-                                       differences if debug else None, stats)
-    return MatchResult(matched_id is not None, matched_id,
-                       differences if debug else None, stats)
-
-
-def match_batch_bfv(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
-                    exhaustive: bool = False) -> MatchResult:
-    """Packed variant of the subtraction protocol: one subtraction checks up
-    to ring_dim entries at once, with zero coefficients marking matches."""
-    _check_store_keys(store, keys, want_bfv=True)
-    if not store.packed:
-        raise SchemeMismatch("store is not packed: use match_subtract")
-    params = keys.params
-    n = params.ring_dim
-
-    stats = {"encryptions": 0, "sub_calls": 0, "zero_tests": 0}
-    matched_id = None
-    for prefix_len in _scan_order(store):
-        masked = ip & prefix_to_mask(prefix_len)
-        replicated = bfv.encode([masked] * n, params)
-        target = bfv.encrypt(keys, replicated, params, rng)
+    for prefix_len in sorted(store.groups, reverse=True):
+        target = encrypt(ip & prefix_to_mask(prefix_len))
         stats["encryptions"] += 1
-        for start_id, fill, ct in store.groups[prefix_len]:
-            diff = bfv.eval_sub(target, ct)
-            stats["sub_calls"] += 1
-            pt = bfv.decrypt(keys, diff, params)
+        for record in store.groups[prefix_len]:
+            offsets, difference = test(target, record)
+            stats[op] += 1
             stats["zero_tests"] += 1
-            for slot in range(fill):
-                if pt.coeffs[slot] == 0:
-                    if matched_id is None:
-                        matched_id = start_id + slot
-                        if not exhaustive:
-                            return MatchResult(True, matched_id, None, stats)
-                    break
-    return MatchResult(matched_id is not None, matched_id, None, stats)
+            if differences is not None:
+                differences[record[0]] = difference
+            if offsets and matched_id is None:
+                matched_id = record[0] + offsets[0]
+                if not exhaustive:
+                    return MatchResult(True, matched_id, differences, stats)
+    return MatchResult(matched_id is not None, matched_id, differences, stats)

@@ -19,7 +19,7 @@ import struct
 
 from . import bfv
 from .errors import FormatError
-from .ipmatch import BFV_SCHEME, EncryptedStore
+from .ipmatch import BFV_SCHEME, GM_WIDTH, EncryptedStore
 from .phe import (
     PheCiphertext,
     SchemeId,
@@ -339,12 +339,21 @@ def read_store(path: str, *, bfv_params: bfv.BfvParams | None = None) -> Encrypt
                                        bfv.RingPoly(tuple(elements[n:2 * n])),
                                        bfv_params)
                 if packed:
-                    records.append((entry_id, elements[-1], ct))
+                    fill = elements[-1]
+                    if not 1 <= fill <= n:
+                        raise FormatError(
+                            f"{path}: packed entry fill {fill} is outside "
+                            f"[1, {n}]")
+                    records.append((entry_id, fill, ct))
                 else:
                     records.append((entry_id, ct))
             else:
                 sid = SchemeId(scheme)
                 if sid is SchemeId.GOLDWASSER_MICALI:
+                    if len(elements) != GM_WIDTH:
+                        raise FormatError(
+                            f"{path}: {scheme} entry has {len(elements)} "
+                            f"elements, expected {GM_WIDTH}")
                     payload: int | tuple[int, ...] = tuple(elements)
                 elif len(elements) == 1:
                     payload = elements[0]

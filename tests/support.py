@@ -82,3 +82,14 @@ def biased_address(rnd, entries) -> int:
         host = rnd.getrandbits(32) & ~prefix_to_mask(entry.prefix_len) & 0xFFFFFFFF
         return entry.network | host
     return rnd.getrandbits(32)
+
+
+def set_packed_fill(path, fill: int) -> None:
+    """Rewrite the fill count of a one-network packed store file.  The count
+    is the file's last element: a u32 length of 1, then the byte 0x01."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert data[-5:] == bytes([0, 0, 0, 1, 1])
+    blob = fill.to_bytes((fill.bit_length() + 7) // 8, "big")
+    with open(path, "wb") as fh:
+        fh.write(data[:-5] + len(blob).to_bytes(4, "big") + blob)

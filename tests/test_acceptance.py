@@ -150,7 +150,7 @@ def test_criterion_3_matching_oracle_equivalence():
     for _ in range(trials):
         entries, ip = _random_instance(rnd)
         store = ipmatch.build_store(entries, pai_keys, rng)
-        got = ipmatch.match_subtract(ip, store, pai_keys, rng).matched
+        got = ipmatch.match(ip, store, pai_keys, rng).matched
         assert got == support.plain_member(ip, entries)
 
     assert bfv.validate_params(C3_PARAMS)
@@ -160,7 +160,7 @@ def test_criterion_3_matching_oracle_equivalence():
     for _ in range(trials):
         entries, ip = _random_instance(rnd)
         store = ipmatch.build_store(entries, lat_keys, rng)
-        got = ipmatch.match_subtract(ip, store, lat_keys, rng).matched
+        got = ipmatch.match(ip, store, lat_keys, rng).matched
         assert got == support.plain_member(ip, entries)
 
     gm_keys = phe.keygen(SchemeId.GOLDWASSER_MICALI, 192, RNG(35), test_mode=True)
@@ -169,7 +169,7 @@ def test_criterion_3_matching_oracle_equivalence():
     for _ in range(trials):
         entries, ip = _random_instance(rnd)
         store = ipmatch.build_store(entries, gm_keys, rng)
-        got = ipmatch.match_xor(ip, store, gm_keys, rng).matched
+        got = ipmatch.match(ip, store, gm_keys, rng).matched
         assert got == support.plain_member(ip, entries)
 
 
@@ -233,8 +233,8 @@ def test_criterion_6_batch_packing_equivalence():
         packed = ipmatch.build_store(entries, keys, rng, packed=True)
         unpacked = ipmatch.build_store(entries, keys, rng)
         ip = support.biased_address(rnd, entries)
-        a = ipmatch.match_batch_bfv(ip, packed, keys, rng)
-        b = ipmatch.match_subtract(ip, unpacked, keys, rng)
+        a = ipmatch.match(ip, packed, keys, rng)
+        b = ipmatch.match(ip, unpacked, keys, rng)
         assert a.matched == b.matched
         if a.matched:
             assert a.entry_id == b.entry_id
@@ -243,8 +243,7 @@ def test_criterion_6_batch_packing_equivalence():
     for size in (1, n, n + 1, 333, 800):
         entries = bench.random_cidrs(size, rng, prefix_len=24)
         store = ipmatch.build_store(entries, keys, rng, packed=True)
-        result = ipmatch.match_batch_bfv(0x7F000001, store, keys, rng,
-                                         exhaustive=True)
+        result = ipmatch.match(0x7F000001, store, keys, rng, exhaustive=True)
         assert result.stats["sub_calls"] == math.ceil(size / n)
 
     # one large-ring spot check: 800 entries fit one ciphertext, so the
@@ -253,7 +252,7 @@ def test_criterion_6_batch_packing_equivalence():
     entries = bench.random_cidrs(800, rng, prefix_len=24)
     packed = ipmatch.build_store(entries, wide, rng, packed=True)
     target = entries[-1].network | 5
-    result = ipmatch.match_batch_bfv(target, packed, wide, rng, exhaustive=True)
+    result = ipmatch.match(target, packed, wide, rng, exhaustive=True)
     assert result.matched
     assert result.stats["sub_calls"] == 1
 

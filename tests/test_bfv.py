@@ -290,14 +290,6 @@ class TestEval:
         with pytest.raises(ParamMismatch):
             bfv.eval_sub(ct_small, ct_tiny)
 
-    def test_ops_applied_metadata(self, bfv_small_keys):
-        rng = RNG(17)
-        ct = bfv.encrypt(bfv_small_keys, bfv.encode([1], SMALL), SMALL, rng)
-        assert ct.ops_applied == 0
-        once = bfv.eval_add(ct, ct)
-        assert once.ops_applied == 1
-        assert bfv.eval_sub(once, ct).ops_applied == 2
-
 
 # ---------------------------------------------------------------------------
 # noise behaviour

@@ -149,20 +149,21 @@ class TestMatch:
                      "--ip", "2.3.4.77", "--seed", 10)
         assert result.exit_code == 2
 
-    def test_sub_protocol_on_gm_store_exits_two(self, gm_files, cidr_file,
-                                                tmp_path):
+    def test_gm_store_matches_by_xor(self, gm_files, cidr_file, tmp_path):
         pub, sec = gm_files
         store = tmp_path / "gm.bin"
         result = run("blacklist", "encrypt", "--key", pub,
                      "--cidr-file", cidr_file, "--out", store, "--seed", 11)
         assert result.exit_code == 0
         result = run("match", "--keys", sec, "--store", store,
-                     "--ip", "2.3.4.77", "--protocol", "sub", "--seed", 12)
-        assert result.exit_code == 2
-        # auto protocol picks xor and matches
-        result = run("match", "--keys", sec, "--store", store,
-                     "--ip", "2.3.4.77", "--seed", 13)
+                     "--ip", "2.3.4.77", "--json", "--seed", 13)
         assert result.exit_code == 0
+        assert json.loads(result.output)["protocol"] == "xor"
+        # blinding needs an additive scheme
+        result = run("match", "--keys", sec, "--store", store,
+                     "--ip", "2.3.4.77", "--blind", "--seed", 12)
+        assert result.exit_code == 2
+        assert "additive" in result.output
 
     def test_json_output(self, paillier_files, paillier_store):
         result = run("match", "--keys", paillier_files[1],
@@ -172,6 +173,20 @@ class TestMatch:
         assert payload["matched"] is True
         assert payload["protocol"] == "sub"
         assert isinstance(payload["entry_id"], int)
+
+    def test_internal_error_exits_two(self, paillier_files, paillier_store,
+                                      monkeypatch):
+        from helb import ipmatch
+
+        def broken(*args, **kwargs):
+            raise IndexError("list index out of range")
+
+        monkeypatch.setattr(ipmatch, "match", broken)
+        result = run("match", "--keys", paillier_files[1],
+                     "--store", paillier_store, "--ip", "2.3.4.77", "--seed", 14)
+        assert result.exit_code == 2
+        assert ("error: internal error: IndexError: list index out of range"
+                in result.output)
 
     def test_bad_ip_exits_two(self, paillier_files, paillier_store):
         result = run("match", "--keys", paillier_files[1],
@@ -242,6 +257,32 @@ class TestLatticeFlow:
         result = run("match", "--keys", sec, "--store", store,
                      "--ip", "2.3.4.5", "--blind", "--seed", 35)
         assert result.exit_code == 2
+
+    def test_blind_flag_rejected_on_packed_store(self, bfv_files, cidr_file,
+                                                 tmp_path):
+        pub, sec = bfv_files
+        store = tmp_path / "p.bin"
+        result = run("blacklist", "encrypt", "--key", pub, "--cidr-file",
+                     cidr_file, "--out", store, "--packed", "--seed", 37)
+        assert result.exit_code == 0
+        result = run("match", "--keys", sec, "--store", store,
+                     "--ip", "2.3.4.5", "--blind", "--seed", 38)
+        assert result.exit_code == 2
+        assert "additive" in result.output
+
+    def test_corrupt_packed_fill_exits_two(self, bfv_files, tmp_path):
+        pub, sec = bfv_files
+        lst = tmp_path / "one.txt"
+        lst.write_text("2.3.4.0/24\n")
+        store = tmp_path / "p.bin"
+        result = run("blacklist", "encrypt", "--key", pub, "--cidr-file", lst,
+                     "--out", store, "--packed", "--seed", 39)
+        assert result.exit_code == 0
+        support.set_packed_fill(store, 5000)
+        result = run("match", "--keys", sec, "--store", store,
+                     "--ip", "9.9.9.9", "--seed", 40)
+        assert result.exit_code == 2
+        assert "fill 5000" in result.output
 
     def test_scale_packed_flag(self):
         result = run("bench", "scale", "--counts", "2", "--packed", "--seed", 36)

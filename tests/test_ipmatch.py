@@ -15,9 +15,7 @@ from helb.ipmatch import (
     CidrEntry,
     build_store,
     load_cidr_file,
-    match_batch_bfv,
-    match_subtract,
-    match_xor,
+    match,
     parse_cidr,
     parse_ipv4,
     prefix_to_mask,
@@ -203,17 +201,17 @@ class TestMatchSubtract:
         assert parse_ipv4("2.3.4.5") & 0xFFFFFF00 == \
                parse_ipv4("2.3.4.7") & 0xFFFFFF00
         store = build_store([parse_cidr("2.3.4.7/24")], paillier_keys, RNG(11))
-        result = match_subtract(parse_ipv4("2.3.4.5"), store, paillier_keys, RNG(12))
+        result = match(parse_ipv4("2.3.4.5"), store, paillier_keys, RNG(12))
         assert result.matched
 
     def test_exact_slash_32(self, paillier_keys):
         ip = parse_ipv4("8.8.8.8")
         store = build_store([parse_cidr("8.8.8.8/32")], paillier_keys, RNG(13))
-        assert match_subtract(ip, store, paillier_keys, RNG(14)).matched
+        assert match(ip, store, paillier_keys, RNG(14)).matched
 
     def test_miss(self, paillier_keys):
         store = build_store([parse_cidr("2.3.4.0/24")], paillier_keys, RNG(15))
-        result = match_subtract(parse_ipv4("9.9.9.9"), store, paillier_keys, RNG(16))
+        result = match(parse_ipv4("9.9.9.9"), store, paillier_keys, RNG(16))
         assert not result.matched
         assert result.entry_id is None
 
@@ -222,19 +220,19 @@ class TestMatchSubtract:
         rnd = random.Random("any")
         for _ in range(10):
             ip = rnd.getrandbits(32)
-            assert match_subtract(ip, store, paillier_keys, RNG(18)).matched
+            assert match(ip, store, paillier_keys, RNG(18)).matched
 
     def test_prefix_32_matches_only_exact_address(self, paillier_keys):
         ip = parse_ipv4("8.8.8.8")
         store = build_store([parse_cidr("8.8.8.8/32")], paillier_keys, RNG(17))
-        assert match_subtract(ip, store, paillier_keys, RNG(18)).matched
+        assert match(ip, store, paillier_keys, RNG(18)).matched
         for other in (ip + 1, ip - 1, ip ^ 0x80000000):
-            assert not match_subtract(other, store, paillier_keys, RNG(18)).matched
+            assert not match(other, store, paillier_keys, RNG(18)).matched
 
     def test_longest_prefix_group_scanned_first(self, paillier_keys):
         entries = [parse_cidr("2.0.0.0/8"), parse_cidr("2.3.4.0/24")]
         store = build_store(entries, paillier_keys, RNG(19))
-        result = match_subtract(parse_ipv4("2.3.4.9"), store, paillier_keys, RNG(20))
+        result = match(parse_ipv4("2.3.4.9"), store, paillier_keys, RNG(20))
         # both groups contain the address; the /24 entry must win
         group24_ids = [entry_id for entry_id, _ in store.groups[24]]
         assert result.entry_id in group24_ids
@@ -242,22 +240,25 @@ class TestMatchSubtract:
     def test_exhaustive_scans_all(self, paillier_keys):
         entries = [parse_cidr("2.3.4.0/24"), parse_cidr("9.9.9.0/24")]
         store = build_store(entries, paillier_keys, RNG(21))
-        lazy = match_subtract(parse_ipv4("2.3.4.1"), store, paillier_keys, RNG(22))
-        full = match_subtract(parse_ipv4("2.3.4.1"), store, paillier_keys, RNG(23),
-                              exhaustive=True)
+        lazy = match(parse_ipv4("2.3.4.1"), store, paillier_keys, RNG(22))
+        full = match(parse_ipv4("2.3.4.1"), store, paillier_keys, RNG(23),
+                     exhaustive=True)
         assert lazy.matched and full.matched
         assert lazy.entry_id == full.entry_id
         assert full.stats["zero_tests"] == 2
         assert lazy.stats["zero_tests"] == 1
+        assert full.stats["encryptions"] == lazy.stats["encryptions"] == 1
+        assert full.stats["sub_calls"] == 2
+        assert lazy.stats["sub_calls"] == 1
 
     def test_debug_differences(self, paillier_keys):
         entries = [parse_cidr("2.3.4.0/24"), parse_cidr("9.9.9.0/24")]
         store = build_store(entries, paillier_keys, RNG(24))
-        result = match_subtract(parse_ipv4("1.1.1.1"), store, paillier_keys,
-                                RNG(25), debug=True)
+        result = match(parse_ipv4("1.1.1.1"), store, paillier_keys,
+                       RNG(25), debug=True)
         assert not result.matched
         assert len(result.differences) == 2
-        no_debug = match_subtract(parse_ipv4("1.1.1.1"), store, paillier_keys, RNG(26))
+        no_debug = match(parse_ipv4("1.1.1.1"), store, paillier_keys, RNG(26))
         assert no_debug.differences is None
 
     def test_blind_keeps_verdicts(self, paillier_keys):
@@ -266,42 +267,26 @@ class TestMatchSubtract:
         store = build_store(entries, paillier_keys, RNG(27))
         for _ in range(20):
             ip = support.biased_address(rnd, entries)
-            plain = match_subtract(ip, store, paillier_keys, RNG(28))
-            blinded = match_subtract(ip, store, paillier_keys, RNG(29), blind=True)
+            plain = match(ip, store, paillier_keys, RNG(28))
+            blinded = match(ip, store, paillier_keys, RNG(29), blind=True)
             assert plain.matched == blinded.matched == support.plain_member(ip, entries)
-
-    def test_threads_do_not_change_results(self, paillier_keys):
-        rnd = random.Random("threads")
-        entries = support.random_entries(rnd, 15)
-        store = build_store(entries, paillier_keys, RNG(30))
-        for _ in range(10):
-            ip = support.biased_address(rnd, entries)
-            serial = match_subtract(ip, store, paillier_keys, RNG(31))
-            threaded = match_subtract(ip, store, paillier_keys, RNG(31), threads=4)
-            assert serial.matched == threaded.matched
-            assert serial.entry_id == threaded.entry_id
-
-    def test_gm_store_rejected(self, gm_keys):
-        store = build_store([parse_cidr("1.2.3.0/24")], gm_keys, RNG(32))
-        with pytest.raises(SchemeMismatch):
-            match_subtract(parse_ipv4("1.2.3.4"), store, gm_keys, RNG(33))
 
     def test_wrong_keys_rejected(self, paillier_keys, dj_keys):
         store = build_store([parse_cidr("1.2.3.0/24")], paillier_keys, RNG(34))
         with pytest.raises(SchemeMismatch):
-            match_subtract(parse_ipv4("1.2.3.4"), store, dj_keys, RNG(35))
+            match(parse_ipv4("1.2.3.4"), store, dj_keys, RNG(35))
 
     def test_same_scheme_different_keys_rejected(self, paillier_keys):
         other = phe.keygen(phe.SchemeId.PAILLIER, 128, RNG(98), test_mode=True)
         store = build_store([parse_cidr("1.2.3.0/24")], paillier_keys, RNG(34))
         assert store.pub == paillier_keys.public
         with pytest.raises(SchemeMismatch):
-            match_subtract(parse_ipv4("1.2.3.4"), store, other, RNG(35))
+            match(parse_ipv4("1.2.3.4"), store, other, RNG(35))
 
     def test_public_key_cannot_match(self, paillier_keys):
         store = build_store([parse_cidr("1.2.3.0/24")], paillier_keys, RNG(36))
         with pytest.raises(SchemeMismatch):
-            match_subtract(parse_ipv4("1.2.3.4"), store, paillier_keys.public, RNG(37))
+            match(parse_ipv4("1.2.3.4"), store, paillier_keys.public, RNG(37))
 
 
 @pytest.mark.parametrize("fixture", ["paillier_keys", "dj_keys", "ou_keys",
@@ -314,7 +299,7 @@ def test_subtract_agrees_with_plain_oracle(fixture, request):
     rng = RNG(39)
     for _ in range(25):
         ip = support.biased_address(rnd, entries)
-        got = match_subtract(ip, store, keys, rng).matched
+        got = match(ip, store, keys, rng).matched
         assert got == support.plain_member(ip, entries)
 
 
@@ -325,24 +310,19 @@ def test_bfv_subtract_agrees_with_plain_oracle(bfv_small_keys):
     rng = RNG(41)
     for _ in range(25):
         ip = support.biased_address(rnd, entries)
-        got = match_subtract(ip, store, bfv_small_keys, rng).matched
+        got = match(ip, store, bfv_small_keys, rng).matched
         assert got == support.plain_member(ip, entries)
 
 
 class TestMatchXor:
     def test_equal_masked_pair(self, gm_keys):
         store = build_store([parse_cidr("2.3.4.7/24")], gm_keys, RNG(42))
-        assert match_xor(parse_ipv4("2.3.4.5"), store, gm_keys, RNG(43)).matched
+        assert match(parse_ipv4("2.3.4.5"), store, gm_keys, RNG(43)).matched
 
     def test_single_bit_difference(self, gm_keys):
         # 2.3.4.0/24 and 2.3.5.x differ in exactly one network bit
         store = build_store([parse_cidr("2.3.4.0/24")], gm_keys, RNG(44))
-        assert not match_xor(parse_ipv4("2.3.5.1"), store, gm_keys, RNG(45)).matched
-
-    def test_additive_store_rejected(self, paillier_keys):
-        store = build_store([parse_cidr("1.2.3.0/24")], paillier_keys, RNG(46))
-        with pytest.raises(SchemeMismatch):
-            match_xor(parse_ipv4("1.2.3.4"), store, paillier_keys, RNG(47))
+        assert not match(parse_ipv4("2.3.5.1"), store, gm_keys, RNG(45)).matched
 
     def test_agrees_with_subtract_verdicts(self, gm_keys, paillier_keys):
         # cross-protocol oracle: parallel stores over the same entries
@@ -351,11 +331,19 @@ class TestMatchXor:
         gm_store = build_store(entries, gm_keys, RNG(48))
         pa_store = build_store(entries, paillier_keys, RNG(49))
         rng = RNG(50)
+        groups = len(gm_store.groups)
+        records = sum(len(g) for g in gm_store.groups.values())
         for _ in range(25):
             ip = support.biased_address(rnd, entries)
-            via_xor = match_xor(ip, gm_store, gm_keys, rng).matched
-            via_sub = match_subtract(ip, pa_store, paillier_keys, rng).matched
-            assert via_xor == via_sub == support.plain_member(ip, entries)
+            via_xor = match(ip, gm_store, gm_keys, rng)
+            via_sub = match(ip, pa_store, paillier_keys, rng)
+            assert via_xor.matched == via_sub.matched == support.plain_member(ip, entries)
+            # same entries in the same order get the same ids
+            assert via_xor.entry_id == via_sub.entry_id
+            if not via_xor.matched:
+                assert via_xor.stats == {"encryptions": groups,
+                                         "xor_calls": records,
+                                         "zero_tests": records}
 
 
 class TestMatchBatch:
@@ -365,8 +353,8 @@ class TestMatchBatch:
         unpacked = build_store(entries, bfv_small_keys, RNG(52))
         for text in ("2.3.4.200", "9.9.9.9"):
             ip = parse_ipv4(text)
-            a = match_batch_bfv(ip, packed, bfv_small_keys, RNG(53))
-            b = match_subtract(ip, unpacked, bfv_small_keys, RNG(54))
+            a = match(ip, packed, bfv_small_keys, RNG(53))
+            b = match(ip, unpacked, bfv_small_keys, RNG(54))
             assert a.matched == b.matched
 
     def test_verdicts_equal_subtract_on_random_stores(self, bfv_small_keys):
@@ -378,8 +366,8 @@ class TestMatchBatch:
             packed = build_store(entries, bfv_small_keys, rng, packed=True)
             unpacked = build_store(entries, bfv_small_keys, rng)
             ip = support.biased_address(rnd, entries)
-            a = match_batch_bfv(ip, packed, bfv_small_keys, rng)
-            b = match_subtract(ip, unpacked, bfv_small_keys, rng)
+            a = match(ip, packed, bfv_small_keys, rng)
+            b = match(ip, unpacked, bfv_small_keys, rng)
             assert a.matched == b.matched == support.plain_member(ip, entries)
             if a.matched:
                 assert a.entry_id == b.entry_id
@@ -391,8 +379,8 @@ class TestMatchBatch:
             entries = support.random_entries(rnd, count, prefixes=(24,))
             entries = list({(e.network, e.prefix_len): e for e in entries}.values())
             store = build_store(entries, bfv_small_keys, RNG(56), packed=True)
-            result = match_batch_bfv(parse_ipv4("200.1.2.3"), store,
-                                     bfv_small_keys, RNG(57), exhaustive=True)
+            result = match(parse_ipv4("200.1.2.3"), store,
+                           bfv_small_keys, RNG(57), exhaustive=True)
             assert result.stats["sub_calls"] == (len(entries) + n - 1) // n
 
     def test_padding_never_matches(self, bfv_small_keys):
@@ -404,16 +392,5 @@ class TestMatchBatch:
             entries = list({(e.network, e.prefix_len): e for e in entries}.values())
             store = build_store(entries, bfv_small_keys, rng, packed=True)
             ip = rnd.getrandbits(32)
-            got = match_batch_bfv(ip, store, bfv_small_keys, rng).matched
+            got = match(ip, store, bfv_small_keys, rng).matched
             assert got == support.plain_member(ip, entries)
-
-    def test_unpacked_store_rejected(self, bfv_small_keys):
-        store = build_store([parse_cidr("1.2.3.0/24")], bfv_small_keys, RNG(59))
-        with pytest.raises(SchemeMismatch):
-            match_batch_bfv(parse_ipv4("1.2.3.4"), store, bfv_small_keys, RNG(60))
-
-    def test_packed_store_rejected_by_match_subtract(self, bfv_small_keys):
-        store = build_store([parse_cidr("1.2.3.0/24")], bfv_small_keys, RNG(61),
-                            packed=True)
-        with pytest.raises(SchemeMismatch):
-            match_subtract(parse_ipv4("1.2.3.4"), store, bfv_small_keys, RNG(62))

@@ -129,7 +129,7 @@ def test_loaded_store_still_matches(paillier_keys, tmp_path):
     rnd = random.Random("loadmatch")
     for _ in range(10):
         ip = support.biased_address(rnd, entries)
-        got = ipmatch.match_subtract(ip, loaded, paillier_keys, RNG(10)).matched
+        got = ipmatch.match(ip, loaded, paillier_keys, RNG(10)).matched
         assert got == support.plain_member(ip, entries)
 
 
@@ -184,6 +184,23 @@ class TestStoreFileErrors:
         with open(path, "ab") as fh:
             fh.write(b"\x00")
         with pytest.raises(FormatError, match="trailing"):
+            serial.read_store(path)
+
+    def test_packed_fill_beyond_ring(self, tmp_path, bfv_small_keys):
+        store = ipmatch.build_store([ipmatch.parse_cidr("2.3.4.0/24")],
+                                    bfv_small_keys, RNG(17), packed=True)
+        path = str(tmp_path / "s.bin")
+        serial.write_store(store, path)
+        support.set_packed_fill(path, 5000)
+        with pytest.raises(FormatError, match="fill 5000"):
+            serial.read_store(path, bfv_params=bfv_small_keys.params)
+
+    def test_gm_entry_of_wrong_width(self, tmp_path):
+        ct = phe.PheCiphertext(phe.SchemeId.GOLDWASSER_MICALI, tuple(range(1, 32)))
+        store = ipmatch.EncryptedStore("goldwasser_micali", {24: [(0, ct)]})
+        path = str(tmp_path / "s.bin")
+        serial.write_store(store, path)
+        with pytest.raises(FormatError, match="expected 32"):
             serial.read_store(path)
 
 
