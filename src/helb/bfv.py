@@ -34,6 +34,11 @@ _Q_DEFAULT = 604_490_591_182_956_796_837_889
 
 @dataclass(frozen=True)
 class BfvParams:
+    FILE_FIELDS = (("ring_dim", "ring_dim", int),
+                   ("plaintext_mod", "plaintext_mod", int),
+                   ("ciphertext_mod", "ciphertext_mod", int),
+                   ("sigma", "err_stddev", float))
+
     ring_dim: int
     plaintext_mod: int
     ciphertext_mod: int
@@ -80,8 +85,8 @@ def param_violations(params: BfvParams) -> list[str]:
         out.append(f"ciphertext_mod must be prime, got {q}")
     if t >= 2 and q <= t * MIN_MOD_RATIO:
         out.append(f"ciphertext_mod / plaintext_mod must exceed {MIN_MOD_RATIO}")
-    if not params.err_stddev > 0:
-        out.append(f"err_stddev must be positive, got {params.err_stddev}")
+    if not 0 < params.err_stddev < math.inf:
+        out.append(f"err_stddev must be positive and finite, got {params.err_stddev}")
     return out
 
 
@@ -116,13 +121,31 @@ def ring_zero(n: int) -> RingPoly:
 
 @dataclass(frozen=True)
 class BfvPublicKey:
+    SCHEME = "bfv"
+    FILE_FIELDS = ((None, "params", BfvParams), ("pk0", "pk0", RingPoly),
+                   ("pk1", "pk1", RingPoly))
+
     params: BfvParams
     pk0: RingPoly
     pk1: RingPoly
 
+    def violations(self) -> list[str]:
+        """Parameter violations, plus key polynomials that are not ring elements."""
+        out = param_violations(self.params)
+        n, q = self.params.ring_dim, self.params.ciphertext_mod
+        for name, attr, kind in self.FILE_FIELDS:
+            poly = getattr(self, attr)
+            if kind is RingPoly and (len(poly) != n or min(poly.coeffs) < 0
+                                     or max(poly.coeffs) >= q):
+                out.append(f"{name} is not {n} coefficients below ciphertext_mod")
+        return out
+
 
 @dataclass(frozen=True)
 class BfvKeyPair:
+    SCHEME = "bfv"
+    FILE_FIELDS = BfvPublicKey.FILE_FIELDS + (("s", "secret", RingPoly),)
+
     params: BfvParams
     secret: RingPoly
     pk0: RingPoly
@@ -131,6 +154,8 @@ class BfvKeyPair:
     @property
     def public(self) -> BfvPublicKey:
         return BfvPublicKey(self.params, self.pk0, self.pk1)
+
+    violations = BfvPublicKey.violations
 
 
 @dataclass(frozen=True)

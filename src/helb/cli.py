@@ -149,8 +149,7 @@ def match(keys_path, store_path, ip, exhaustive, blind, as_json,
           debug_differences, list_kind, seed):
     """Test an address against an encrypted store (exit 0 hit, 1 miss)."""
     keys = serial.read_key_file(keys_path)
-    params = keys.params if isinstance(keys, (bfv.BfvKeyPair, bfv.BfvPublicKey)) else None
-    store = serial.read_store(store_path, bfv_params=params)
+    store = serial.read_store(store_path, keys)
     result = ipmatch.match(ipmatch.parse_ipv4(ip), store, keys, _rng(seed),
                            exhaustive=exhaustive, blind=blind,
                            debug=debug_differences)

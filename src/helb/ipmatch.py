@@ -28,7 +28,7 @@ from .errors import (
 from .numtheory import RandomSource
 from .phe import SchemeId
 
-BFV_SCHEME = "bfv"
+BFV_SCHEME = bfv.BfvPublicKey.SCHEME
 GM_WIDTH = phe.goldwasser_micali.DEFAULT_WIDTH
 _GM = SchemeId.GOLDWASSER_MICALI.value
 _MAX_ADDR = 0xFFFFFFFF
@@ -100,8 +100,8 @@ class EncryptedStore:
     Unpacked groups hold (entry_id, ciphertext) pairs; packed groups hold
     (start_id, fill_count, ciphertext) with up to ring_dim networks in one
     ciphertext's coefficients.  Prefix lengths and group sizes are public.
-    `pub` is the public key the store was built under; it is not part of
-    the serialized form (stores and keys travel in separate files).
+    `pub` is the public key the store was built under; a store file
+    carries only its fingerprint (stores and keys travel in separate files).
     """
 
     scheme: str
@@ -131,12 +131,6 @@ def _pad_value(params: bfv.BfvParams) -> int:
     return params.plaintext_mod - 1
 
 
-def _store_scheme_of(keys) -> str:
-    if isinstance(keys, (bfv.BfvKeyPair, bfv.BfvPublicKey)):
-        return BFV_SCHEME
-    return phe.scheme_of(keys).value
-
-
 def _require_bfv_fits_addresses(params: bfv.BfvParams) -> None:
     if params.plaintext_mod <= _MAX_ADDR + 1:
         raise MessageOutOfRange(
@@ -149,7 +143,7 @@ def build_store(entries, keys, rng: RandomSource, *,
     """Mask, deduplicate, group and encrypt a CIDR list under `keys`."""
     if not entries:
         raise InvalidOptions("cannot build a store from an empty blacklist")
-    scheme = _store_scheme_of(keys)
+    scheme = keys.SCHEME
     if packed and scheme != BFV_SCHEME:
         raise InvalidOptions("packed stores require the lattice backend")
 
@@ -195,20 +189,18 @@ def build_store(entries, keys, rng: RandomSource, *,
             next_id += len(chunk)
 
     meta = {"duplicates_removed": duplicates, "entries_normalized": normalized}
-    pub = keys.public if hasattr(keys, "public") else keys
+    pub = phe.public_part(keys)
     return EncryptedStore(scheme, groups, packed, meta, pub)
 
 
 def _check_store_keys(store: EncryptedStore, keys) -> None:
-    scheme = _store_scheme_of(keys)
-    if scheme != store.scheme:
+    if keys.SCHEME != store.scheme:
         raise SchemeMismatch(
-            f"store was built for {store.scheme}, keys are {scheme}")
+            f"store was built for {store.scheme}, keys are {keys.SCHEME}")
     if not hasattr(keys, "public"):
         raise SchemeMismatch("matching needs the full key pair, not just the "
                              "public key")
-    # stores loaded from disk carry no key material (pub is None)
-    if store.pub is not None and store.pub != keys.public:
+    if store.pub != keys.public:
         raise SchemeMismatch("store was built under a different public key")
 
 

@@ -2,9 +2,10 @@
 
 Five additive schemes (add, subtract, scalar multiply) and one bitwise-XOR
 scheme are dispatched by :class:`SchemeId`.  Keys are immutable dataclasses
-with a ``public`` part; ciphertexts are :class:`PheCiphertext` values whose
-payload is a single group element, or a tuple of per-bit elements for
-Goldwasser-Micali.
+with a ``public`` part; each key class names its scheme in ``SCHEME`` and
+its key-file fields in ``FILE_FIELDS`` (see :mod:`helb.serial`).
+Ciphertexts are :class:`PheCiphertext` values whose payload is a single
+group element, or a tuple of per-bit elements for Goldwasser-Micali.
 """
 
 from __future__ import annotations
@@ -22,12 +23,6 @@ from . import (
     okamoto_uchiyama,
     paillier,
 )
-from .benaloh import BenalohKeyPair, BenalohPublicKey
-from .damgard_jurik import DamgardJurikKeyPair, DamgardJurikPublicKey
-from .goldwasser_micali import GoldwasserMicaliKeyPair, GoldwasserMicaliPublicKey
-from .naccache_stern import NaccacheSternKeyPair, NaccacheSternPublicKey
-from .okamoto_uchiyama import OkamotoUchiyamaKeyPair, OkamotoUchiyamaPublicKey
-from .paillier import PaillierKeyPair, PaillierPublicKey
 
 
 class SchemeId(str, enum.Enum):
@@ -63,21 +58,6 @@ _MODULES = {
     SchemeId.GOLDWASSER_MICALI: goldwasser_micali,
 }
 
-_SCHEME_OF_TYPE = {
-    PaillierPublicKey: SchemeId.PAILLIER,
-    PaillierKeyPair: SchemeId.PAILLIER,
-    DamgardJurikPublicKey: SchemeId.DAMGARD_JURIK,
-    DamgardJurikKeyPair: SchemeId.DAMGARD_JURIK,
-    OkamotoUchiyamaPublicKey: SchemeId.OKAMOTO_UCHIYAMA,
-    OkamotoUchiyamaKeyPair: SchemeId.OKAMOTO_UCHIYAMA,
-    BenalohPublicKey: SchemeId.BENALOH,
-    BenalohKeyPair: SchemeId.BENALOH,
-    NaccacheSternPublicKey: SchemeId.NACCACHE_STERN,
-    NaccacheSternKeyPair: SchemeId.NACCACHE_STERN,
-    GoldwasserMicaliPublicKey: SchemeId.GOLDWASSER_MICALI,
-    GoldwasserMicaliKeyPair: SchemeId.GOLDWASSER_MICALI,
-}
-
 MIN_CRYPTO_BITS = 512
 MIN_TEST_BITS = 16
 
@@ -98,8 +78,8 @@ class PheCiphertext:
 def scheme_of(keys) -> SchemeId:
     """SchemeId of a key pair or public key object."""
     try:
-        return _SCHEME_OF_TYPE[type(keys)]
-    except KeyError:
+        return SchemeId(getattr(keys, "SCHEME", None))
+    except ValueError:
         raise SchemeMismatch(f"not a scheme key object: {type(keys).__name__}") from None
 
 

@@ -33,6 +33,9 @@ _KEYGEN_TRIES = 200_000
 
 @dataclass(frozen=True)
 class BenalohPublicKey:
+    SCHEME = "benaloh"
+    FILE_FIELDS = (("y", "y", int), ("r", "r", int), ("n", "n", int))
+
     y: int
     r: int
     n: int
@@ -40,6 +43,10 @@ class BenalohPublicKey:
 
 @dataclass(frozen=True)
 class BenalohKeyPair:
+    SCHEME = "benaloh"
+    FILE_FIELDS = ((None, "public", BenalohPublicKey), ("p", "p", int), ("q", "q", int),
+                   ("x", "x", int))
+
     public: BenalohPublicKey
     p: int
     q: int

@@ -19,6 +19,9 @@ MAX_S = 4
 
 @dataclass(frozen=True)
 class DamgardJurikPublicKey:
+    SCHEME = "damgard_jurik"
+    FILE_FIELDS = (("n", "n", int), ("g", "g", int), ("s", "s", int))
+
     n: int
     g: int
     s: int
@@ -34,6 +37,10 @@ class DamgardJurikPublicKey:
 
 @dataclass(frozen=True)
 class DamgardJurikKeyPair:
+    SCHEME = "damgard_jurik"
+    FILE_FIELDS = ((None, "public", DamgardJurikPublicKey), ("lambda", "lam", int),
+                   ("d", "d", int))
+
     public: DamgardJurikPublicKey
     lam: int
     d: int

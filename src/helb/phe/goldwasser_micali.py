@@ -17,12 +17,19 @@ DEFAULT_WIDTH = 32
 
 @dataclass(frozen=True)
 class GoldwasserMicaliPublicKey:
+    SCHEME = "goldwasser_micali"
+    FILE_FIELDS = (("n", "n", int), ("a", "a", int))
+
     n: int
     a: int
 
 
 @dataclass(frozen=True)
 class GoldwasserMicaliKeyPair:
+    SCHEME = "goldwasser_micali"
+    FILE_FIELDS = ((None, "public", GoldwasserMicaliPublicKey), ("p", "p", int),
+                   ("q", "q", int))
+
     public: GoldwasserMicaliPublicKey
     p: int
     q: int

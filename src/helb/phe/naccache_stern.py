@@ -26,6 +26,9 @@ DEFAULT_MSG_BITS = 33
 
 @dataclass(frozen=True)
 class NaccacheSternPublicKey:
+    SCHEME = "naccache_stern"
+    FILE_FIELDS = (("p", "p", int), ("v", "v", tuple), ("n_bits", "n_bits", int))
+
     p: int
     v: tuple[int, ...]
 
@@ -40,6 +43,9 @@ class NaccacheSternPublicKey:
 
 @dataclass(frozen=True)
 class NaccacheSternKeyPair:
+    SCHEME = "naccache_stern"
+    FILE_FIELDS = ((None, "public", NaccacheSternPublicKey), ("s", "s", int))
+
     public: NaccacheSternPublicKey
     s: int
 

@@ -18,6 +18,10 @@ MIN_P_BITS = 40
 
 @dataclass(frozen=True)
 class OkamotoUchiyamaPublicKey:
+    SCHEME = "okamoto_uchiyama"
+    FILE_FIELDS = (("n", "n", int), ("g", "g", int), ("h", "h", int),
+                   ("k", "msg_bits", int))
+
     n: int
     g: int
     h: int
@@ -30,6 +34,10 @@ class OkamotoUchiyamaPublicKey:
 
 @dataclass(frozen=True)
 class OkamotoUchiyamaKeyPair:
+    SCHEME = "okamoto_uchiyama"
+    FILE_FIELDS = ((None, "public", OkamotoUchiyamaPublicKey), ("p", "p", int),
+                   ("q", "q", int))
+
     public: OkamotoUchiyamaPublicKey
     p: int
     q: int

@@ -14,6 +14,9 @@ from ..numtheory import RandomSource, gen_prime, lcm, mod_inv, rand_coprime
 
 @dataclass(frozen=True)
 class PaillierPublicKey:
+    SCHEME = "paillier"
+    FILE_FIELDS = (("n", "n", int), ("g", "g", int))
+
     n: int
     g: int
 
@@ -24,6 +27,10 @@ class PaillierPublicKey:
 
 @dataclass(frozen=True)
 class PaillierKeyPair:
+    SCHEME = "paillier"
+    FILE_FIELDS = ((None, "public", PaillierPublicKey), ("lambda", "lam", int),
+                   ("mu", "mu", int))
+
     public: PaillierPublicKey
     lam: int
     mu: int

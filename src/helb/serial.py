@@ -1,24 +1,41 @@
 """On-disk formats for keys and encrypted stores.
 
 Key files are line-oriented text: a `HELB-KEY v1` header, a `scheme =`
-line, then one `field = <lowercase hex>` line per component (lists as
-comma-separated hex, the lattice noise width as a decimal float).  The
-public file carries the public fields only; the secret file repeats them
-and appends the private fields, so it is usable on its own.
+line, then one `field = <value>` line per component.  Each key class
+names its scheme in `SCHEME` and its fields, in file order, in
+`FILE_FIELDS` as (file name, attribute, kind) triples.  The kind picks
+the encoding in `_CODECS` (ints as lowercase hex, tuples and ring
+polynomials as comma-separated hex, the lattice noise width as a decimal
+float); any other kind is a class whose own fields are written in place.
+A declared field that is not a constructor argument is derived, and must
+agree with the loaded key.  The public file carries the public fields
+only; the secret file repeats them and appends the private fields.
 
-Store files are binary: magic `HELB`, a version byte, a scheme byte, a
-big-endian u32 group count, then per group a prefix byte and u32 entry
-count, and per entry a u64 entry id, a u32 element count, and
-length-prefixed big-endian magnitudes.
+Store files are binary: magic `HELB`, version byte 2, a scheme byte, the
+SHA-256 of the public-file text of the key the store was built under, a
+big-endian u32 group count, then per group a prefix byte and u32 record
+count, and per record a u32 element count and length-prefixed big-endian
+magnitudes.  Entry ids are not stored: they count records in file order,
+a packed record advancing the count by its fill, as `build_store` assigns
+them.  Reading a store needs its key, which the fingerprint must match.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import struct
 
-from . import bfv
-from .errors import FormatError
+try:  # as `random` does: hashlib loads OpenSSL, 3.5 MB more resident memory
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256
+
+from . import bfv, phe
+from .errors import FormatError, SchemeMismatch
 from .ipmatch import BFV_SCHEME, GM_WIDTH, EncryptedStore
 from .phe import (
     PheCiphertext,
@@ -33,7 +50,7 @@ from .phe import (
 
 KEY_MAGIC = "HELB-KEY v1"
 STORE_MAGIC = b"HELB"
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 _SCHEME_BYTES = {
     SchemeId.PAILLIER.value: 1,
@@ -47,80 +64,66 @@ _SCHEME_BYTES = {
 _PACKED_SCHEME_BYTE = 8
 _SCHEME_OF_BYTE = {v: k for k, v in _SCHEME_BYTES.items()}
 
-
-def _hex(value: int) -> str:
-    return format(value, "x")
+# scheme name -> (public key class, key pair class)
+_KEY_CLASSES = {pub.SCHEME: (pub, pair) for pub, pair in (
+    (paillier.PaillierPublicKey, paillier.PaillierKeyPair),
+    (damgard_jurik.DamgardJurikPublicKey, damgard_jurik.DamgardJurikKeyPair),
+    (okamoto_uchiyama.OkamotoUchiyamaPublicKey,
+     okamoto_uchiyama.OkamotoUchiyamaKeyPair),
+    (benaloh.BenalohPublicKey, benaloh.BenalohKeyPair),
+    (naccache_stern.NaccacheSternPublicKey, naccache_stern.NaccacheSternKeyPair),
+    (goldwasser_micali.GoldwasserMicaliPublicKey,
+     goldwasser_micali.GoldwasserMicaliKeyPair),
+    (bfv.BfvPublicKey, bfv.BfvKeyPair),
+)}
 
 
 def _hex_list(values) -> str:
     return ",".join(format(v, "x") for v in values)
 
 
-def _parse_hex(text: str) -> int:
-    try:
-        return int(text, 16)
-    except ValueError:
-        raise FormatError(f"not a hex value: {text!r}") from None
+def _hex_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(part, 16) for part in text.split(","))
 
 
-def _parse_hex_list(text: str) -> tuple[int, ...]:
-    return tuple(_parse_hex(part) for part in text.split(","))
+# kind -> (render, parse); a parse raises ValueError on malformed text
+_CODECS = {
+    int: (lambda value: format(value, "x"), lambda text: int(text, 16)),
+    float: (repr, float),
+    tuple: (_hex_list, _hex_tuple),
+    bfv.RingPoly: (lambda poly: _hex_list(poly.coeffs),
+                   lambda text: bfv.RingPoly(_hex_tuple(text))),
+}
 
 
-def _key_fields(keys):
-    """(scheme name, public fields, private fields) as ordered name/text pairs."""
-    if isinstance(keys, bfv.BfvKeyPair):
-        p = keys.params
-        pub = [
-            ("ring_dim", _hex(p.ring_dim)),
-            ("plaintext_mod", _hex(p.plaintext_mod)),
-            ("ciphertext_mod", _hex(p.ciphertext_mod)),
-            ("sigma", repr(p.err_stddev)),
-            ("pk0", _hex_list(keys.pk0.coeffs)),
-            ("pk1", _hex_list(keys.pk1.coeffs)),
-        ]
-        return BFV_SCHEME, pub, [("s", _hex_list(keys.secret.coeffs))]
-    if isinstance(keys, paillier.PaillierKeyPair):
-        pub = [("n", _hex(keys.public.n)), ("g", _hex(keys.public.g))]
-        return "paillier", pub, [("lambda", _hex(keys.lam)), ("mu", _hex(keys.mu))]
-    if isinstance(keys, damgard_jurik.DamgardJurikKeyPair):
-        pub = [("n", _hex(keys.public.n)), ("g", _hex(keys.public.g)),
-               ("s", _hex(keys.public.s))]
-        return "damgard_jurik", pub, [("lambda", _hex(keys.lam)), ("d", _hex(keys.d))]
-    if isinstance(keys, okamoto_uchiyama.OkamotoUchiyamaKeyPair):
-        pub = [("n", _hex(keys.public.n)), ("g", _hex(keys.public.g)),
-               ("h", _hex(keys.public.h)), ("k", _hex(keys.public.msg_bits))]
-        return "okamoto_uchiyama", pub, [("p", _hex(keys.p)), ("q", _hex(keys.q))]
-    if isinstance(keys, benaloh.BenalohKeyPair):
-        pub = [("y", _hex(keys.public.y)), ("r", _hex(keys.public.r)),
-               ("n", _hex(keys.public.n))]
-        return "benaloh", pub, [("p", _hex(keys.p)), ("q", _hex(keys.q)),
-                                ("x", _hex(keys.x))]
-    if isinstance(keys, naccache_stern.NaccacheSternKeyPair):
-        pub = [("p", _hex(keys.public.p)), ("v", _hex_list(keys.public.v)),
-               ("n_bits", _hex(keys.public.n_bits))]
-        return "naccache_stern", pub, [("s", _hex(keys.s))]
-    if isinstance(keys, goldwasser_micali.GoldwasserMicaliKeyPair):
-        pub = [("n", _hex(keys.public.n)), ("a", _hex(keys.public.a))]
-        return "goldwasser_micali", pub, [("p", _hex(keys.p)), ("q", _hex(keys.q))]
-    raise FormatError(f"cannot serialize keys of type {type(keys).__name__}")
+def _field_lines(obj):
+    for name, attr, kind in obj.FILE_FIELDS:
+        value = getattr(obj, attr)
+        if kind in _CODECS:
+            yield f"{name} = {_CODECS[kind][0](value)}"
+        else:
+            yield from _field_lines(value)
 
 
-def _render_key_file(scheme: str, fields) -> str:
-    lines = [KEY_MAGIC, f"scheme = {scheme}"]
-    lines.extend(f"{name} = {value}" for name, value in fields)
-    return "\n".join(lines) + "\n"
+def _key_text(key) -> str:
+    return "\n".join([KEY_MAGIC, f"scheme = {key.SCHEME}", *_field_lines(key)]) + "\n"
+
+
+def _fingerprint(pub) -> bytes:
+    """SHA-256 of the public-file text of `pub`."""
+    return sha256(_key_text(pub).encode("utf-8")).digest()
 
 
 def write_key_files(keys, base_path: str) -> tuple[str, str]:
     """Write `<base>.pub` and `<base>.sec`; the secret file is chmod 0600."""
-    scheme, pub, priv = _key_fields(keys)
+    if not hasattr(keys, "public"):
+        raise FormatError("key files are written from a key pair")
     pub_path = base_path + ".pub"
     sec_path = base_path + ".sec"
     with open(pub_path, "w", encoding="utf-8") as fh:
-        fh.write(_render_key_file(scheme, pub))
+        fh.write(_key_text(keys.public))
     with open(sec_path, "w", encoding="utf-8") as fh:
-        fh.write(_render_key_file(scheme, pub + priv))
+        fh.write(_key_text(keys))
     try:
         os.chmod(sec_path, 0o600)
     except OSError:  # pragma: no cover - platform without POSIX permissions
@@ -152,87 +155,51 @@ def _parse_key_text(text: str):
     return scheme, fields
 
 
-def _missing(fields, *names):
-    return [n for n in names if n not in fields]
+def _build(cls, fields: dict[str, str], path: str):
+    """An instance of `cls` from its declared fields, checked for consistency
+    by its derived fields and its `violations()` method, if it has one."""
+    init = {f.name for f in dataclasses.fields(cls)}
+    kwargs, derived = {}, []
+    for name, attr, kind in cls.FILE_FIELDS:
+        if kind not in _CODECS:
+            kwargs[attr] = _build(kind, fields, path)
+            continue
+        if name not in fields:
+            raise FormatError(f"{path}: missing field {name!r}")
+        try:
+            value = _CODECS[kind][1](fields[name])
+        except ValueError:
+            raise FormatError(
+                f"{path}: malformed {name}: {fields[name][:40]!r}") from None
+        if attr in init:
+            kwargs[attr] = value
+        else:
+            derived.append((name, attr, value))
+    obj = cls(**kwargs)
+    problems = [f"{name} does not match the other fields"
+                for name, attr, value in derived if getattr(obj, attr) != value]
+    if hasattr(obj, "violations"):
+        problems += obj.violations()
+    if problems:
+        raise FormatError(f"{path}: " + "; ".join(problems))
+    return obj
 
 
 def read_key_file(path: str):
     """Load a key file; returns a key pair, or a public key object when the
     private fields are absent."""
-    with open(path, "r", encoding="utf-8") as fh:
-        scheme, fields = _parse_key_text(fh.read())
-
-    def need(*names):
-        absent = _missing(fields, *names)
-        if absent:
-            raise FormatError(f"{path}: missing {scheme} fields {absent}")
-
-    if scheme == "paillier":
-        need("n", "g")
-        pub = paillier.PaillierPublicKey(_parse_hex(fields["n"]), _parse_hex(fields["g"]))
-        if _missing(fields, "lambda", "mu"):
-            return pub
-        return paillier.PaillierKeyPair(pub, _parse_hex(fields["lambda"]),
-                                        _parse_hex(fields["mu"]))
-    if scheme == "damgard_jurik":
-        need("n", "g", "s")
-        pub = damgard_jurik.DamgardJurikPublicKey(
-            _parse_hex(fields["n"]), _parse_hex(fields["g"]), _parse_hex(fields["s"]))
-        if _missing(fields, "lambda", "d"):
-            return pub
-        return damgard_jurik.DamgardJurikKeyPair(
-            pub, _parse_hex(fields["lambda"]), _parse_hex(fields["d"]))
-    if scheme == "okamoto_uchiyama":
-        need("n", "g", "h", "k")
-        pub = okamoto_uchiyama.OkamotoUchiyamaPublicKey(
-            _parse_hex(fields["n"]), _parse_hex(fields["g"]),
-            _parse_hex(fields["h"]), _parse_hex(fields["k"]))
-        if _missing(fields, "p", "q"):
-            return pub
-        return okamoto_uchiyama.OkamotoUchiyamaKeyPair(
-            pub, _parse_hex(fields["p"]), _parse_hex(fields["q"]))
-    if scheme == "benaloh":
-        need("y", "r", "n")
-        pub = benaloh.BenalohPublicKey(_parse_hex(fields["y"]),
-                                       _parse_hex(fields["r"]),
-                                       _parse_hex(fields["n"]))
-        if _missing(fields, "p", "q", "x"):
-            return pub
-        return benaloh.BenalohKeyPair(pub, _parse_hex(fields["p"]),
-                                      _parse_hex(fields["q"]),
-                                      _parse_hex(fields["x"]))
-    if scheme == "naccache_stern":
-        need("p", "v", "n_bits")
-        v = _parse_hex_list(fields["v"])
-        if len(v) != _parse_hex(fields["n_bits"]):
-            raise FormatError(f"{path}: n_bits does not match the length of v")
-        pub = naccache_stern.NaccacheSternPublicKey(_parse_hex(fields["p"]), v)
-        if _missing(fields, "s"):
-            return pub
-        return naccache_stern.NaccacheSternKeyPair(pub, _parse_hex(fields["s"]))
-    if scheme == "goldwasser_micali":
-        need("n", "a")
-        pub = goldwasser_micali.GoldwasserMicaliPublicKey(
-            _parse_hex(fields["n"]), _parse_hex(fields["a"]))
-        if _missing(fields, "p", "q"):
-            return pub
-        return goldwasser_micali.GoldwasserMicaliKeyPair(
-            pub, _parse_hex(fields["p"]), _parse_hex(fields["q"]))
-    if scheme == BFV_SCHEME:
-        need("ring_dim", "plaintext_mod", "ciphertext_mod", "sigma", "pk0", "pk1")
-        params = bfv.BfvParams(
-            _parse_hex(fields["ring_dim"]),
-            _parse_hex(fields["plaintext_mod"]),
-            _parse_hex(fields["ciphertext_mod"]),
-            float(fields["sigma"]),
-        )
-        pk0 = bfv.RingPoly(_parse_hex_list(fields["pk0"]))
-        pk1 = bfv.RingPoly(_parse_hex_list(fields["pk1"]))
-        if _missing(fields, "s"):
-            return bfv.BfvPublicKey(params, pk0, pk1)
-        return bfv.BfvKeyPair(params, bfv.RingPoly(_parse_hex_list(fields["s"])),
-                              pk0, pk1)
-    raise FormatError(f"{path}: unknown scheme {scheme!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            scheme, fields = _parse_key_text(fh.read())
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: key file is not UTF-8 text") from None
+    if scheme not in _KEY_CLASSES:
+        raise FormatError(f"{path}: unknown scheme {scheme!r}")
+    pub_cls, pair_cls = _KEY_CLASSES[scheme]
+    # a pair's own (not nested) fields include all its private ones
+    private = all(name in fields for name, _, kind in pair_cls.FILE_FIELDS
+                  if kind in _CODECS)
+    return _build(pair_cls if private else pub_cls, fields, path)
 
 
 # ---------------------------------------------------------------------------
@@ -243,30 +210,28 @@ def _magnitude(value: int) -> bytes:
     return value.to_bytes((value.bit_length() + 7) // 8, "big")
 
 
-def _entry_elements(store: EncryptedStore, record) -> tuple[int, list[int]]:
+def _record_elements(store: EncryptedStore, record) -> list[int]:
+    ct = record[-1]
     if store.scheme == BFV_SCHEME:
-        if store.packed:
-            entry_id, fill, ct = record
-            return entry_id, list(ct.c0.coeffs) + list(ct.c1.coeffs) + [fill]
-        entry_id, ct = record
-        return entry_id, list(ct.c0.coeffs) + list(ct.c1.coeffs)
-    entry_id, ct = record
-    payload = ct.payload
-    return entry_id, list(payload) if isinstance(payload, tuple) else [payload]
+        fill = [record[1]] if store.packed else []
+        return list(ct.c0.coeffs) + list(ct.c1.coeffs) + fill
+    return list(ct.payload) if ct.width is not None else [ct.payload]
 
 
 def write_store(store: EncryptedStore, path: str) -> None:
+    if store.pub is None:
+        raise FormatError("a store without its public key cannot be written")
     scheme_byte = _PACKED_SCHEME_BYTE if store.packed else _SCHEME_BYTES[store.scheme]
     with open(path, "wb") as fh:
         fh.write(STORE_MAGIC)
         fh.write(bytes([STORE_VERSION, scheme_byte]))
+        fh.write(_fingerprint(store.pub))
         fh.write(struct.pack(">I", len(store.groups)))
         for prefix_len, records in store.groups.items():
             fh.write(bytes([prefix_len]))
             fh.write(struct.pack(">I", len(records)))
             for record in records:
-                entry_id, elements = _entry_elements(store, record)
-                fh.write(struct.pack(">Q", entry_id))
+                elements = _record_elements(store, record)
                 fh.write(struct.pack(">I", len(elements)))
                 for value in elements:
                     blob = _magnitude(value)
@@ -292,16 +257,16 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack(">I", self.take(4))[0]
 
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
     def element(self) -> int:
         return int.from_bytes(self.take(self.u32()), "big")
 
 
-def read_store(path: str, *, bfv_params: bfv.BfvParams | None = None) -> EncryptedStore:
-    """Load a store file.  Lattice-backed stores need the parameter set from
-    the matching key file to rebuild their ciphertexts."""
+def read_store(path: str, keys) -> EncryptedStore:
+    """Load a store file built under the public part of `keys`.
+
+    Raises SchemeMismatch when the file's key fingerprint is not that of
+    `keys`.  Lattice ciphertexts are rebuilt with the parameters of `keys`.
+    """
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
     if reader.take(4) != STORE_MAGIC:
@@ -314,56 +279,49 @@ def read_store(path: str, *, bfv_params: bfv.BfvParams | None = None) -> Encrypt
     scheme = BFV_SCHEME if packed else _SCHEME_OF_BYTE.get(scheme_byte)
     if scheme is None:
         raise FormatError(f"{path}: unknown scheme byte {scheme_byte}")
-    is_bfv = scheme == BFV_SCHEME
-    if is_bfv and bfv_params is None:
-        raise FormatError(
-            f"{path}: lattice store needs bfv_params from its key file")
+    if scheme != keys.SCHEME:
+        raise SchemeMismatch(f"{path}: store was built for {scheme}, keys are "
+                             f"{keys.SCHEME}")
+    pub = phe.public_part(keys)
+    if reader.take(32) != _fingerprint(pub):
+        raise SchemeMismatch(f"{path}: store was built under a different public key")
 
+    params = keys.params if scheme == BFV_SCHEME else None
+    if params is not None:
+        width = 2 * params.ring_dim + packed
+    else:
+        width = GM_WIDTH if scheme == SchemeId.GOLDWASSER_MICALI else 1
     groups: dict[int, list] = {}
+    next_id = 0
     for _ in range(reader.u32()):
         prefix_len = reader.u8()
         if prefix_len > 32:
             raise FormatError(f"{path}: prefix byte {prefix_len} out of range")
         records = []
         for _ in range(reader.u32()):
-            entry_id = reader.u64()
             elements = [reader.element() for _ in range(reader.u32())]
-            if is_bfv:
-                n = bfv_params.ring_dim
-                want = 2 * n + (1 if packed else 0)
-                if len(elements) != want:
-                    raise FormatError(
-                        f"{path}: lattice entry has {len(elements)} elements, "
-                        f"expected {want}")
+            if len(elements) != width:
+                raise FormatError(f"{path}: {scheme} entry has {len(elements)} "
+                                  f"elements, expected {width}")
+            fill = 1
+            if params is None:
+                ct = PheCiphertext(SchemeId(scheme), elements[0] if width == 1
+                                   else tuple(elements))
+            else:
+                n = params.ring_dim
                 ct = bfv.BfvCiphertext(bfv.RingPoly(tuple(elements[:n])),
                                        bfv.RingPoly(tuple(elements[n:2 * n])),
-                                       bfv_params)
+                                       params)
                 if packed:
                     fill = elements[-1]
                     if not 1 <= fill <= n:
-                        raise FormatError(
-                            f"{path}: packed entry fill {fill} is outside "
-                            f"[1, {n}]")
-                    records.append((entry_id, fill, ct))
-                else:
-                    records.append((entry_id, ct))
-            else:
-                sid = SchemeId(scheme)
-                if sid is SchemeId.GOLDWASSER_MICALI:
-                    if len(elements) != GM_WIDTH:
-                        raise FormatError(
-                            f"{path}: {scheme} entry has {len(elements)} "
-                            f"elements, expected {GM_WIDTH}")
-                    payload: int | tuple[int, ...] = tuple(elements)
-                elif len(elements) == 1:
-                    payload = elements[0]
-                else:
-                    raise FormatError(
-                        f"{path}: {scheme} entry must hold one element")
-                records.append((entry_id, PheCiphertext(sid, payload)))
+                        raise FormatError(f"{path}: packed entry fill {fill} is "
+                                          f"outside [1, {n}]")
+            records.append((next_id, fill, ct) if packed else (next_id, ct))
+            next_id += fill
         if prefix_len in groups:
             raise FormatError(f"{path}: duplicate group for prefix {prefix_len}")
         groups[prefix_len] = records
     if reader.pos != len(reader.data):
         raise FormatError(f"{path}: trailing bytes after the last group")
-    return EncryptedStore(scheme, groups, packed)
+    return EncryptedStore(scheme, groups, packed, pub=pub)

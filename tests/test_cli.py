@@ -149,6 +149,16 @@ class TestMatch:
                      "--ip", "2.3.4.77", "--seed", 10)
         assert result.exit_code == 2
 
+    def test_other_key_of_same_scheme_exits_two(self, paillier_store, tmp_path):
+        base = tmp_path / "other"
+        result = run("keygen", "--scheme", "paillier", "--bits", 256,
+                     "--out", base, "--seed", 2)
+        assert result.exit_code == 0, result.output
+        result = run("match", "--keys", str(base) + ".sec",
+                     "--store", paillier_store, "--ip", "2.3.4.77", "--seed", 10)
+        assert result.exit_code == 2
+        assert "different public key" in result.output
+
     def test_gm_store_matches_by_xor(self, gm_files, cidr_file, tmp_path):
         pub, sec = gm_files
         store = tmp_path / "gm.bin"
@@ -283,6 +293,36 @@ class TestLatticeFlow:
                      "--ip", "9.9.9.9", "--seed", 40)
         assert result.exit_code == 2
         assert "fill 5000" in result.output
+
+    def test_other_key_on_packed_store_exits_two(self, bfv_files, cidr_file,
+                                                 tmp_path):
+        store = tmp_path / "p.bin"
+        result = run("blacklist", "encrypt", "--key", bfv_files[0], "--cidr-file",
+                     cidr_file, "--out", store, "--packed", "--seed", 41)
+        assert result.exit_code == 0
+        base = tmp_path / "other"
+        result = run("keygen", "--scheme", "bfv", "--out", base, "--seed", 42)
+        assert result.exit_code == 0, result.output
+        result = run("match", "--keys", str(base) + ".sec", "--store", store,
+                     "--ip", "192.168.0.200", "--seed", 43)
+        assert result.exit_code == 2
+        assert "different public key" in result.output
+
+    def test_truncated_secret_polynomial_exits_two(self, bfv_files, cidr_file,
+                                                   tmp_path):
+        pub, sec = bfv_files
+        store = tmp_path / "p.bin"
+        result = run("blacklist", "encrypt", "--key", pub, "--cidr-file",
+                     cidr_file, "--out", store, "--packed", "--seed", 44)
+        assert result.exit_code == 0
+        lines = open(sec).read().splitlines()
+        bad = tmp_path / "bad.sec"
+        bad.write_text("\n".join("s = 1" if line.startswith("s =") else line
+                                 for line in lines) + "\n")
+        result = run("match", "--keys", bad, "--store", store,
+                     "--ip", "4.4.4.4", "--seed", 45)
+        assert result.exit_code == 2
+        assert "coefficients" in result.output
 
     def test_scale_packed_flag(self):
         result = run("bench", "scale", "--counts", "2", "--packed", "--seed", 36)

@@ -422,6 +422,28 @@ def test_scheme_mismatch_between_keys_and_ciphertext(paillier_keys, dj_keys):
         phe.decrypt(dj_keys, ct)
 
 
+@pytest.mark.parametrize("fixture, scheme", [
+    ("paillier_keys", SchemeId.PAILLIER), ("dj_keys", SchemeId.DAMGARD_JURIK),
+    ("ou_keys", SchemeId.OKAMOTO_UCHIYAMA), ("benaloh_keys", SchemeId.BENALOH),
+    ("ns_keys", SchemeId.NACCACHE_STERN), ("gm_keys", SchemeId.GOLDWASSER_MICALI)])
+def test_scheme_of_pairs_and_public_keys(fixture, scheme, request):
+    keys = request.getfixturevalue(fixture)
+    assert phe.scheme_of(keys) is scheme
+    assert phe.scheme_of(keys.public) is scheme
+
+
+@pytest.mark.parametrize("not_phe", ["bfv_small_keys", None])
+def test_scheme_of_rejects_other_objects(not_phe, request):
+    from helb.errors import SchemeMismatch
+
+    keys = request.getfixturevalue(not_phe) if not_phe else object()
+    with pytest.raises(SchemeMismatch):
+        phe.scheme_of(keys)
+    if not_phe:
+        with pytest.raises(SchemeMismatch):
+            phe.scheme_of(keys.public)
+
+
 def test_public_key_cannot_decrypt(paillier_keys):
     from helb.errors import SchemeMismatch
 

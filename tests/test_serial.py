@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import stat
@@ -6,7 +7,7 @@ import pytest
 import support
 
 from helb import bfv, ipmatch, phe, serial
-from helb.errors import FormatError
+from helb.errors import FormatError, SchemeMismatch
 from helb.numtheory import RandomSource
 
 RNG = RandomSource.seeded
@@ -35,11 +36,13 @@ def test_public_file_loads_public_part(fixture, request, tmp_path):
     keys = request.getfixturevalue(fixture)
     pub_path, _ = serial.write_key_files(keys, str(tmp_path / "key"))
     loaded = serial.read_key_file(pub_path)
-    if isinstance(keys, bfv.BfvKeyPair):
-        assert loaded == keys.public
-    else:
-        assert loaded == keys.public
+    assert loaded == keys.public
     assert not hasattr(loaded, "secret") or isinstance(loaded, bfv.BfvPublicKey)
+
+
+def test_public_key_alone_is_not_written(paillier_keys, tmp_path):
+    with pytest.raises(FormatError, match="key pair"):
+        serial.write_key_files(paillier_keys.public, str(tmp_path / "key"))
 
 
 def test_secret_file_has_restrictive_permissions(paillier_keys, tmp_path):
@@ -81,6 +84,41 @@ class TestKeyFileErrors:
         with pytest.raises(FormatError):
             serial.read_key_file(str(path))
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "k"
+        path.write_bytes(b"HELB-KEY v1\nscheme = paillier\nn = \xff\ng = 01\n")
+        with pytest.raises(FormatError, match="UTF-8"):
+            serial.read_key_file(str(path))
+
+    def test_naccache_stern_n_bits_must_match_v(self, ns_keys, tmp_path):
+        pub_path, _ = serial.write_key_files(ns_keys, str(tmp_path / "key"))
+        text = open(pub_path).read()
+        bits = ns_keys.public.n_bits
+        open(pub_path, "w").write(
+            text.replace(f"n_bits = {bits:x}", f"n_bits = {bits + 1:x}"))
+        with pytest.raises(FormatError, match="n_bits"):
+            serial.read_key_file(pub_path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("s", "1"),                  # one coefficient instead of ring_dim
+        ("pk0", "0,1"),
+        ("ring_dim", "3"),
+        ("plaintext_mod", "10"),
+        ("sigma", "abc"),
+        ("sigma", "inf"),
+        ("s", None),                 # one coefficient equal to ciphertext_mod
+    ])
+    def test_malformed_lattice_value(self, bfv_small_keys, tmp_path, field, value):
+        _, sec_path = serial.write_key_files(bfv_small_keys, str(tmp_path / "key"))
+        if value is None:
+            coeffs = [bfv_small_keys.params.ciphertext_mod] + [0] * 63
+            value = ",".join(format(c, "x") for c in coeffs)
+        lines = [f"{field} = {value}" if line.startswith(f"{field} =") else line
+                 for line in open(sec_path).read().splitlines()]
+        open(sec_path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(FormatError):
+            serial.read_key_file(sec_path)
+
 
 # ---------------------------------------------------------------------------
 # store files
@@ -100,9 +138,10 @@ def test_phe_store_round_trip_byte_identical(fixture, request, tmp_path):
     _, store = _random_store(keys, 7)
     path = str(tmp_path / "store.bin")
     serial.write_store(store, path)
-    loaded = serial.read_store(path)
+    loaded = serial.read_store(path, keys)
     assert loaded.scheme == store.scheme
     assert loaded.groups == store.groups
+    assert loaded.pub == store.pub
     path2 = str(tmp_path / "store2.bin")
     serial.write_store(loaded, path2)
     assert open(path, "rb").read() == open(path2, "rb").read()
@@ -113,7 +152,7 @@ def test_bfv_store_round_trip(bfv_small_keys, tmp_path, packed):
     _, store = _random_store(bfv_small_keys, 8, count=80, packed=packed)
     path = str(tmp_path / "store.bin")
     serial.write_store(store, path)
-    loaded = serial.read_store(path, bfv_params=support.SMALL_PARAMS)
+    loaded = serial.read_store(path, bfv_small_keys)
     assert loaded.packed == packed
     assert loaded.groups == store.groups
     path2 = str(tmp_path / "store2.bin")
@@ -125,7 +164,7 @@ def test_loaded_store_still_matches(paillier_keys, tmp_path):
     entries, store = _random_store(paillier_keys, 9)
     path = str(tmp_path / "store.bin")
     serial.write_store(store, path)
-    loaded = serial.read_store(path)
+    loaded = serial.read_store(path, paillier_keys)
     rnd = random.Random("loadmatch")
     for _ in range(10):
         ip = support.biased_address(rnd, entries)
@@ -133,20 +172,29 @@ def test_loaded_store_still_matches(paillier_keys, tmp_path):
         assert got == support.plain_member(ip, entries)
 
 
-def test_bfv_store_requires_params(bfv_small_keys, tmp_path):
-    _, store = _random_store(bfv_small_keys, 11, count=5)
+@pytest.mark.parametrize("scheme", ["paillier", "bfv"])
+def test_store_read_with_other_key_is_rejected(scheme, paillier_keys,
+                                               bfv_small_keys, tmp_path):
+    if scheme == "paillier":
+        keys = paillier_keys
+        other = phe.keygen(phe.SchemeId.PAILLIER, 256, RNG(111), test_mode=True)
+    else:
+        keys = bfv_small_keys
+        other = bfv.keygen(support.SMALL_PARAMS, RNG(112))
+    _, store = _random_store(keys, 11, count=5, packed=scheme == "bfv")
     path = str(tmp_path / "store.bin")
     serial.write_store(store, path)
-    with pytest.raises(FormatError, match="params"):
-        serial.read_store(path)
+    with pytest.raises(SchemeMismatch, match="different public key"):
+        serial.read_store(path, other)
+    assert serial.read_store(path, keys.public).groups == store.groups
 
 
 class TestStoreFileErrors:
-    def test_bad_magic(self, tmp_path):
+    def test_bad_magic(self, tmp_path, paillier_keys):
         path = tmp_path / "s.bin"
         path.write_bytes(b"NOPE" + bytes(10))
         with pytest.raises(FormatError, match="magic"):
-            serial.read_store(str(path))
+            serial.read_store(str(path), paillier_keys)
 
     def test_bad_version(self, tmp_path, paillier_keys):
         _, store = _random_store(paillier_keys, 12, count=3)
@@ -156,7 +204,7 @@ class TestStoreFileErrors:
         data[4] = 0x7F
         open(path, "wb").write(bytes(data))
         with pytest.raises(FormatError, match="version"):
-            serial.read_store(path)
+            serial.read_store(path, paillier_keys)
 
     def test_unknown_scheme_byte(self, tmp_path, paillier_keys):
         _, store = _random_store(paillier_keys, 13, count=3)
@@ -166,7 +214,17 @@ class TestStoreFileErrors:
         data[5] = 0x63
         open(path, "wb").write(bytes(data))
         with pytest.raises(FormatError, match="scheme"):
-            serial.read_store(path)
+            serial.read_store(path, paillier_keys)
+
+    def test_scheme_byte_of_another_scheme(self, tmp_path, paillier_keys):
+        _, store = _random_store(paillier_keys, 20, count=3)
+        path = str(tmp_path / "s.bin")
+        serial.write_store(store, path)
+        data = bytearray(open(path, "rb").read())
+        data[5] = 2  # damgard_jurik
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(SchemeMismatch, match="built for damgard_jurik"):
+            serial.read_store(path, paillier_keys)
 
     def test_truncated(self, tmp_path, paillier_keys):
         _, store = _random_store(paillier_keys, 14, count=3)
@@ -175,7 +233,7 @@ class TestStoreFileErrors:
         data = open(path, "rb").read()
         open(path, "wb").write(data[:len(data) // 2])
         with pytest.raises(FormatError):
-            serial.read_store(path)
+            serial.read_store(path, paillier_keys)
 
     def test_trailing_garbage(self, tmp_path, paillier_keys):
         _, store = _random_store(paillier_keys, 15, count=3)
@@ -184,7 +242,7 @@ class TestStoreFileErrors:
         with open(path, "ab") as fh:
             fh.write(b"\x00")
         with pytest.raises(FormatError, match="trailing"):
-            serial.read_store(path)
+            serial.read_store(path, paillier_keys)
 
     def test_packed_fill_beyond_ring(self, tmp_path, bfv_small_keys):
         store = ipmatch.build_store([ipmatch.parse_cidr("2.3.4.0/24")],
@@ -193,30 +251,65 @@ class TestStoreFileErrors:
         serial.write_store(store, path)
         support.set_packed_fill(path, 5000)
         with pytest.raises(FormatError, match="fill 5000"):
-            serial.read_store(path, bfv_params=bfv_small_keys.params)
+            serial.read_store(path, bfv_small_keys)
 
-    def test_gm_entry_of_wrong_width(self, tmp_path):
+    def test_gm_entry_of_wrong_width(self, tmp_path, gm_keys):
         ct = phe.PheCiphertext(phe.SchemeId.GOLDWASSER_MICALI, tuple(range(1, 32)))
-        store = ipmatch.EncryptedStore("goldwasser_micali", {24: [(0, ct)]})
+        store = ipmatch.EncryptedStore("goldwasser_micali", {24: [(0, ct)]},
+                                       pub=gm_keys.public)
         path = str(tmp_path / "s.bin")
         serial.write_store(store, path)
         with pytest.raises(FormatError, match="expected 32"):
-            serial.read_store(path)
+            serial.read_store(path, gm_keys)
+
+    def test_version_1_rejected(self, tmp_path, paillier_keys):
+        _, store = _random_store(paillier_keys, 18, count=3)
+        path = str(tmp_path / "s.bin")
+        serial.write_store(store, path)
+        data = bytearray(open(path, "rb").read())
+        data[4] = 1
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(FormatError, match="version 1"):
+            serial.read_store(path, paillier_keys)
+
+    def test_store_without_public_key_is_not_written(self, tmp_path):
+        store = ipmatch.EncryptedStore("paillier", {24: []})
+        with pytest.raises(FormatError, match="public key"):
+            serial.write_store(store, str(tmp_path / "s.bin"))
 
 
 def test_store_binary_layout(paillier_keys, tmp_path):
-    # spot-check the exact header layout: magic, version 1, scheme byte,
-    # big-endian group count, prefix byte, big-endian entry count, u64 id
+    # spot-check the exact header layout: magic, version 2, scheme byte,
+    # SHA-256 of the public key file, big-endian group count, prefix byte,
+    # big-endian record count, then the record's element count (no entry id)
     store = ipmatch.build_store([ipmatch.parse_cidr("2.3.4.0/24")],
                                 paillier_keys, RNG(16))
     path = str(tmp_path / "s.bin")
     serial.write_store(store, path)
+    pub_path, _ = serial.write_key_files(paillier_keys, str(tmp_path / "key"))
     data = open(path, "rb").read()
     assert data[:4] == b"HELB"
-    assert data[4] == 1
+    assert data[4] == 2
     assert data[5] == 1  # paillier
-    assert int.from_bytes(data[6:10], "big") == 1   # one group
-    assert data[10] == 24                           # prefix byte
-    assert int.from_bytes(data[11:15], "big") == 1  # one entry
-    assert int.from_bytes(data[15:23], "big") == 0  # entry id 0
-    assert int.from_bytes(data[23:27], "big") == 1  # one payload element
+    assert data[6:38] == hashlib.sha256(open(pub_path, "rb").read()).digest()
+    assert int.from_bytes(data[38:42], "big") == 1  # one group
+    assert data[42] == 24                           # prefix byte
+    assert int.from_bytes(data[43:47], "big") == 1  # one record
+    assert int.from_bytes(data[47:51], "big") == 1  # one payload element
+    blob_len = int.from_bytes(data[51:55], "big")
+    assert len(data) == 55 + blob_len
+
+
+def test_entry_ids_are_derived_in_file_order(bfv_small_keys, tmp_path):
+    # 70 networks of one prefix fill one 64-slot record and start another;
+    # the ids restart nowhere and skip nothing across groups
+    rnd = random.Random("ids")
+    entries = support.random_entries(rnd, 70, prefixes=(24,))
+    entries += support.random_entries(rnd, 3, prefixes=(16,))
+    store = ipmatch.build_store(entries, bfv_small_keys, RNG(19), packed=True)
+    path = str(tmp_path / "s.bin")
+    serial.write_store(store, path)
+    loaded = serial.read_store(path, bfv_small_keys)
+    ids = [(r[0], r[1]) for g in loaded.groups.values() for r in g]
+    assert ids == [(r[0], r[1]) for g in store.groups.values() for r in g]
+    assert [start for start, _ in ids] == [0, 64, 64 + ids[1][1]]

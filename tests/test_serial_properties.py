@@ -1,0 +1,87 @@
+"""Property tests: damaged key and store files load or fail with a HelbError.
+
+Valid files for every scheme get one byte flipped, a tail cut off, or
+bytes appended.  `read_key_file` and `read_store` must then return an
+object or raise a `HelbError` subclass; any other exception would reach
+the CLI as an internal error instead of a typed refusal.  The examples
+are derandomized, so every run tries the same damaged files.
+"""
+
+import random
+
+import pytest
+import support
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helb import ipmatch, serial
+from helb.errors import HelbError
+from helb.numtheory import RandomSource
+
+KEY_FIXTURES = ["paillier_keys", "dj_keys", "ou_keys", "benaloh_keys",
+                "ns_keys", "gm_keys", "bfv_small_keys"]
+STORE_CASES = [("paillier_keys", False), ("dj_keys", False), ("ou_keys", False),
+               ("benaloh_wide_keys", False), ("ns_keys", False),
+               ("gm_keys", False), ("bfv_small_keys", False),
+               ("bfv_small_keys", True)]
+EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def damaged(draw, data: bytes) -> bytes:
+    how = draw(st.sampled_from(["flip", "truncate", "append"]))
+    if how == "append":
+        return data + draw(st.binary(min_size=1, max_size=64))
+    # half the damage lands in the first 64 bytes, where the headers are
+    head = min(len(data), 64) - 1
+    pos = draw(st.integers(0, head) | st.integers(0, len(data) - 1))
+    if how == "truncate":
+        return data[:pos]
+    flipped = data[pos] ^ draw(st.integers(1, 255))
+    return data[:pos] + bytes([flipped]) + data[pos + 1:]
+
+
+def _loads_or_refuses(read, *args) -> None:
+    try:
+        read(*args)
+    except HelbError:
+        pass
+
+
+@pytest.mark.parametrize("fixture", KEY_FIXTURES)
+def test_damaged_key_file_loads_or_raises_helb_error(fixture, request, tmp_path):
+    keys = request.getfixturevalue(fixture)
+    paths = serial.write_key_files(keys, str(tmp_path / "key"))
+    originals = [open(path, "rb").read() for path in paths]
+    target = tmp_path / "damaged"
+
+    @EXAMPLES
+    @given(st.data())
+    def check(data):
+        original = data.draw(st.sampled_from(originals))
+        target.write_bytes(data.draw(damaged(original)))
+        _loads_or_refuses(serial.read_key_file, str(target))
+
+    check()
+
+
+@pytest.mark.parametrize("fixture, packed", STORE_CASES)
+def test_damaged_store_file_loads_or_raises_helb_error(fixture, packed, request,
+                                                      tmp_path):
+    keys = request.getfixturevalue(fixture)
+    entries = support.random_entries(random.Random(fixture), 3)
+    store = ipmatch.build_store(entries, keys, RandomSource.seeded(5),
+                                packed=packed)
+    path = tmp_path / "store.bin"
+    serial.write_store(store, str(path))
+    original = path.read_bytes()
+    target = tmp_path / "damaged"
+
+    @EXAMPLES
+    @given(st.data())
+    def check(data):
+        target.write_bytes(data.draw(damaged(original)))
+        _loads_or_refuses(serial.read_store, str(target), keys)
+
+    check()
