@@ -122,9 +122,7 @@ def blacklist_encrypt(key_path, cidr_file, out_path, packed, seed):
     dupes = store.meta.get("duplicates_removed", 0)
     click.echo(f"wrote {out_path}: {store.entry_count} entries "
                f"({dupes} duplicates removed)")
-    for prefix_len in sorted(store.groups, reverse=True):
-        group = store.groups[prefix_len]
-        count = sum(f for _, f, _ in group) if store.packed else len(group)
+    for prefix_len, count in sorted(store.prefix_counts().items(), reverse=True):
         click.echo(f"  /{prefix_len}: {count} entries")
 
 
@@ -163,6 +161,7 @@ def match(keys_path, store_path, ip, exhaustive, blind, as_json,
             "list_kind": list_kind,
             "matched": result.matched,
             "entry_id": result.entry_id,
+            "stats": result.stats,
         }
         if debug_differences:
             payload["differences"] = result.differences

@@ -7,7 +7,9 @@ encrypts it once per group, combines it with every stored record and
 zero-tests the result.  The store's scheme picks the combination:
 subtraction for the additive schemes and the lattice backend, XOR of all
 `GM_WIDTH` bits for Goldwasser-Micali.  A packed lattice record holds up to
-ring_dim networks, and its zero coefficients mark the matching ones.
+ring_dim networks of any prefix lengths, longest prefix first; its query
+holds the target masked for each slot's prefix, and its first zero
+coefficient marks the longest matching network.
 """
 
 from __future__ import annotations
@@ -97,11 +99,14 @@ def load_cidr_file(path) -> list[CidrEntry]:
 class EncryptedStore:
     """Encrypted blacklist grouped by prefix length.
 
-    Unpacked groups hold (entry_id, ciphertext) pairs; packed groups hold
-    (start_id, fill_count, ciphertext) with up to ring_dim networks in one
-    ciphertext's coefficients.  Prefix lengths and group sizes are public.
-    `pub` is the public key the store was built under; a store file
-    carries only its fingerprint (stores and keys travel in separate files).
+    Unpacked groups hold (entry_id, ciphertext) pairs.  Packed groups hold
+    (runs, ciphertext) records with up to ring_dim networks in one
+    ciphertext's coefficients; `runs` lays out its slots as (prefix length,
+    first entry id, count) triples, longest prefix first, and a record sits
+    in the group of its first slot's prefix.  Prefix lengths and group sizes
+    are public.  `pub` is the public key the store was built under; a store
+    file carries only its fingerprint (stores and keys travel in separate
+    files).
     """
 
     scheme: str
@@ -110,11 +115,20 @@ class EncryptedStore:
     meta: dict = field(default_factory=dict)
     pub: object | None = None
 
+    def prefix_counts(self) -> dict[int, int]:
+        """Number of networks per prefix length."""
+        if not self.packed:
+            return {p: len(records) for p, records in self.groups.items()}
+        counts: dict[int, int] = {}
+        for records in self.groups.values():
+            for runs, _ in records:
+                for prefix_len, _, count in runs:
+                    counts[prefix_len] = counts.get(prefix_len, 0) + count
+        return counts
+
     @property
     def entry_count(self) -> int:
-        if self.packed:
-            return sum(fill for g in self.groups.values() for _, fill, _ in g)
-        return sum(len(g) for g in self.groups.values())
+        return sum(self.prefix_counts().values())
 
 
 @dataclass
@@ -178,19 +192,37 @@ def build_store(entries, keys, rng: RandomSource, *,
         def encrypt(chunk):
             return phe.encrypt(keys, chunk[0], rng)
 
-    groups: dict[int, list] = {}
-    next_id = 0
+    # entry ids count networks group by group in first-appearance order;
+    # packed slots run longest prefix first (a stable sort keeps the ids
+    # of one prefix ascending)
+    slots, next_id = [], 0
     for prefix_len, values in cleaned.items():
-        group = groups[prefix_len] = []
-        for i in range(0, len(values), size):
-            chunk = values[i:i + size]
-            ct = encrypt(chunk)
-            group.append((next_id, len(chunk), ct) if packed else (next_id, ct))
-            next_id += len(chunk)
+        slots += [(prefix_len, next_id + i, value) for i, value in enumerate(values)]
+        next_id += len(values)
+    if packed:
+        slots.sort(key=lambda slot: -slot[0])
+    groups: dict[int, list] = {}
+    for i in range(0, len(slots), size):
+        chunk = slots[i:i + size]
+        ct = encrypt([value for _, _, value in chunk])
+        head, first_id, _ = chunk[0]
+        groups.setdefault(head, []).append(
+            (_runs(chunk), ct) if packed else (first_id, ct))
 
     meta = {"duplicates_removed": duplicates, "entries_normalized": normalized}
     pub = phe.public_part(keys)
     return EncryptedStore(scheme, groups, packed, meta, pub)
+
+
+def _runs(slots) -> tuple[tuple[int, int, int], ...]:
+    """(prefix length, first entry id, count) of each prefix's slots."""
+    runs = []
+    for prefix_len, entry_id, _ in slots:
+        if runs and runs[-1][0] == prefix_len:
+            runs[-1][2] += 1
+        else:
+            runs.append([prefix_len, entry_id, 1])
+    return tuple(tuple(run) for run in runs)
 
 
 def _check_store_keys(store: EncryptedStore, keys) -> None:
@@ -211,49 +243,77 @@ def _debug_decrypt(keys, diff) -> int | None:
         return None
 
 
-def _hooks(store: EncryptedStore, keys, rng: RandomSource, *, blind: bool,
-           debug: bool):
-    """The two steps in which the backends differ.
+def _prefix_of(prefix_len: int, record) -> int:
+    return prefix_len
 
-    `encrypt(masked)` encrypts a group's masked target.  `test(target,
-    record)` combines it with one stored record, zero-tests the result, and
-    returns (matching slot offsets, decrypted difference or None).  The
-    offsets are () or (0,) for a one-entry record, any of range(fill) for a
-    packed one.
+
+def _hooks(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
+           blind: bool, debug: bool):
+    """The three steps in which the backends differ.
+
+    `query_of(prefix_len, record)` names what the query for a record of
+    the group `prefix_len` depends on: the prefix length, or a packed
+    record's slot layout.  `encrypt(query)` encrypts the target masked
+    accordingly.  `test(target, record)` combines it with one stored
+    record, zero-tests the result, and returns (entry id of the first
+    matching slot or None, decrypted difference or None).
     """
     if blind and store.scheme in (BFV_SCHEME, _GM):
         raise InvalidOptions("blinding is only available for the additive schemes")
-    if store.scheme == BFV_SCHEME:
+    if store.scheme == BFV_SCHEME and store.packed:
         params = keys.params
-        width = params.ring_dim if store.packed else 1
 
-        def encrypt(masked):
-            return bfv.encrypt(keys, bfv.encode([masked] * width, params),
-                               params, rng)
+        def layout_of(prefix_len, record):
+            return tuple((p, count) for p, _, count in record[0])
+
+        def encrypt(layout):
+            values = []
+            for prefix_len, count in layout:
+                values += [ip & prefix_to_mask(prefix_len)] * count
+            return bfv.encrypt(keys, bfv.encode(values, params), params, rng)
 
         def test(target, record):
-            diff = bfv.eval_sub(target, record[-1])
+            runs, ct = record
+            coeffs = bfv.decrypt(keys, bfv.eval_sub(target, ct), params).coeffs
+            try:
+                slot = coeffs.index(0, 0, sum(count for _, _, count in runs))
+            except ValueError:
+                return None, None
+            for _, first_id, count in runs:
+                if slot < count:
+                    return first_id + slot, None
+                slot -= count
+
+        return layout_of, encrypt, test
+
+    if store.scheme == BFV_SCHEME:
+        params = keys.params
+
+        def encrypt(prefix_len):
+            masked = ip & prefix_to_mask(prefix_len)
+            return bfv.encrypt(keys, bfv.encode([masked], params), params, rng)
+
+        def test(target, record):
+            diff = bfv.eval_sub(target, record[1])
             coeffs = bfv.decrypt(keys, diff, params).coeffs
-            if store.packed:
-                return [slot for slot in range(record[1]) if coeffs[slot] == 0], None
-            return (() if any(coeffs) else (0,)), coeffs[0]
+            return (None if any(coeffs) else record[0]), coeffs[0]
 
-        return encrypt, test
+        return _prefix_of, encrypt, test
 
-    def encrypt(masked):
-        return phe.encrypt(keys, masked, rng)
+    def encrypt(prefix_len):
+        return phe.encrypt(keys, ip & prefix_to_mask(prefix_len), rng)
 
     def test(target, record):
         if store.scheme == _GM:
-            diff = phe.xor_encrypted(keys, target, record[-1])
+            diff = phe.xor_encrypted(keys, target, record[1])
         else:
-            diff = phe.sub_encrypted(keys, target, record[-1])
+            diff = phe.sub_encrypted(keys, target, record[1])
             if blind:
                 diff = phe.scalar_mul(keys, diff, phe.blinding_factor(keys, rng))
-        offsets = (0,) if phe.is_zero(keys, diff) else ()
-        return offsets, _debug_decrypt(keys, diff) if debug else None
+        entry_id = record[0] if phe.is_zero(keys, diff) else None
+        return entry_id, _debug_decrypt(keys, diff) if debug else None
 
-    return encrypt, test
+    return _prefix_of, encrypt, test
 
 
 def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
@@ -261,30 +321,35 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
           debug: bool = False) -> MatchResult:
     """Test `ip` against `store` under the key pair `keys`.
 
-    Scans prefix groups longest first and records in insertion order; the
-    first match wins, and `exhaustive` only keeps the scan going to the end.
+    Scans prefix groups longest first and records in insertion order, and
+    encrypts a new query only when a record needs another than the record
+    before it: once per group, or once per packed slot layout.  The first
+    match wins, and `exhaustive` only keeps the scan going to the end.
     `blind` multiplies each difference by a fresh unit before the zero test
     (additive schemes only).  `debug` reports each record's decrypted
     difference by entry id; packed records, which hold many entries, report
     none.
     """
     _check_store_keys(store, keys)
-    encrypt, test = _hooks(store, keys, rng, blind=blind, debug=debug)
+    query_of, encrypt, test = _hooks(ip, store, keys, rng, blind=blind,
+                                     debug=debug)
     op = "xor_calls" if store.scheme == _GM else "sub_calls"
     stats = {"encryptions": 0, op: 0, "zero_tests": 0}
     differences = {} if debug and not store.packed else None
-    matched_id = None
+    matched_id = query = target = None
     for prefix_len in sorted(store.groups, reverse=True):
-        target = encrypt(ip & prefix_to_mask(prefix_len))
-        stats["encryptions"] += 1
         for record in store.groups[prefix_len]:
-            offsets, difference = test(target, record)
+            wanted = query_of(prefix_len, record)
+            if wanted != query:
+                query, target = wanted, encrypt(wanted)
+                stats["encryptions"] += 1
+            entry_id, difference = test(target, record)
             stats[op] += 1
             stats["zero_tests"] += 1
             if differences is not None:
                 differences[record[0]] = difference
-            if offsets and matched_id is None:
-                matched_id = record[0] + offsets[0]
+            if entry_id is not None and matched_id is None:
+                matched_id = entry_id
                 if not exhaustive:
                     return MatchResult(True, matched_id, differences, stats)
     return MatchResult(matched_id is not None, matched_id, differences, stats)

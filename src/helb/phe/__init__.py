@@ -5,7 +5,8 @@ scheme are dispatched by :class:`SchemeId`.  Keys are immutable dataclasses
 with a ``public`` part; each key class names its scheme in ``SCHEME`` and
 its key-file fields in ``FILE_FIELDS`` (see :mod:`helb.serial`).
 Ciphertexts are :class:`PheCiphertext` values whose payload is a single
-group element, or a tuple of per-bit elements for Goldwasser-Micali.
+group element, or a tuple of per-bit elements for Goldwasser-Micali; each
+element lies in [1, ``cipher_modulus``) of the public key.
 """
 
 from __future__ import annotations

@@ -40,6 +40,10 @@ class BenalohPublicKey:
     r: int
     n: int
 
+    @property
+    def cipher_modulus(self) -> int:
+        return self.n
+
 
 @dataclass(frozen=True)
 class BenalohKeyPair:

@@ -23,6 +23,10 @@ class GoldwasserMicaliPublicKey:
     n: int
     a: int
 
+    @property
+    def cipher_modulus(self) -> int:
+        return self.n
+
 
 @dataclass(frozen=True)
 class GoldwasserMicaliKeyPair:

@@ -40,6 +40,10 @@ class NaccacheSternPublicKey:
     def message_space(self) -> int:
         return 1 << self.n_bits
 
+    @property
+    def cipher_modulus(self) -> int:
+        return self.p
+
 
 @dataclass(frozen=True)
 class NaccacheSternKeyPair:

@@ -6,6 +6,7 @@ k is published with the key.  Homomorphic results decrypt modulo p.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,10 @@ class OkamotoUchiyamaPublicKey:
     def message_space(self) -> int:
         return 1 << self.msg_bits
 
+    @property
+    def cipher_modulus(self) -> int:
+        return self.n
+
 
 @dataclass(frozen=True)
 class OkamotoUchiyamaKeyPair:
@@ -41,6 +46,12 @@ class OkamotoUchiyamaKeyPair:
     public: OkamotoUchiyamaPublicKey
     p: int
     q: int
+
+    @functools.cached_property
+    def g_factor(self) -> int:
+        """Inverse of L(g^(p-1) mod p^2) modulo p, the decryption constant."""
+        p = self.p
+        return mod_inv(_l(pow(self.public.g, p - 1, p * p), p), p)
 
 
 def keygen(bits: int, rng: RandomSource, p: int | None = None,
@@ -89,9 +100,7 @@ def decrypt(keys: OkamotoUchiyamaKeyPair, c: int) -> int:
     psq = p * p
     if not 0 < c < keys.public.n:
         raise DecryptionFailure("ciphertext outside Z*_n")
-    num = _l(pow(c, p - 1, psq), p)
-    den = _l(pow(keys.public.g, p - 1, psq), p)
-    return num * mod_inv(den, p) % p
+    return _l(pow(c, p - 1, psq), p) * keys.g_factor % p
 
 
 def combine(pub: OkamotoUchiyamaPublicKey, a: int, b: int) -> int:

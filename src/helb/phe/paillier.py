@@ -21,7 +21,7 @@ class PaillierPublicKey:
     g: int
 
     @property
-    def nsquare(self) -> int:
+    def cipher_modulus(self) -> int:
         return self.n * self.n
 
 
@@ -61,7 +61,7 @@ def keygen(bits: int, rng: RandomSource, p: int | None = None,
 def encrypt(pub: PaillierPublicKey, m: int, rng: RandomSource) -> int:
     if not 0 <= m < pub.n:
         raise MessageOutOfRange(f"message must lie in [0, n), got {m}")
-    nsq = pub.nsquare
+    nsq = pub.cipher_modulus
     if pub.g == pub.n + 1:
         gm = (1 + m * pub.n) % nsq
     else:
@@ -72,21 +72,21 @@ def encrypt(pub: PaillierPublicKey, m: int, rng: RandomSource) -> int:
 
 def decrypt(keys: PaillierKeyPair, c: int) -> int:
     n = keys.public.n
-    if not 0 < c < keys.public.nsquare:
+    if not 0 < c < keys.public.cipher_modulus:
         raise DecryptionFailure("ciphertext outside Z*_{n^2}")
-    return _l(pow(c, keys.lam, keys.public.nsquare), n) * keys.mu % n
+    return _l(pow(c, keys.lam, keys.public.cipher_modulus), n) * keys.mu % n
 
 
 def combine(pub: PaillierPublicKey, a: int, b: int) -> int:
-    return a * b % pub.nsquare
+    return a * b % pub.cipher_modulus
 
 
 def invert(pub: PaillierPublicKey, a: int) -> int:
-    return mod_inv(a, pub.nsquare)
+    return mod_inv(a, pub.cipher_modulus)
 
 
 def scale(pub: PaillierPublicKey, a: int, k: int) -> int:
-    return pow(a, k, pub.nsquare)
+    return pow(a, k, pub.cipher_modulus)
 
 
 def is_zero(keys: PaillierKeyPair, c: int) -> bool:

@@ -11,13 +11,17 @@ A declared field that is not a constructor argument is derived, and must
 agree with the loaded key.  The public file carries the public fields
 only; the secret file repeats them and appends the private fields.
 
-Store files are binary: magic `HELB`, version byte 2, a scheme byte, the
+Store files are binary: magic `HELB`, version byte 3, a scheme byte, the
 SHA-256 of the public-file text of the key the store was built under, a
 big-endian u32 group count, then per group a prefix byte and u32 record
 count, and per record a u32 element count and length-prefixed big-endian
-magnitudes.  Entry ids are not stored: they count records in file order,
-a packed record advancing the count by its fill, as `build_store` assigns
-them.  Reading a store needs its key, which the fingerprint must match.
+magnitudes.  A PHE record holds its ciphertext's group elements, an
+unpacked lattice record the 2 * ring_dim coefficients of c0 and c1.  Their
+entry ids are not stored: they count records in file order, as
+`build_store` assigns them.  A packed lattice record appends its slot runs
+to the coefficients, three elements per run: prefix length, first entry
+id, count.  Reading a store needs its key, which the fingerprint must
+match, and every value is range-checked against it.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .phe import (
 
 KEY_MAGIC = "HELB-KEY v1"
 STORE_MAGIC = b"HELB"
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 _SCHEME_BYTES = {
     SchemeId.PAILLIER.value: 1,
@@ -213,8 +217,8 @@ def _magnitude(value: int) -> bytes:
 def _record_elements(store: EncryptedStore, record) -> list[int]:
     ct = record[-1]
     if store.scheme == BFV_SCHEME:
-        fill = [record[1]] if store.packed else []
-        return list(ct.c0.coeffs) + list(ct.c1.coeffs) + fill
+        runs = [value for run in record[0] for value in run] if store.packed else []
+        return list(ct.c0.coeffs) + list(ct.c1.coeffs) + runs
     return list(ct.payload) if ct.width is not None else [ct.payload]
 
 
@@ -261,11 +265,46 @@ class _Reader:
         return int.from_bytes(self.take(self.u32()), "big")
 
 
+def _packed_runs(values: list[int], n: int, path: str):
+    """The (prefix length, first entry id, count) runs of a packed record."""
+    if not values or len(values) % 3:
+        raise FormatError(f"{path}: packed entry has {len(values)} run "
+                          "elements, expected a positive multiple of 3")
+    runs = tuple(zip(values[0::3], values[1::3], values[2::3]))
+    if any(prefix_len > 32 or count < 1 for prefix_len, _, count in runs):
+        raise FormatError(f"{path}: packed entry run out of range (a prefix "
+                          "length above 32 or no slots)")
+    fill = sum(count for _, _, count in runs)
+    if not 1 <= fill <= n:
+        # str() refuses ints of more than 4300 digits
+        shown = fill if fill.bit_length() <= 64 else f"of {fill.bit_length()} bits"
+        raise FormatError(f"{path}: packed entry fill {shown} is outside [1, {n}]")
+    return runs
+
+
+def _check_packed_layout(groups: dict[int, list], path: str) -> None:
+    """Slots run longest prefix first in scan order, so the first zero slot
+    is the longest covering network, and the runs number the entries
+    0, 1, ... without gaps or repeats."""
+    runs = [run for prefix_len in sorted(groups, reverse=True)
+            for record_runs, _ in groups[prefix_len] for run in record_runs]
+    if any(a[0] < b[0] for a, b in zip(runs, runs[1:])):
+        raise FormatError(f"{path}: packed slots do not run longest prefix first")
+    next_id = 0
+    for _, first_id, count in sorted(runs, key=lambda run: run[1]):
+        if first_id != next_id:
+            raise FormatError(f"{path}: packed entry ids skip or repeat at {next_id}")
+        next_id += count
+
+
 def read_store(path: str, keys) -> EncryptedStore:
     """Load a store file built under the public part of `keys`.
 
     Raises SchemeMismatch when the file's key fingerprint is not that of
-    `keys`.  Lattice ciphertexts are rebuilt with the parameters of `keys`.
+    `keys`, and FormatError for a malformed file, including a ciphertext
+    value outside its group: a PHE element outside [1, cipher_modulus), a
+    lattice coefficient not below ciphertext_mod.  Lattice ciphertexts are
+    rebuilt with the parameters of `keys`.
     """
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
@@ -287,10 +326,13 @@ def read_store(path: str, keys) -> EncryptedStore:
         raise SchemeMismatch(f"{path}: store was built under a different public key")
 
     params = keys.params if scheme == BFV_SCHEME else None
+    # each ciphertext value lies in [low, modulus)
     if params is not None:
-        width = 2 * params.ring_dim + packed
+        n = params.ring_dim
+        width, low, modulus = 2 * n, 0, params.ciphertext_mod
     else:
         width = GM_WIDTH if scheme == SchemeId.GOLDWASSER_MICALI else 1
+        low, modulus = 1, pub.cipher_modulus
     groups: dict[int, list] = {}
     next_id = 0
     for _ in range(reader.u32()):
@@ -300,28 +342,29 @@ def read_store(path: str, keys) -> EncryptedStore:
         records = []
         for _ in range(reader.u32()):
             elements = [reader.element() for _ in range(reader.u32())]
-            if len(elements) != width:
+            values, extra = elements[:width], elements[width:]
+            if len(values) != width or (extra and not packed):
                 raise FormatError(f"{path}: {scheme} entry has {len(elements)} "
                                   f"elements, expected {width}")
-            fill = 1
+            if min(values) < low or max(values) >= modulus:
+                raise FormatError(f"{path}: {scheme} ciphertext value outside "
+                                  f"[{low}, {modulus:#x})")
             if params is None:
-                ct = PheCiphertext(SchemeId(scheme), elements[0] if width == 1
-                                   else tuple(elements))
+                ct = PheCiphertext(SchemeId(scheme), values[0] if width == 1
+                                   else tuple(values))
             else:
-                n = params.ring_dim
-                ct = bfv.BfvCiphertext(bfv.RingPoly(tuple(elements[:n])),
-                                       bfv.RingPoly(tuple(elements[n:2 * n])),
-                                       params)
-                if packed:
-                    fill = elements[-1]
-                    if not 1 <= fill <= n:
-                        raise FormatError(f"{path}: packed entry fill {fill} is "
-                                          f"outside [1, {n}]")
-            records.append((next_id, fill, ct) if packed else (next_id, ct))
-            next_id += fill
+                ct = bfv.BfvCiphertext(bfv.RingPoly(tuple(values[:n])),
+                                       bfv.RingPoly(tuple(values[n:])), params)
+            if packed:
+                records.append((_packed_runs(extra, n, path), ct))
+            else:
+                records.append((next_id, ct))
+                next_id += 1
         if prefix_len in groups:
             raise FormatError(f"{path}: duplicate group for prefix {prefix_len}")
         groups[prefix_len] = records
     if reader.pos != len(reader.data):
         raise FormatError(f"{path}: trailing bytes after the last group")
+    if packed:
+        _check_packed_layout(groups, path)
     return EncryptedStore(scheme, groups, packed, pub=pub)

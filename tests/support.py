@@ -85,8 +85,9 @@ def biased_address(rnd, entries) -> int:
 
 
 def set_packed_fill(path, fill: int) -> None:
-    """Rewrite the fill count of a one-network packed store file.  The count
-    is the file's last element: a u32 length of 1, then the byte 0x01."""
+    """Rewrite the fill of a one-network packed store file, the count of its
+    one slot run.  The count is the file's last element: a u32 length of 1,
+    then the byte 0x01."""
     with open(path, "rb") as fh:
         data = fh.read()
     assert data[-5:] == bytes([0, 0, 0, 1, 1])

@@ -246,6 +246,14 @@ def test_criterion_6_batch_packing_equivalence():
         result = ipmatch.match(0x7F000001, store, keys, rng, exhaustive=True)
         assert result.stats["sub_calls"] == math.ceil(size / n)
 
+    # and on stores of all four prefix lengths, which share ciphertexts
+    for size in (1, n, n + 1, 333, 800):
+        entries = support.random_entries(rnd, size)
+        entries = list({(e.network, e.prefix_len): e for e in entries}.values())
+        store = ipmatch.build_store(entries, keys, rng, packed=True)
+        result = ipmatch.match(0x7F000001, store, keys, rng, exhaustive=True)
+        assert result.stats["sub_calls"] == math.ceil(len(entries) / n)
+
     # one large-ring spot check: 800 entries fit one ciphertext, so the
     # packed path does exactly one subtraction where the plain path does 800
     wide = bfv.keygen(support.SCALE_PARAMS, RNG(63))

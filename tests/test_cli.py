@@ -239,6 +239,24 @@ def bfv_files(tmp_path_factory):
     return str(base) + ".pub", str(base) + ".sec"
 
 
+@pytest.fixture(scope="module")
+def mixed_stores(bfv_files, tmp_path_factory):
+    """Packed and unpacked stores of one unsorted mixed-prefix list:
+    kind -> (store path, build report)."""
+    base = tmp_path_factory.mktemp("mixed")
+    lst = base / "mixed.txt"
+    lst.write_text("10.0.0.0/8\n2.3.4.0/24\n10.1.0.0/16\n2.3.4.5/32\n"
+                   "172.16.0.0/12\n10.1.2.0/24\n10.9.9.9/8\n")
+    stores = {}
+    for kind, flag in (("packed", ["--packed"]), ("unpacked", [])):
+        path = base / ("p.bin" if flag else "u.bin")
+        result = run("blacklist", "encrypt", "--key", bfv_files[0], "--cidr-file",
+                     lst, "--out", path, "--seed", 48, *flag)
+        assert result.exit_code == 0, result.output
+        stores[kind] = str(path), result.output
+    return stores
+
+
 class TestLatticeFlow:
     @pytest.mark.parametrize("packed", [False, True])
     def test_end_to_end(self, bfv_files, cidr_file, tmp_path, packed):
@@ -323,6 +341,40 @@ class TestLatticeFlow:
                      "--ip", "4.4.4.4", "--seed", 45)
         assert result.exit_code == 2
         assert "coefficients" in result.output
+
+    def test_packed_build_report(self, mixed_stores):
+        # `helb blacklist encrypt` prints these lines, which callers parse
+        out = mixed_stores["packed"][1]
+        assert out.splitlines()[1:] == ["  /32: 1 entries", "  /24: 2 entries",
+                                        "  /16: 1 entries", "  /12: 1 entries",
+                                        "  /8: 1 entries"]
+        assert out.splitlines()[0].endswith(": 6 entries (1 duplicates removed)")
+        assert out == mixed_stores["unpacked"][1].replace("u.bin", "p.bin")
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_mixed_prefix_ids_agree_packed_and_unpacked(self, bfv_files,
+                                                        mixed_stores, exhaustive):
+        # the list is unsorted, so ids follow first appearance: /8 is 0,
+        # /24 1 and 2, /16 3, /32 4, /12 5; the longest network wins
+        want = {"2.3.4.5": 4, "2.3.4.9": 1, "10.1.2.3": 2, "10.1.9.9": 3,
+                "172.16.5.5": 5, "10.200.0.1": 0}
+        flag = ["--exhaustive"] if exhaustive else []
+        for kind in ("packed", "unpacked"):
+            for ip, entry_id in want.items():
+                result = run("match", "--keys", bfv_files[1], "--store",
+                             mixed_stores[kind][0], "--ip", ip, "--json",
+                             "--seed", 46, *flag)
+                assert result.exit_code == 0, result.output
+                assert json.loads(result.output)["entry_id"] == entry_id, (kind, ip)
+
+    def test_json_stats_of_packed_miss(self, bfv_files, mixed_stores):
+        # six networks of five prefix lengths share one ciphertext
+        result = run("match", "--keys", bfv_files[1], "--store",
+                     mixed_stores["packed"][0], "--ip", "4.4.4.4", "--json",
+                     "--seed", 47)
+        assert result.exit_code == 1
+        assert json.loads(result.output)["stats"] == {
+            "encryptions": 1, "sub_calls": 1, "zero_tests": 1}
 
     def test_scale_packed_flag(self):
         result = run("bench", "scale", "--counts", "2", "--packed", "--seed", 36)

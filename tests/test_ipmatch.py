@@ -179,12 +179,40 @@ class TestBuildStore:
         entries = support.random_entries(rnd, 150, prefixes=(24,))
         entries = list({(e.network, e.prefix_len): e for e in entries}.values())
         store = build_store(entries, bfv_small_keys, RNG(9), packed=True)
-        packs = store.groups[24]
+        packs = [record for group in store.groups.values() for record in group]
         n = SMALL.ring_dim
         expected_packs = (len(entries) + n - 1) // n
         assert len(packs) == expected_packs
         assert store.entry_count == len(entries)
-        assert packs[0][1] == n  # first pack is full
+        assert packs[0][0] == ((24, 0, n),)  # first pack is full
+
+    def test_packs_mix_prefixes_longest_first(self, bfv_small_keys):
+        rnd = random.Random("mix")
+        entries = support.random_entries(rnd, 150)
+        entries = list({(e.network, e.prefix_len): e for e in entries}.values())
+        store = build_store(entries, bfv_small_keys, RNG(9), packed=True)
+        packs = [record for p in sorted(store.groups, reverse=True)
+                 for record in store.groups[p]]
+        n = SMALL.ring_dim
+        assert len(packs) == (len(entries) + n - 1) // n
+        assert store.entry_count == len(entries)
+        assert sum(count for _, _, count in packs[0][0]) == n
+        # each pack sits in the group of its first slot's prefix
+        assert all(runs[0][0] == p for p, group in store.groups.items()
+                   for runs, _ in group)
+        slots = [(p, first + i) for runs, _ in packs for p, first, count in runs
+                 for i in range(count)]
+        # ids still count the networks group by group in first-appearance order
+        by_prefix = {}
+        for e in entries:
+            by_prefix.setdefault(e.prefix_len, []).append(e)
+        starts, next_id = {}, 0
+        for p, group in by_prefix.items():
+            starts[p] = next_id
+            next_id += len(group)
+        want = [(p, starts[p] + i) for p in sorted(by_prefix, reverse=True)
+                for i in range(len(by_prefix[p]))]
+        assert slots == want
 
     def test_build_with_public_key_only(self, paillier_keys):
         store = build_store([parse_cidr("2.3.4.0/24")], paillier_keys.public, RNG(10))

@@ -277,9 +277,68 @@ class TestStoreFileErrors:
         with pytest.raises(FormatError, match="public key"):
             serial.write_store(store, str(tmp_path / "s.bin"))
 
+    @pytest.mark.parametrize("fixture, packed", [
+        ("paillier_keys", False), ("dj_keys", False), ("ou_keys", False),
+        ("benaloh_wide_keys", False), ("ns_keys", False), ("gm_keys", False),
+        ("bfv_small_keys", False), ("bfv_small_keys", True)])
+    def test_value_outside_its_group(self, fixture, packed, request, tmp_path):
+        keys = request.getfixturevalue(fixture)
+        _, store = _random_store(keys, 21, count=3, packed=packed)
+        records = next(iter(store.groups.values()))
+        head, ct = records[0]
+        pub = keys.public
+        if fixture == "bfv_small_keys":
+            q = keys.params.ciphertext_mod
+            bad = [bfv.BfvCiphertext(bfv.RingPoly((q,) + ct.c0.coeffs[1:]),
+                                     ct.c1, ct.params)]
+        else:
+            modulus = {"paillier_keys": lambda: pub.n ** 2,
+                       "dj_keys": lambda: pub.n ** (pub.s + 1),
+                       "ns_keys": lambda: pub.p}.get(fixture, lambda: pub.n)()
+            bad = [phe.PheCiphertext(ct.scheme, value if ct.width is None
+                                     else (value,) + ct.payload[1:])
+                   for value in (modulus, 0)]
+        for bad_ct in bad:
+            records[0] = (head, bad_ct)
+            path = str(tmp_path / "s.bin")
+            serial.write_store(store, path)
+            with pytest.raises(FormatError, match="value outside"):
+                serial.read_store(path, keys)
+
+    @pytest.mark.parametrize("runs, message", [
+        (((33, 0, 1),), "run out of range"),
+        (((24, 0, 1), (16, 1, 0)), "run out of range"),
+        (((24, 0),), "multiple of 3"),
+        (((16, 0, 1), (24, 1, 1)), "longest prefix first"),
+        (((24, 0, 1), (16, 0, 1)), "skip or repeat"),
+        (((24, 1, 1),), "skip or repeat"),
+        (((24, 0, 1 << 16000),), "fill of 16001 bits"),
+    ])
+    def test_malformed_packed_runs(self, runs, message, bfv_small_keys, tmp_path):
+        store = ipmatch.build_store([ipmatch.parse_cidr("2.3.4.0/24")],
+                                    bfv_small_keys, RNG(22), packed=True)
+        (_, ct), = store.groups[24]
+        store.groups = {24: [(runs, ct)]}
+        path = str(tmp_path / "s.bin")
+        serial.write_store(store, path)
+        with pytest.raises(FormatError, match=message):
+            serial.read_store(path, bfv_small_keys)
+
+    def test_version_2_packed_store_rejected(self, tmp_path, bfv_small_keys):
+        # a version 2 packed record ends in a fill count instead of runs
+        store = ipmatch.build_store([ipmatch.parse_cidr("2.3.4.0/24")],
+                                    bfv_small_keys, RNG(23), packed=True)
+        path = str(tmp_path / "s.bin")
+        serial.write_store(store, path)
+        data = bytearray(open(path, "rb").read())
+        data[4] = 2
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(FormatError, match="version 2"):
+            serial.read_store(path, bfv_small_keys)
+
 
 def test_store_binary_layout(paillier_keys, tmp_path):
-    # spot-check the exact header layout: magic, version 2, scheme byte,
+    # spot-check the exact header layout: magic, version 3, scheme byte,
     # SHA-256 of the public key file, big-endian group count, prefix byte,
     # big-endian record count, then the record's element count (no entry id)
     store = ipmatch.build_store([ipmatch.parse_cidr("2.3.4.0/24")],
@@ -289,7 +348,7 @@ def test_store_binary_layout(paillier_keys, tmp_path):
     pub_path, _ = serial.write_key_files(paillier_keys, str(tmp_path / "key"))
     data = open(path, "rb").read()
     assert data[:4] == b"HELB"
-    assert data[4] == 2
+    assert data[4] == 3
     assert data[5] == 1  # paillier
     assert data[6:38] == hashlib.sha256(open(pub_path, "rb").read()).digest()
     assert int.from_bytes(data[38:42], "big") == 1  # one group
@@ -301,8 +360,10 @@ def test_store_binary_layout(paillier_keys, tmp_path):
 
 
 def test_entry_ids_are_derived_in_file_order(bfv_small_keys, tmp_path):
-    # 70 networks of one prefix fill one 64-slot record and start another;
-    # the ids restart nowhere and skip nothing across groups
+    # 70 networks of one prefix fill one 64-slot record and start another,
+    # which the 3 networks of a shorter prefix share; the ids, which a
+    # packed record stores in its runs, restart nowhere and skip nothing
+    # across groups
     rnd = random.Random("ids")
     entries = support.random_entries(rnd, 70, prefixes=(24,))
     entries += support.random_entries(rnd, 3, prefixes=(16,))
@@ -310,6 +371,6 @@ def test_entry_ids_are_derived_in_file_order(bfv_small_keys, tmp_path):
     path = str(tmp_path / "s.bin")
     serial.write_store(store, path)
     loaded = serial.read_store(path, bfv_small_keys)
-    ids = [(r[0], r[1]) for g in loaded.groups.values() for r in g]
-    assert ids == [(r[0], r[1]) for g in store.groups.values() for r in g]
-    assert [start for start, _ in ids] == [0, 64, 64 + ids[1][1]]
+    runs = [r[0] for g in loaded.groups.values() for r in g]
+    assert runs == [r[0] for g in store.groups.values() for r in g]
+    assert runs == [((24, 0, 64),), ((24, 64, 6), (16, 70, 3))]
