@@ -4,13 +4,12 @@ Plaintexts are polynomials mod t packed one value per coefficient;
 ciphertexts are (c0, c1) pairs mod q.  Only addition and subtraction are
 evaluated homomorphically, so no relinearization or modulus switching is
 needed.  Polynomial products (a*s in key generation, pk*u in encryption,
-c1*s in decryption) run through a negacyclic NTT when q = 1 mod 2n and
-fall back to schoolbook convolution otherwise.
+c1*s in decryption) are one exact big-integer multiplication each, by
+Kronecker substitution, for any q.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +25,10 @@ DEFAULT_SIGMA = 3.2
 # profile ring dimensions divide (t - 1) / 2.
 _T_DEFAULT = 35_184_372_744_193
 
-# 80-bit prime, congruent to 1 both mod 32768 (NTT-friendly for either
-# profile) and mod t (so the scaling factor q/t is exact and wraps of the
-# plaintext sum cost only one unit of noise).
+# 80-bit prime, congruent to 1 mod t (so the scaling factor q/t is exact
+# and wraps of the plaintext sum cost only one unit of noise).  It is also
+# 1 mod 32768, which the ring product does not need; the value is kept so
+# that existing key files and stores remain valid.
 _Q_DEFAULT = 604_490_591_182_956_796_837_889
 
 
@@ -169,86 +169,8 @@ class BfvCiphertext:
 # negacyclic polynomial arithmetic
 
 
-class _NttContext:
-    """Precomputed tables for the negacyclic NTT at one (n, q)."""
-
-    __slots__ = ("n", "q", "psi_pows", "untwist", "rev", "stages", "inv_stages")
-
-    def __init__(self, n: int, q: int, psi: int):
-        self.n = n
-        self.q = q
-        omega = psi * psi % q
-        self.psi_pows = _power_table(psi, n, q)
-        inv_psi = pow(psi, q - 2, q)
-        n_inv = pow(n, q - 2, q)
-        # fold the 1/n scaling into the untwist pass
-        self.untwist = tuple(p * n_inv % q for p in _power_table(inv_psi, n, q))
-        bits = n.bit_length() - 1
-        self.rev = tuple(int(format(i, f"0{bits}b")[::-1], 2) for i in range(n))
-        self.stages = _stage_tables(n, q, omega)
-        self.inv_stages = _stage_tables(n, q, pow(omega, q - 2, q))
-
-    def _cyclic(self, x: list[int], stages) -> list[int]:
-        n, q = self.n, self.q
-        size = 2
-        for tab in stages:
-            half = size >> 1
-            for start in range(0, n, size):
-                mid = start + half
-                u = x[start:mid]
-                t = [v * w % q for v, w in zip(x[mid:start + size], tab)]
-                x[start:mid] = [(a + b) % q for a, b in zip(u, t)]
-                x[mid:start + size] = [(a - b) % q for a, b in zip(u, t)]
-            size <<= 1
-        return x
-
-    def forward(self, coeffs) -> list[int]:
-        q = self.q
-        twisted = [c * p % q for c, p in zip(coeffs, self.psi_pows)]
-        return self._cyclic([twisted[r] for r in self.rev], self.stages)
-
-    def inverse(self, values) -> list[int]:
-        x = self._cyclic([values[r] for r in self.rev], self.inv_stages)
-        return [c * p % self.q for c, p in zip(x, self.untwist)]
-
-
-def _power_table(base: int, count: int, q: int) -> tuple[int, ...]:
-    out = [1] * count
-    for i in range(1, count):
-        out[i] = out[i - 1] * base % q
-    return tuple(out)
-
-
-def _stage_tables(n: int, q: int, omega: int) -> tuple[tuple[int, ...], ...]:
-    stages = []
-    size = 2
-    while size <= n:
-        w = pow(omega, n // size, q)
-        stages.append(_power_table(w, size // 2, q))
-        size <<= 1
-    return tuple(stages)
-
-
-def _find_2n_root(q: int, n: int) -> int:
-    """A primitive 2n-th root of unity mod q (psi with psi^n = -1)."""
-    exp = (q - 1) // (2 * n)
-    g = 2
-    while True:
-        psi = pow(g, exp, q)
-        if pow(psi, n, q) == q - 1:
-            return psi
-        g += 1
-
-
-@functools.lru_cache(maxsize=None)
-def _ntt_context(q: int, n: int) -> _NttContext | None:
-    if n < 2 or n & (n - 1) or (q - 1) % (2 * n) or not is_probable_prime(q):
-        return None
-    return _NttContext(n, q, _find_2n_root(q, n))
-
-
 def schoolbook_negacyclic_mul(a, b, q: int) -> list[int]:
-    """Quadratic negacyclic convolution; reference path and NTT fallback."""
+    """Quadratic negacyclic convolution; the test reference."""
     n = len(a)
     out = [0] * n
     for i, ai in enumerate(a):
@@ -264,44 +186,34 @@ def schoolbook_negacyclic_mul(a, b, q: int) -> list[int]:
 
 
 def negacyclic_mul(a, b, q: int) -> list[int]:
-    """Product of two length-n coefficient vectors in Z_q[x]/(x^n + 1)."""
-    ctx = _ntt_context(q, len(a))
-    if ctx is None:
-        return schoolbook_negacyclic_mul(a, b, q)
-    fa = ctx.forward(a)
-    fb = ctx.forward(b)
-    return ctx.inverse([x * y % q for x, y in zip(fa, fb)])
+    """Product of two length-n coefficient vectors in Z_q[x]/(x^n + 1).
 
+    Kronecker substitution: each centred operand becomes one integer whose
+    base-2^(8w) digits are its coefficients, so a single exact big-integer
+    product holds every coefficient c[k] of the plain product a*b.  The
+    slot width w (bytes) fits a sum of n products of the largest |a_i| and
+    |b_j| plus a sign bit.  Digits are written and read offset by
+    2^(8w-1) so that each one is unsigned; the negacyclic fold
+    c[k] - c[k+n] cancels the offset.
+    """
+    n = len(a)
+    half = q // 2
+    ca = [x - q if x > half else x for x in a]
+    cb = [x - q if x > half else x for x in b]
+    w = (max(map(abs, ca)).bit_length() + max(map(abs, cb)).bit_length()
+         + n.bit_length() + 1 + 7) // 8
+    off = 1 << (8 * w - 1)
+    off_2n = int.from_bytes(off.to_bytes(w, "little") * (2 * n), "little")
+    off_n = off_2n >> (8 * w * n)
 
-@functools.lru_cache(maxsize=64)
-def _key_ntt(coeffs: tuple[int, ...], q: int) -> tuple[int, ...] | None:
-    """Cached forward transform of long-lived key polynomials."""
-    ctx = _ntt_context(q, len(coeffs))
-    if ctx is None:
-        return None
-    return tuple(ctx.forward(coeffs))
+    def pack(coeffs):
+        blob = b"".join((x + off).to_bytes(w, "little") for x in coeffs)
+        return int.from_bytes(blob, "little") - off_n
 
-
-def _mul_with_key(poly: list[int], key: RingPoly, q: int) -> list[int]:
-    key_hat = _key_ntt(key.coeffs, q)
-    if key_hat is None:
-        return schoolbook_negacyclic_mul(poly, key.coeffs, q)
-    ctx = _ntt_context(q, len(poly))
-    fp = ctx.forward(poly)
-    return ctx.inverse([x * y % q for x, y in zip(fp, key_hat)])
-
-
-def _mul_one_with_keys(poly: list[int], keys: list[RingPoly], q: int) -> list[list[int]]:
-    """poly * k for each key polynomial, sharing one forward transform."""
-    ctx = _ntt_context(q, len(poly))
-    if ctx is None:
-        return [schoolbook_negacyclic_mul(poly, k.coeffs, q) for k in keys]
-    fp = ctx.forward(poly)
-    out = []
-    for k in keys:
-        key_hat = _key_ntt(k.coeffs, q)
-        out.append(ctx.inverse([x * y % q for x, y in zip(fp, key_hat)]))
-    return out
+    raw = (pack(ca) * pack(cb) + off_2n).to_bytes(2 * n * w, "little")
+    digits = [int.from_bytes(raw[i:i + w], "little")
+              for i in range(0, 2 * n * w, w)]
+    return [(lo - hi) % q for lo, hi in zip(digits[:n], digits[n:])]
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +279,9 @@ def decode(pt: RingPoly) -> list[int]:
 
 
 def encrypt(keys: BfvKeyPair | BfvPublicKey, pt: RingPoly, params: BfvParams,
-            rng: RandomSource, *, use_public_key: bool = True) -> BfvCiphertext:
-    """Encrypt a plaintext polynomial.
-
-    The default path combines the public pair with fresh small u, e1, e2
-    and works with just a :class:`BfvPublicKey`; the secret-key path
-    computes (delta*m + a*s + e, -a) for uniform a.
+            rng: RandomSource) -> BfvCiphertext:
+    """Encrypt a plaintext polynomial under the public pair:
+    (pk0*u + e1 + delta*m, pk1*u + e2) for fresh ternary u and noise e1, e2.
     """
     if keys.params != params:
         raise ParamMismatch("key pair was generated under different parameters")
@@ -381,21 +290,13 @@ def encrypt(keys: BfvKeyPair | BfvPublicKey, pt: RingPoly, params: BfvParams,
         raise ParamMismatch(f"plaintext has {len(pt)} coefficients, ring needs {n}")
     delta = params.delta
     scaled = [delta * (c % t) % q for c in pt.coeffs]
-    if use_public_key:
-        u = _sample_ternary(n, q, rng)
-        e1 = _sample_gauss(n, params.err_stddev, q, rng)
-        e2 = _sample_gauss(n, params.err_stddev, q, rng)
-        pk0_u, pk1_u = _mul_one_with_keys(u, [keys.pk0, keys.pk1], q)
-        c0 = [(x + y + z) % q for x, y, z in zip(pk0_u, e1, scaled)]
-        c1 = [(x + y) % q for x, y in zip(pk1_u, e2)]
-    else:
-        if not isinstance(keys, BfvKeyPair):
-            raise ParamMismatch("secret-key encryption needs the full key pair")
-        a = _sample_uniform(n, q, rng)
-        e = _sample_gauss(n, params.err_stddev, q, rng)
-        a_s = _mul_with_key(a, keys.secret, q)
-        c0 = [(m + x + y) % q for m, x, y in zip(scaled, a_s, e)]
-        c1 = [(-x) % q for x in a]
+    u = _sample_ternary(n, q, rng)
+    e1 = _sample_gauss(n, params.err_stddev, q, rng)
+    e2 = _sample_gauss(n, params.err_stddev, q, rng)
+    pk0_u = negacyclic_mul(keys.pk0.coeffs, u, q)
+    pk1_u = negacyclic_mul(keys.pk1.coeffs, u, q)
+    c0 = [(x + y + z) % q for x, y, z in zip(pk0_u, e1, scaled)]
+    c1 = [(x + y) % q for x, y in zip(pk1_u, e2)]
     return BfvCiphertext(RingPoly(tuple(c0)), RingPoly(tuple(c1)), params)
 
 
@@ -408,7 +309,7 @@ def decrypt(keys: BfvKeyPair, ct: BfvCiphertext, params: BfvParams) -> RingPoly:
     if keys.params != params or ct.params != params:
         raise ParamMismatch("keys, ciphertext and parameters do not agree")
     q, t = params.ciphertext_mod, params.plaintext_mod
-    c1_s = _mul_with_key(list(ct.c1.coeffs), keys.secret, q)
+    c1_s = negacyclic_mul(ct.c1.coeffs, keys.secret.coeffs, q)
     half = q // 2
     out = [((c0 + x) % q * t + half) // q % t for c0, x in zip(ct.c0.coeffs, c1_s)]
     return RingPoly(tuple(out))
@@ -443,7 +344,7 @@ def measure_noise(keys: BfvKeyPair, ct: BfvCiphertext, expected_pt: RingPoly,
     params.noise_threshold for decryption to be exact."""
     q, t = params.ciphertext_mod, params.plaintext_mod
     delta = params.delta
-    c1_s = _mul_with_key(list(ct.c1.coeffs), keys.secret, q)
+    c1_s = negacyclic_mul(ct.c1.coeffs, keys.secret.coeffs, q)
     half = q // 2
     worst = 0
     for c0, x, m in zip(ct.c0.coeffs, c1_s, expected_pt.coeffs):
@@ -455,21 +356,18 @@ def measure_noise(keys: BfvKeyPair, ct: BfvCiphertext, expected_pt: RingPoly,
     return worst
 
 
-def fresh_noise_bound(params: BfvParams, *, public_path: bool = True) -> int:
+def fresh_noise_bound(params: BfvParams) -> int:
     """Worst-case noise of one fresh encryption.
 
-    Public path: e1 + u*e_pk + e2*s with ternary u, s and 6-sigma noise.
-    The trailing (q mod t) term covers scaling slack and one plaintext wrap
+    That is e1 + u*e_pk + e2*s with ternary u, s and 6-sigma noise.  The
+    trailing (q mod t) term covers scaling slack and one plaintext wrap
     per accumulated ciphertext.
     """
     tail = math.ceil(6 * params.err_stddev)
     slack = params.ciphertext_mod % params.plaintext_mod
-    if public_path:
-        return tail * (2 * params.ring_dim + 1) + slack
-    return tail + slack
+    return tail * (2 * params.ring_dim + 1) + slack
 
 
-def additive_noise_budget(params: BfvParams, ops: int, *,
-                          public_path: bool = True) -> int:
+def additive_noise_budget(params: BfvParams, ops: int) -> int:
     """Noise bound after `ops` additions or subtractions of fresh inputs."""
-    return (ops + 1) * fresh_noise_bound(params, public_path=public_path)
+    return (ops + 1) * fresh_noise_bound(params)

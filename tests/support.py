@@ -3,7 +3,7 @@
 The oracles here deliberately avoid the library's own code paths: trial
 division instead of Miller-Rabin, square enumeration instead of
 reciprocity, plain masking instead of encrypted matching, quadratic
-convolution instead of the transform.
+convolution instead of the Kronecker product.
 """
 
 from helb import bfv
@@ -16,8 +16,8 @@ from helb.ipmatch import CidrEntry, prefix_to_mask
 SMALL_PARAMS = bfv.BfvParams(64, 4_294_967_681, 4_507_448_322_114_433, 3.2)
 SCALE_PARAMS = bfv.BfvParams(1024, 4_294_991_873, 4_573_994_545_070_081, 3.2)
 
-# n = 16 pair for exercising both multiplication paths: one NTT-friendly
-# modulus and one with (q - 1) % 2n != 0 that forces schoolbook convolution.
+# n = 16 pair: one ciphertext modulus congruent to 1 mod 2n and one with
+# (q - 1) % 2n != 0; the ring product must not depend on that congruence.
 TINY_PARAMS = bfv.BfvParams(16, 65_537, 68_724_719_681, 3.2)
 TINY_PARAMS_NO_NTT = bfv.BfvParams(16, 65_537, 68_720_656_387, 3.2)
 

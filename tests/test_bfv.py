@@ -88,14 +88,47 @@ class TestParams:
 # polynomial arithmetic
 
 
+def _uniform(rnd, n, q):
+    return [rnd.randrange(q) for _ in range(n)]
+
+
+def _ternary(rnd, n, q):
+    return [(rnd.randrange(3) - 1) % q for _ in range(n)]
+
+
 class TestNegacyclicMul:
-    def test_ntt_matches_schoolbook(self):
-        rnd = random.Random("ntt")
-        q = SMALL.ciphertext_mod
-        n = SMALL.ring_dim
-        for _ in range(20):
-            a = [rnd.randrange(q) for _ in range(n)]
-            b = [rnd.randrange(q) for _ in range(n)]
+    @pytest.mark.parametrize("n,q,pairs", [
+        (2, TINY.ciphertext_mod, 200),
+        (TINY.ring_dim, TINY.ciphertext_mod, 20),
+        (TINY_NO_NTT.ring_dim, TINY_NO_NTT.ciphertext_mod, 20),
+        (SMALL.ring_dim, SMALL.ciphertext_mod, 20),
+        (support.SCALE_PARAMS.ring_dim, support.SCALE_PARAMS.ciphertext_mod, 2)],
+        ids=["n2", "tiny", "tiny-no-ntt", "small", "scale"])
+    def test_matches_schoolbook(self, n, q, pairs):
+        # uniform x uniform, uniform x ternary as in every scheme product,
+        # and a zero operand
+        rnd = random.Random(f"kronecker{n}{q}")
+        zero = [0] * n
+        for _ in range(pairs):
+            a = _uniform(rnd, n, q)
+            for b in (_uniform(rnd, n, q), _ternary(rnd, n, q), zero):
+                assert bfv.negacyclic_mul(a, b, q) == \
+                       bfv.schoolbook_negacyclic_mul(b, a, q)
+        assert bfv.negacyclic_mul(zero, zero, q) == zero
+
+    @pytest.mark.parametrize("n,q", [
+        (TINY.ring_dim, TINY.ciphertext_mod),
+        (TINY_NO_NTT.ring_dim, TINY_NO_NTT.ciphertext_mod),
+        (SMALL.ring_dim, SMALL.ciphertext_mod),
+        # 16 * (q//2)^2 needs 80 bits plus a sign bit: one more than 10 bytes
+        (16, (1 << 39) - 1)],
+        ids=["tiny", "tiny-no-ntt", "small", "byte-boundary"])
+    def test_worst_case_digits(self, n, q):
+        # every coefficient of the plain product at its largest magnitude,
+        # n * (q//2)^2, positive and negative
+        top = [q // 2] * n
+        bottom = [-(q // 2) % q] * n
+        for a, b in ((top, top), (top, bottom), (bottom, bottom)):
             assert bfv.negacyclic_mul(a, b, q) == \
                    bfv.schoolbook_negacyclic_mul(a, b, q)
 
@@ -123,10 +156,15 @@ class TestNegacyclicMul:
                 bfv.negacyclic_mul(a, half_shift, q), half_shift, q)
             assert shifted == [(-c) % q for c in a]
 
-    def test_fallback_used_when_modulus_not_ntt_friendly(self):
-        assert bfv._ntt_context(TINY_NO_NTT.ciphertext_mod,
-                                TINY_NO_NTT.ring_dim) is None
-        assert bfv._ntt_context(TINY.ciphertext_mod, TINY.ring_dim) is not None
+    def test_non_canonical_inputs_reduce(self):
+        # coefficients outside [0, q) give the product of their residues
+        rnd = random.Random("noncanon")
+        q, n = TINY.ciphertext_mod, TINY.ring_dim
+        for _ in range(20):
+            a = [rnd.randrange(-3 * q, 3 * q) for _ in range(n)]
+            b = _ternary(rnd, n, q)
+            assert bfv.negacyclic_mul(a, b, q) == \
+                   bfv.negacyclic_mul([x % q for x in a], b, q)
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +226,14 @@ class TestKeygen:
         assert pub.pk0 == bfv_small_keys.pk0
 
 
-@pytest.mark.parametrize("use_public_key", [True, False])
-def test_round_trip_random_vectors(bfv_small_keys, use_public_key):
-    rnd = random.Random(f"rt{use_public_key}")
+def test_round_trip_random_vectors(bfv_small_keys):
+    rnd = random.Random("rt")
     rng = RNG(5)
     t, n = SMALL.plaintext_mod, SMALL.ring_dim
     for _ in range(50):
         values = [rnd.randrange(t) for _ in range(n)]
         pt = bfv.encode(values, SMALL)
-        ct = bfv.encrypt(bfv_small_keys, pt, SMALL, rng,
-                         use_public_key=use_public_key)
+        ct = bfv.encrypt(bfv_small_keys, pt, SMALL, rng)
         assert bfv.decrypt(bfv_small_keys, ct, SMALL) == pt
 
 
@@ -223,7 +259,7 @@ def test_all_zero_round_trip(bfv_small_keys):
 
 
 def test_schoolbook_profile_round_trip():
-    # no NTT-friendly modulus: every product runs through the fallback
+    # a ciphertext modulus with (q - 1) % 2n != 0 works like any other
     keys = bfv.keygen(TINY_NO_NTT, RNG(9))
     rnd = random.Random("sb")
     rng = RNG(10)

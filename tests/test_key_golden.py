@@ -33,6 +33,9 @@ GOLDEN = {
     "bfv_small_keys": (
         "de4c960d5b1d28fdad005c5298d23f55da3b55f50c7bc5b9172c4158c3bd07f0",
         "c8aca6c16aa9a134c0efbc24d0bc7e802a3f8aa571ae95e6539b466562493d17"),
+    "desk_keys": (
+        "6b07ba0d3f4c97351c0b04c609c4b4147c70f4f694480f90a06549bee0141a70",
+        "e5d78a27ab4cc3e60191fc107ae4e728729a6f5ebd3846d1531ba632a7a2a665"),
 }
 
 
