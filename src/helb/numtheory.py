@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random as _random
 
-from .errors import InvalidModulus, NotFound, NotInvertible
+from .errors import DecryptionFailure, InvalidModulus, NotFound, NotInvertible
 
 DEFAULT_MR_ROUNDS = 40
 
@@ -130,8 +130,106 @@ def gen_safe_prime(bits: int, rng: RandomSource) -> int:
             if (p % s == 0 and p != s) or (m % s == 0 and m != s):
                 break
         else:
-            if is_probable_prime(m) and is_probable_prime(p):
+            # one round on each first, so a composite p costs m no more
+            # than one round either; the survivors take the full test
+            if (is_probable_prime(m, 1) and is_probable_prime(p, 1)
+                    and is_probable_prime(m) and is_probable_prime(p)):
                 return p
+
+
+# gcd(p-1, q-1) is tried up to this bound before the Miller-Rabin split
+_PHI_COFACTOR_LIMIT = 1024
+
+
+def factor_from_lambda(n: int, lam: int) -> tuple[int, int] | None:
+    """The factors p <= q of n = p*q, given lam = lcm(p-1, q-1), or None.
+
+    phi(n) = lam * g with g = gcd(p-1, q-1), which is small for random
+    primes.  So for g = 1, 2, ... the sum p + q = n + 1 - lam * g is tried:
+    p and q are the roots of x^2 - (p+q)x + n when its discriminant is a
+    square.  A larger g falls back to the Miller-Rabin split, which finds
+    a square root of 1 other than +-1 for at least half of all bases when
+    lam is a multiple of the Carmichael function of n.  None means that lam
+    yields no factors; a multiple check of lam is left to the caller.
+    """
+    if n < 4 or lam < 1:
+        return None
+    for g in range(1, _PHI_COFACTOR_LIMIT + 1):
+        total = n + 1 - lam * g
+        disc = total * total - 4 * n
+        if total < 0 or disc < 0:
+            break
+        root = math.isqrt(disc)
+        if root * root == disc and 0 < root < total:
+            p = (total - root) // 2
+            if p > 1 and p * (total - p) == n:
+                return p, total - p
+    t = (lam & -lam).bit_length() - 1
+    odd = lam >> t
+    for a in range(2, 2 + DEFAULT_MR_ROUNDS):
+        d = math.gcd(a, n)
+        if d == 1:
+            x = pow(a, odd, n)
+            for _ in range(t):
+                y = x * x % n
+                if y == 1:  # x is a square root of 1; +-1 give d = n or 1
+                    d = math.gcd(x - 1, n)
+                    break
+                x = y
+            else:
+                if x != 1:  # a^lam != 1: lam is no multiple of the exponent of Z*_n
+                    return None
+        if 1 < d < n:
+            return min(d, n // d), max(d, n // d)
+    return None
+
+
+class PrimePowerCrt:
+    """Exponentiation modulo n^(s+1), n = p*q, by p^(s+1) and q^(s+1).
+
+    The key holder's arithmetic for Paillier (s = 1) and Damgard-Jurik:
+    every exponentiation works on a half-size modulus, with an exponent
+    of half size or less.
+    """
+
+    def __init__(self, p: int, q: int, s: int):
+        self.p, self.q = p, q
+        self._p_s, self._q_s = p**s, q**s
+        self._p_mod, self._q_mod = p * self._p_s, q * self._q_s
+        self._modulus = self._p_mod * self._q_mod
+        self._r_exp_p, self._r_exp_q = self._q_s % (p - 1), self._p_s % (q - 1)
+        self._q_mod_inv = mod_inv(self._q_mod, self._p_mod)
+
+    @classmethod
+    def from_lambda(cls, n: int, lam: int, s: int) -> "PrimePowerCrt":
+        """Raises InvalidModulus unless lam is a multiple of lcm(p-1, q-1)
+        for factors p, q of n."""
+        p, q = factor_from_lambda(n, lam) or (0, 0)
+        if math.gcd(p, q) != 1 or lam % math.lcm(p - 1, q - 1):
+            raise InvalidModulus("lambda does not yield two factors of n")
+        return cls(p, q, s)
+
+    def nth_power(self, r: int) -> int:
+        """r^(n^s) mod n^(s+1), for r coprime to n.
+
+        y^(p^s) mod p^(s+1) depends only on y mod p, so r^(q^s) is taken
+        mod p first (by Fermat), then lifted; the same for q, and the two
+        residues are recombined.
+        """
+        xp = pow(pow(r, self._r_exp_p, self.p), self._p_s, self._p_mod)
+        xq = pow(pow(r, self._r_exp_q, self.q), self._q_s, self._q_mod)
+        return xq + self._q_mod * ((xp - xq) * self._q_mod_inv % self._p_mod)
+
+    def is_nth_residue(self, c: int) -> bool:
+        """Whether c is an n^s-th power modulo n^(s+1), that is
+        (1 + n)^m * r^(n^s) with m = 0: c^(p-1) = 1 mod p^(s+1) and
+        c^(q-1) = 1 mod q^(s+1).  A non-residue almost always fails the
+        first test.  Raises DecryptionFailure unless c is a unit in
+        [1, n^(s+1)), as decryption does."""
+        if not 0 < c < self._modulus or c % self.p == 0 or c % self.q == 0:
+            raise DecryptionFailure("ciphertext outside the units modulo n^(s+1)")
+        return (pow(c, self.p - 1, self._p_mod) == 1
+                and pow(c, self.q - 1, self._q_mod) == 1)
 
 
 def mod_inv(a: int, m: int) -> int:

@@ -114,18 +114,21 @@ def keygen(scheme: SchemeId, security_bits: int, rng: RandomSource, *,
 
 
 def encrypt(keys, m: int, rng: RandomSource, *, width: int | None = None) -> PheCiphertext:
-    """Encrypt `m` under the public part of `keys`."""
+    """Encrypt `m` under the public part of `keys`.
+
+    The scheme module gets `keys` as given: Paillier and Damgard-Jurik
+    encrypt by CRT under a key pair, to the same ciphertext.
+    """
     scheme = scheme_of(keys)
-    pub = public_part(keys)
     mod = _MODULES[scheme]
     if scheme is SchemeId.GOLDWASSER_MICALI:
         if width is None:
             width = goldwasser_micali.DEFAULT_WIDTH
-        payload = mod.encrypt(pub, m, rng, width)
+        payload = mod.encrypt(keys, m, rng, width)
     else:
         if width is not None:
             raise InvalidOptions("width applies only to Goldwasser-Micali")
-        payload = mod.encrypt(pub, m, rng)
+        payload = mod.encrypt(keys, m, rng)
     return PheCiphertext(scheme, payload)
 
 
@@ -197,7 +200,8 @@ def is_zero(keys, ct: PheCiphertext) -> bool:
     """True iff the ciphertext decrypts to zero.
 
     Uses per-scheme shortcuts where full decryption would be wasteful or
-    infeasible (Benaloh order test, Goldwasser-Micali residue test).
+    infeasible (Benaloh order test, Goldwasser-Micali residue test,
+    Paillier and Damgard-Jurik residue tests modulo p^(s+1) and q^(s+1)).
     """
     scheme = scheme_of(keys)
     _require_pair(keys)

@@ -108,7 +108,8 @@ def keygen(bits: int, rng: RandomSource, r: int = DEFAULT_BLOCK_SIZE,
     raise InvalidOptions("could not find a generator y with y^(phi/r) != 1")
 
 
-def encrypt(pub: BenalohPublicKey, m: int, rng: RandomSource) -> int:
+def encrypt(keys, m: int, rng: RandomSource) -> int:
+    pub = getattr(keys, "public", keys)
     if not 0 <= m < pub.r:
         raise MessageOutOfRange(f"message must lie in [0, r), got {m}")
     u = rand_coprime(pub.n, rng)

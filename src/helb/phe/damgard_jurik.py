@@ -3,16 +3,30 @@
 Ciphertexts live in Z*_{n^(s+1)}.  Decryption raises to the CRT exponent d
 (d = 1 mod n^s, d = 0 mod lam) and then extracts the exponent of (1 + n)
 with the iterative digit-extraction algorithm; s = 1 reduces exactly to
-Paillier.
+Paillier.  As for Paillier, the holder of the key pair encrypts and
+zero-tests modulo p^(s+1) and q^(s+1).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from ..errors import DecryptionFailure, InvalidOptions, MessageOutOfRange
-from ..numtheory import RandomSource, gen_prime, lcm, mod_inv, rand_coprime
+from ..errors import (
+    DecryptionFailure,
+    InvalidModulus,
+    InvalidOptions,
+    MessageOutOfRange,
+)
+from ..numtheory import (
+    PrimePowerCrt,
+    RandomSource,
+    gen_prime,
+    lcm,
+    mod_inv,
+    rand_coprime,
+)
 
 MAX_S = 4
 
@@ -34,6 +48,10 @@ class DamgardJurikPublicKey:
     def cipher_modulus(self) -> int:
         return self.n ** (self.s + 1)
 
+    def violations(self) -> list[str]:
+        # n^(s+1) is computed from a file's s: bound it before any use
+        return [] if 1 <= self.s <= MAX_S else [f"s is outside [1, {MAX_S}]"]
+
 
 @dataclass(frozen=True)
 class DamgardJurikKeyPair:
@@ -44,6 +62,25 @@ class DamgardJurikKeyPair:
     public: DamgardJurikPublicKey
     lam: int
     d: int
+
+    @functools.cached_property
+    def crt(self) -> PrimePowerCrt:
+        """Arithmetic modulo p^(s+1) and q^(s+1), by the factors of n that
+        lam yields."""
+        return PrimePowerCrt.from_lambda(self.public.n, self.lam, self.public.s)
+
+    def violations(self) -> list[str]:
+        """Why lam and d are not a decryption key for the public key."""
+        try:
+            self.crt
+        except InvalidModulus as exc:
+            return [str(exc)]
+        out = []
+        if self.d % self.lam:
+            out.append("d is not a multiple of lambda")
+        if self.d % self.public.message_space != 1:
+            out.append("d is not 1 modulo n^s")
+        return out
 
 
 def keygen(bits: int, rng: RandomSource, s: int = 1, p: int | None = None,
@@ -70,11 +107,16 @@ def keygen(bits: int, rng: RandomSource, s: int = 1, p: int | None = None,
     return DamgardJurikKeyPair(DamgardJurikPublicKey(n, n + 1, s), lam, d)
 
 
-def encrypt(pub: DamgardJurikPublicKey, m: int, rng: RandomSource) -> int:
+def encrypt(keys, m: int, rng: RandomSource) -> int:
+    """Encrypt under a public key, or by CRT under a key pair: the same
+    ciphertext for the same draw of r."""
+    pub = getattr(keys, "public", keys)
     if not 0 <= m < pub.message_space:
         raise MessageOutOfRange(f"message must lie in [0, n^s), got {m}")
     nx = pub.cipher_modulus
     r = rand_coprime(pub.n, rng)
+    if isinstance(keys, DamgardJurikKeyPair):
+        return pow(pub.g, m, nx) * keys.crt.nth_power(r) % nx
     return pow(pub.g, m, nx) * pow(r, pub.n**pub.s, nx) % nx
 
 
@@ -118,7 +160,9 @@ def scale(pub: DamgardJurikPublicKey, a: int, k: int) -> int:
 
 
 def is_zero(keys: DamgardJurikKeyPair, c: int) -> bool:
-    return decrypt(keys, c) == 0
+    """decrypt(keys, c) == 0, raising where decrypt raises: c is an
+    encryption of 0 exactly when it is an n^s-th residue modulo n^(s+1)."""
+    return keys.crt.is_nth_residue(c)
 
 
 def message_modulus(keys) -> int:

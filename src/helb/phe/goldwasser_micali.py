@@ -56,8 +56,9 @@ def keygen(bits: int, rng: RandomSource, p: int | None = None,
     return GoldwasserMicaliKeyPair(GoldwasserMicaliPublicKey(n, a), p, q)
 
 
-def encrypt(pub: GoldwasserMicaliPublicKey, m: int, rng: RandomSource,
+def encrypt(keys, m: int, rng: RandomSource,
             width: int = DEFAULT_WIDTH) -> tuple[int, ...]:
+    pub = getattr(keys, "public", keys)
     if width < 1:
         raise MessageOutOfRange(f"width must be >= 1, got {width}")
     if not 0 <= m < (1 << width):

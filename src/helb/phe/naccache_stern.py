@@ -78,7 +78,8 @@ def keygen(bits: int, rng: RandomSource, n_bits: int = DEFAULT_MSG_BITS,
     return NaccacheSternKeyPair(NaccacheSternPublicKey(p, v), s)
 
 
-def encrypt(pub: NaccacheSternPublicKey, m: int, rng: RandomSource) -> int:
+def encrypt(keys, m: int, rng: RandomSource) -> int:
+    pub = getattr(keys, "public", keys)
     if not 0 <= m < pub.message_space:
         raise MessageOutOfRange(
             f"message must lie in [0, 2^{pub.n_bits}), got {m}")

@@ -81,7 +81,8 @@ def keygen(bits: int, rng: RandomSource, p: int | None = None,
         OkamotoUchiyamaPublicKey(n, g, h, msg_bits), p, q)
 
 
-def encrypt(pub: OkamotoUchiyamaPublicKey, m: int, rng: RandomSource) -> int:
+def encrypt(keys, m: int, rng: RandomSource) -> int:
+    pub = getattr(keys, "public", keys)
     if not 0 <= m < pub.message_space:
         raise MessageOutOfRange(
             f"message must lie in [0, 2^{pub.msg_bits}), got {m}")

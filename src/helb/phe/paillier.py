@@ -1,15 +1,25 @@
 """Paillier cryptosystem: additive homomorphism in Z*_{n^2}.
 
 The generator is fixed at g = n + 1, which keeps mu well-defined and lets
-encryption of the g^m factor collapse to (1 + m*n) mod n^2.
+encryption of the g^m factor collapse to (1 + m*n) mod n^2.  The holder of
+the key pair recovers p and q from lambda, and encrypts and zero-tests
+modulo p^2 and q^2; `decrypt` keeps the exponentiation modulo n^2.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from ..errors import DecryptionFailure, MessageOutOfRange
-from ..numtheory import RandomSource, gen_prime, lcm, mod_inv, rand_coprime
+from ..errors import DecryptionFailure, InvalidModulus, MessageOutOfRange
+from ..numtheory import (
+    PrimePowerCrt,
+    RandomSource,
+    gen_prime,
+    lcm,
+    mod_inv,
+    rand_coprime,
+)
 
 
 @dataclass(frozen=True)
@@ -35,6 +45,23 @@ class PaillierKeyPair:
     lam: int
     mu: int
 
+    @functools.cached_property
+    def crt(self) -> PrimePowerCrt:
+        """Arithmetic modulo p^2 and q^2, by the factors of n that lam yields."""
+        return PrimePowerCrt.from_lambda(self.public.n, self.lam, 1)
+
+    def violations(self) -> list[str]:
+        """Why lam and mu are not a decryption key for the public key."""
+        try:
+            self.crt
+        except InvalidModulus as exc:
+            return [str(exc)]
+        n, g = self.public.n, self.public.g
+        g_lam = 1 + self.lam * n if g == n + 1 else pow(g, self.lam, n * n)
+        if (g_lam - 1) % n or (g_lam - 1) // n * self.mu % n != 1:
+            return ["mu is not the inverse of L(g^lambda) modulo n"]
+        return []
+
 
 def _l(x: int, n: int) -> int:
     if (x - 1) % n:
@@ -58,7 +85,10 @@ def keygen(bits: int, rng: RandomSource, p: int | None = None,
     return PaillierKeyPair(PaillierPublicKey(n, g), lam, mu)
 
 
-def encrypt(pub: PaillierPublicKey, m: int, rng: RandomSource) -> int:
+def encrypt(keys, m: int, rng: RandomSource) -> int:
+    """Encrypt under a public key, or by CRT under a key pair: the same
+    ciphertext for the same draw of r."""
+    pub = getattr(keys, "public", keys)
     if not 0 <= m < pub.n:
         raise MessageOutOfRange(f"message must lie in [0, n), got {m}")
     nsq = pub.cipher_modulus
@@ -67,6 +97,8 @@ def encrypt(pub: PaillierPublicKey, m: int, rng: RandomSource) -> int:
     else:
         gm = pow(pub.g, m, nsq)
     r = rand_coprime(pub.n, rng)
+    if isinstance(keys, PaillierKeyPair):
+        return gm * keys.crt.nth_power(r) % nsq
     return gm * pow(r, pub.n, nsq) % nsq
 
 
@@ -90,7 +122,9 @@ def scale(pub: PaillierPublicKey, a: int, k: int) -> int:
 
 
 def is_zero(keys: PaillierKeyPair, c: int) -> bool:
-    return decrypt(keys, c) == 0
+    """decrypt(keys, c) == 0, raising where decrypt raises: c is an
+    encryption of 0 exactly when it is an n-th residue modulo n^2."""
+    return keys.crt.is_nth_residue(c)
 
 
 def message_modulus(keys) -> int:

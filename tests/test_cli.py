@@ -159,6 +159,18 @@ class TestMatch:
         assert result.exit_code == 2
         assert "different public key" in result.output
 
+    def test_tampered_lambda_exits_two(self, paillier_files, paillier_store,
+                                       tmp_path):
+        lines = open(paillier_files[1]).read().splitlines()
+        bad = tmp_path / "bad.sec"
+        bad.write_text("\n".join(
+            f"lambda = {int(line.split('=')[1], 16) + 2:x}"
+            if line.startswith("lambda =") else line for line in lines) + "\n")
+        result = run("match", "--keys", bad, "--store", paillier_store,
+                     "--ip", "2.3.4.77", "--seed", 10)
+        assert result.exit_code == 2
+        assert "lambda does not yield two factors of n" in result.output
+
     def test_gm_store_matches_by_xor(self, gm_files, cidr_file, tmp_path):
         pub, sec = gm_files
         store = tmp_path / "gm.bin"

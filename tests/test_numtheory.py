@@ -7,7 +7,9 @@ import support
 from helb.errors import InvalidModulus, NotFound, NotInvertible
 from helb.numtheory import (
     RandomSource,
+    PrimePowerCrt,
     brute_force_dlog,
+    factor_from_lambda,
     first_primes,
     gen_prime,
     gen_safe_prime,
@@ -98,6 +100,100 @@ class TestGenPrime:
         assert p.bit_length() == 64
         assert is_probable_prime(p)
         assert is_probable_prime((p - 1) // 2)
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_safe_prime_matches_the_full_test_loop(self, bits):
+        # the loop as it was before the one-round pre-tests: same candidate
+        # stream, so the same first safe prime
+        def full_test_loop(rng):
+            while True:
+                m = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
+                p = 2 * m + 1
+                if is_probable_prime(m) and is_probable_prime(p):
+                    return p
+
+        for seed in range(20):
+            assert gen_safe_prime(bits, RandomSource.seeded(seed)) == \
+                full_test_loop(RandomSource.seeded(seed))
+
+
+def _prime_pair(bits, seed, common=2):
+    """Distinct primes p, q of `bits` bits with `common` dividing p-1 and q-1."""
+    rnd = random.Random(seed)
+    found = []
+    while len(found) < 2:
+        k = rnd.randrange(2 ** (bits - 1) // common, 2**bits // common)
+        candidate = common * k + 1
+        if candidate.bit_length() == bits and is_probable_prime(candidate) \
+                and candidate not in found:
+            found.append(candidate)
+    return tuple(sorted(found))
+
+
+class TestFactorFromLambda:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_recovers_random_factors(self, seed):
+        p, q = _prime_pair(256, seed)
+        assert factor_from_lambda(p * q, lcm(p - 1, q - 1)) == (p, q)
+
+    def test_toy_key(self):
+        assert factor_from_lambda(35, 12) == (5, 7)
+
+    def test_large_gcd_falls_back_to_the_split(self):
+        # gcd(p-1, q-1) is a multiple of 4099, beyond the sum search
+        p, q = _prime_pair(160, 1, common=2 * 4099)
+        assert math.gcd(p - 1, q - 1) > 4096
+        assert factor_from_lambda(p * q, lcm(p - 1, q - 1)) == (p, q)
+
+    def test_multiples_of_lambda_also_split(self):
+        p, q = _prime_pair(128, 2)
+        phi = (p - 1) * (q - 1)
+        assert factor_from_lambda(p * q, phi) == (p, q)
+        assert factor_from_lambda(p * q, 6 * phi) == (p, q)
+
+    @pytest.mark.parametrize("delta", [1, 2, -2])
+    def test_wrong_lambda_yields_none(self, delta):
+        p, q = _prime_pair(128, 3)
+        assert factor_from_lambda(p * q, lcm(p - 1, q - 1) + delta) is None
+
+    @pytest.mark.parametrize("n, lam", [(0, 1), (35, 0), (35, -12), (3, 2)])
+    def test_degenerate_input_yields_none(self, n, lam):
+        assert factor_from_lambda(n, lam) is None
+
+    def test_crt_needs_a_multiple_of_lambda(self):
+        p, q = _prime_pair(128, 4)
+        lam = lcm(p - 1, q - 1)
+        assert PrimePowerCrt.from_lambda(p * q, lam, 1).p == p
+        # lam / 2 still factors n by the sum search, but is no exponent of Z*_n
+        with pytest.raises(InvalidModulus):
+            PrimePowerCrt.from_lambda(p * q, lam // 2, 1)
+
+
+class TestPrimePowerCrt:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_nth_power_matches_pow(self, s):
+        p, q = _prime_pair(96, s)
+        n = p * q
+        crt = PrimePowerCrt(p, q, s)
+        rnd = random.Random(s)
+        for _ in range(20):
+            r = rnd.randrange(2, n)
+            if math.gcd(r, n) == 1:
+                assert crt.nth_power(r) == pow(r, n**s, n ** (s + 1))
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_residues_are_nth_powers(self, s):
+        p, q = _prime_pair(96, 10 + s)
+        n = p * q
+        crt = PrimePowerCrt(p, q, s)
+        rnd = random.Random(s)
+        for _ in range(20):
+            r = rnd.randrange(2, n)
+            if math.gcd(r, n) != 1:
+                continue
+            residue = pow(r, n**s, n ** (s + 1))
+            assert crt.is_nth_residue(residue)
+            assert not crt.is_nth_residue(residue * (1 + n) % n ** (s + 1))
 
 
 class TestModInv:
