@@ -3,15 +3,25 @@
 Plaintexts are polynomials mod t packed one value per coefficient;
 ciphertexts are (c0, c1) pairs mod q.  Only addition and subtraction are
 evaluated homomorphically, so no relinearization or modulus switching is
-needed.  Polynomial products (a*s in key generation, pk*u in encryption,
-c1*s in decryption) are one exact big-integer multiplication each, by
-Kronecker substitution, for any q.
+needed.  Polynomial products (a*s in key generation and in the key
+holder's encryption, pk*u in public-key encryption, c1*s in decryption)
+are one exact libmpdec multiplication each, by Kronecker substitution, for
+any q.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+)
 
 from .errors import InvalidParams, ParamMismatch, TooManyValues
 from .numtheory import RandomSource, is_probable_prime
@@ -30,6 +40,10 @@ _T_DEFAULT = 35_184_372_744_193
 # 1 mod 32768, which the ring product does not need; the value is kept so
 # that existing key files and stores remain valid.
 _Q_DEFAULT = 604_490_591_182_956_796_837_889
+
+# integer arithmetic on decimals of any length; a rounded result would raise
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, InvalidOperation])
 
 
 @dataclass(frozen=True)
@@ -188,31 +202,34 @@ def schoolbook_negacyclic_mul(a, b, q: int) -> list[int]:
 def negacyclic_mul(a, b, q: int) -> list[int]:
     """Product of two length-n coefficient vectors in Z_q[x]/(x^n + 1).
 
-    Kronecker substitution: each centred operand becomes one integer whose
-    base-2^(8w) digits are its coefficients, so a single exact big-integer
-    product holds every coefficient c[k] of the plain product a*b.  The
-    slot width w (bytes) fits a sum of n products of the largest |a_i| and
-    |b_j| plus a sign bit.  Digits are written and read offset by
-    2^(8w-1) so that each one is unsigned; the negacyclic fold
-    c[k] - c[k+n] cancels the offset.
+    Kronecker substitution in decimal: each centred operand becomes one
+    decimal integer whose d-digit slots are its coefficients, and one exact
+    libmpdec product holds every coefficient c[k] of the plain product a*b.
+    The slot bound exceeds both every |c[k]| <= n * max|a_i| * max|b_j| and
+    every operand coefficient; d is one digit wider than the bound, so each
+    coefficient offset by 5 * 10^(d-1) is exactly d digits long.  The
+    offsets cancel in the negacyclic fold c[k] - c[k+n].  Only single slots
+    pass through int and str, which refuse whole operands of more than
+    4300 digits.
     """
     n = len(a)
     half = q // 2
     ca = [x - q if x > half else x for x in a]
     cb = [x - q if x > half else x for x in b]
-    w = (max(map(abs, ca)).bit_length() + max(map(abs, cb)).bit_length()
-         + n.bit_length() + 1 + 7) // 8
-    off = 1 << (8 * w - 1)
-    off_2n = int.from_bytes(off.to_bytes(w, "little") * (2 * n), "little")
-    off_n = off_2n >> (8 * w * n)
+    max_a, max_b = max(map(abs, ca)), max(map(abs, cb))
+    d = len(str(max(n * max_a * max_b, max_a, max_b))) + 1
+    off = 5 * 10 ** (d - 1)
+    slot = str(off)
+    off_n = Decimal(slot * n)
 
     def pack(coeffs):
-        blob = b"".join((x + off).to_bytes(w, "little") for x in coeffs)
-        return int.from_bytes(blob, "little") - off_n
+        return _EXACT.subtract(
+            Decimal("".join([str(x + off) for x in reversed(coeffs)])), off_n)
 
-    raw = (pack(ca) * pack(cb) + off_2n).to_bytes(2 * n * w, "little")
-    digits = [int.from_bytes(raw[i:i + w], "little")
-              for i in range(0, 2 * n * w, w)]
+    text = str(_EXACT.add(_EXACT.multiply(pack(ca), pack(cb)),
+                          Decimal(slot * (2 * n))))
+    # slots are big-endian: c[2n-1] first, c[0] last
+    digits = [int(text[i:i + d]) for i in range(len(text) - d, -1, -d)]
     return [(lo - hi) % q for lo, hi in zip(digits[:n], digits[n:])]
 
 
@@ -280,8 +297,12 @@ def decode(pt: RingPoly) -> list[int]:
 
 def encrypt(keys: BfvKeyPair | BfvPublicKey, pt: RingPoly, params: BfvParams,
             rng: RandomSource) -> BfvCiphertext:
-    """Encrypt a plaintext polynomial under the public pair:
-    (pk0*u + e1 + delta*m, pk1*u + e2) for fresh ternary u and noise e1, e2.
+    """Encrypt a plaintext polynomial.
+
+    Under a public key: (pk0*u + e1 + delta*m, pk1*u + e2) for fresh ternary
+    u and noise e1, e2.  Under a key pair, as the key holder: (-a*s + e +
+    delta*m, a) for fresh uniform a and noise e, one ring product instead
+    of two.  Both decrypt alike, with less noise from the key pair.
     """
     if keys.params != params:
         raise ParamMismatch("key pair was generated under different parameters")
@@ -290,6 +311,12 @@ def encrypt(keys: BfvKeyPair | BfvPublicKey, pt: RingPoly, params: BfvParams,
         raise ParamMismatch(f"plaintext has {len(pt)} coefficients, ring needs {n}")
     delta = params.delta
     scaled = [delta * (c % t) % q for c in pt.coeffs]
+    if isinstance(keys, BfvKeyPair):
+        a = _sample_uniform(n, q, rng)
+        e = _sample_gauss(n, params.err_stddev, q, rng)
+        a_s = negacyclic_mul(a, keys.secret.coeffs, q)
+        c0 = [(y + z - x) % q for x, y, z in zip(a_s, e, scaled)]
+        return BfvCiphertext(RingPoly(tuple(c0)), RingPoly(tuple(a)), params)
     u = _sample_ternary(n, q, rng)
     e1 = _sample_gauss(n, params.err_stddev, q, rng)
     e2 = _sample_gauss(n, params.err_stddev, q, rng)
@@ -359,7 +386,8 @@ def measure_noise(keys: BfvKeyPair, ct: BfvCiphertext, expected_pt: RingPoly,
 def fresh_noise_bound(params: BfvParams) -> int:
     """Worst-case noise of one fresh encryption.
 
-    That is e1 + u*e_pk + e2*s with ternary u, s and 6-sigma noise.  The
+    That is e1 + u*e_pk + e2*s with ternary u, s and 6-sigma noise under a
+    public key; the key holder's encryption has only its e.  The
     trailing (q mod t) term covers scaling slack and one plaintext wrap
     per accumulated ciphertext.
     """

@@ -15,7 +15,6 @@ import sys
 
 import click
 
-from . import bench as bench_mod
 from . import bfv, ipmatch, phe, serial
 from .errors import HelbError
 from .numtheory import RandomSource
@@ -193,6 +192,8 @@ def bench(ctx, schemes, iterations, bits, profile, fmt, seed):
     """Per-scheme keygen / encrypt / operate+decrypt timings."""
     if ctx.invoked_subcommand is not None:
         return
+    from . import bench as bench_mod  # no other command needs it
+
     names = None if schemes == "all" else [s.strip() for s in schemes.split(",")]
     rows = bench_mod.bench_schemes(names, iterations=iterations, bits=bits,
                                    seed=seed, bfv_profile=bfv.PROFILES[profile]())
@@ -217,6 +218,8 @@ def bench(ctx, schemes, iterations, bits, profile, fmt, seed):
 @_cli_errors
 def bench_scale(counts, packed, profile, random_prefixes, fmt, seed):
     """Store build time and exhaustive search time over a range of sizes."""
+    from . import bench as bench_mod
+
     try:
         count_list = [int(c) for c in counts.split(",") if c.strip()]
     except ValueError:

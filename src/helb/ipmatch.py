@@ -31,7 +31,8 @@ from .numtheory import RandomSource
 from .phe import SchemeId
 
 BFV_SCHEME = bfv.BfvPublicKey.SCHEME
-GM_WIDTH = phe.goldwasser_micali.DEFAULT_WIDTH
+# Goldwasser-Micali encrypts an address bit by bit, at its default width
+GM_WIDTH = 32
 _GM = SchemeId.GOLDWASSER_MICALI.value
 _MAX_ADDR = 0xFFFFFFFF
 
@@ -177,15 +178,17 @@ def build_store(entries, keys, rng: RandomSource, *,
         cleaned.setdefault(entry.prefix_len, []).append(masked)
 
     # one ciphertext per `size` networks: ring_dim when packed, else one
+    pub = phe.public_part(keys)
     if scheme == BFV_SCHEME:
         params = keys.params
         _require_bfv_fits_addresses(params)
         size = params.ring_dim if packed else 1
         pad = [_pad_value(params)]
 
+        # under the public key, so that a store is the same from either key file
         def encrypt(chunk):
             coeffs = chunk + pad * (size - len(chunk))
-            return bfv.encrypt(keys, bfv.encode(coeffs, params), params, rng)
+            return bfv.encrypt(pub, bfv.encode(coeffs, params), params, rng)
     else:
         size = 1
 
@@ -210,7 +213,6 @@ def build_store(entries, keys, rng: RandomSource, *,
             (_runs(chunk), ct) if packed else (first_id, ct))
 
     meta = {"duplicates_removed": duplicates, "entries_normalized": normalized}
-    pub = phe.public_part(keys)
     return EncryptedStore(scheme, groups, packed, meta, pub)
 
 

@@ -6,24 +6,19 @@ with a ``public`` part; each key class names its scheme in ``SCHEME`` and
 its key-file fields in ``FILE_FIELDS`` (see :mod:`helb.serial`).
 Ciphertexts are :class:`PheCiphertext` values whose payload is a single
 group element, or a tuple of per-bit elements for Goldwasser-Micali; each
-element lies in [1, ``cipher_modulus``) of the public key.
+element lies in [1, ``cipher_modulus``) of the public key.  A scheme's
+module is imported on first use, so a process loads only the schemes
+whose keys it handles.
 """
 
 from __future__ import annotations
 
 import enum
+import importlib
 from dataclasses import dataclass
 
 from ..errors import CapabilityUnsupported, InvalidOptions, SchemeMismatch, WidthMismatch
 from ..numtheory import RandomSource, rand_coprime
-from . import (
-    benaloh,
-    damgard_jurik,
-    goldwasser_micali,
-    naccache_stern,
-    okamoto_uchiyama,
-    paillier,
-)
 
 
 class SchemeId(str, enum.Enum):
@@ -50,14 +45,11 @@ CAPABILITIES: dict[SchemeId, frozenset[str]] = {
     SchemeId.GOLDWASSER_MICALI: XOR_CAPS,
 }
 
-_MODULES = {
-    SchemeId.PAILLIER: paillier,
-    SchemeId.DAMGARD_JURIK: damgard_jurik,
-    SchemeId.OKAMOTO_UCHIYAMA: okamoto_uchiyama,
-    SchemeId.BENALOH: benaloh,
-    SchemeId.NACCACHE_STERN: naccache_stern,
-    SchemeId.GOLDWASSER_MICALI: goldwasser_micali,
-}
+
+def _module(scheme: SchemeId):
+    """The module of `scheme`, named after its value; imported on first use."""
+    return importlib.import_module(f"{__name__}.{scheme.value}")
+
 
 MIN_CRYPTO_BITS = 512
 MIN_TEST_BITS = 16
@@ -88,6 +80,11 @@ def public_part(keys):
     return getattr(keys, "public", keys)
 
 
+def key_classes(scheme: SchemeId) -> tuple[type, type]:
+    """(public key class, key pair class) of `scheme`."""
+    return _module(SchemeId(scheme)).KEY_CLASSES
+
+
 def keygen(scheme: SchemeId, security_bits: int, rng: RandomSource, *,
            test_mode: bool = False, **opts):
     """Generate a key pair for `scheme`.
@@ -110,7 +107,7 @@ def keygen(scheme: SchemeId, security_bits: int, rng: RandomSource, *,
             raise InvalidOptions(
                 "seeded randomness is refused for key generation "
                 "unless test_mode is set")
-    return _MODULES[scheme].keygen(security_bits, rng, **opts)
+    return _module(scheme).keygen(security_bits, rng, **opts)
 
 
 def encrypt(keys, m: int, rng: RandomSource, *, width: int | None = None) -> PheCiphertext:
@@ -120,10 +117,10 @@ def encrypt(keys, m: int, rng: RandomSource, *, width: int | None = None) -> Phe
     encrypt by CRT under a key pair, to the same ciphertext.
     """
     scheme = scheme_of(keys)
-    mod = _MODULES[scheme]
+    mod = _module(scheme)
     if scheme is SchemeId.GOLDWASSER_MICALI:
         if width is None:
-            width = goldwasser_micali.DEFAULT_WIDTH
+            width = mod.DEFAULT_WIDTH
         payload = mod.encrypt(keys, m, rng, width)
     else:
         if width is not None:
@@ -143,7 +140,7 @@ def decrypt(keys, ct: PheCiphertext) -> int:
     _require_pair(keys)
     if scheme is not ct.scheme:
         raise SchemeMismatch(f"{scheme} keys cannot decrypt a {ct.scheme} ciphertext")
-    return _MODULES[scheme].decrypt(keys, ct.payload)
+    return _module(scheme).decrypt(keys, ct.payload)
 
 
 def _require(scheme: SchemeId, cap: str) -> None:
@@ -163,7 +160,7 @@ def add_encrypted(keys, ct1: PheCiphertext, ct2: PheCiphertext) -> PheCiphertext
     scheme = _check_pair(keys, ct1, ct2)
     _require(scheme, "add")
     pub = public_part(keys)
-    return PheCiphertext(scheme, _MODULES[scheme].combine(pub, ct1.payload, ct2.payload))
+    return PheCiphertext(scheme, _module(scheme).combine(pub, ct1.payload, ct2.payload))
 
 
 def sub_encrypted(keys, ct1: PheCiphertext, ct2: PheCiphertext) -> PheCiphertext:
@@ -171,7 +168,7 @@ def sub_encrypted(keys, ct1: PheCiphertext, ct2: PheCiphertext) -> PheCiphertext
     scheme = _check_pair(keys, ct1, ct2)
     _require(scheme, "sub")
     pub = public_part(keys)
-    mod = _MODULES[scheme]
+    mod = _module(scheme)
     return PheCiphertext(
         scheme, mod.combine(pub, ct1.payload, mod.invert(pub, ct2.payload)))
 
@@ -183,7 +180,7 @@ def scalar_mul(keys, ct: PheCiphertext, k: int) -> PheCiphertext:
         raise SchemeMismatch("ciphertext does not match the key scheme")
     _require(scheme, "scalar_mul")
     return PheCiphertext(
-        scheme, _MODULES[scheme].scale(public_part(keys), ct.payload, k))
+        scheme, _module(scheme).scale(public_part(keys), ct.payload, k))
 
 
 def xor_encrypted(keys, ct1: PheCiphertext, ct2: PheCiphertext) -> PheCiphertext:
@@ -193,7 +190,7 @@ def xor_encrypted(keys, ct1: PheCiphertext, ct2: PheCiphertext) -> PheCiphertext
     if ct1.width != ct2.width:
         raise WidthMismatch(f"widths differ: {ct1.width} vs {ct2.width}")
     pub = public_part(keys)
-    return PheCiphertext(scheme, goldwasser_micali.combine(pub, ct1.payload, ct2.payload))
+    return PheCiphertext(scheme, _module(scheme).combine(pub, ct1.payload, ct2.payload))
 
 
 def is_zero(keys, ct: PheCiphertext) -> bool:
@@ -207,12 +204,12 @@ def is_zero(keys, ct: PheCiphertext) -> bool:
     _require_pair(keys)
     if ct.scheme is not scheme:
         raise SchemeMismatch("ciphertext does not match the key scheme")
-    return _MODULES[scheme].is_zero(keys, ct.payload)
+    return _module(scheme).is_zero(keys, ct.payload)
 
 
 def message_modulus(keys) -> int | None:
     """Modulus of the additive message space, or None when not a single value."""
-    return _MODULES[scheme_of(keys)].message_modulus(keys)
+    return _module(scheme_of(keys)).message_modulus(keys)
 
 
 def blinding_factor(keys, rng: RandomSource) -> int:
@@ -223,7 +220,7 @@ def blinding_factor(keys, rng: RandomSource) -> int:
     """
     scheme = scheme_of(keys)
     _require(scheme, "scalar_mul")
-    modulus = _MODULES[scheme].message_modulus(keys)
+    modulus = _module(scheme).message_modulus(keys)
     if modulus is None:
         raise CapabilityUnsupported(
             f"{scheme} has no single message modulus; blinding would not "

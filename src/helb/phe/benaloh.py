@@ -61,6 +61,9 @@ class BenalohKeyPair:
         return (self.p - 1) * (self.q - 1)
 
 
+KEY_CLASSES = (BenalohPublicKey, BenalohKeyPair)
+
+
 def _check_block(r: int, p: int, q: int) -> None:
     if (p - 1) % r:
         raise InvalidOptions("block size must divide p - 1")

@@ -83,6 +83,9 @@ class DamgardJurikKeyPair:
         return out
 
 
+KEY_CLASSES = (DamgardJurikPublicKey, DamgardJurikKeyPair)
+
+
 def keygen(bits: int, rng: RandomSource, s: int = 1, p: int | None = None,
            q: int | None = None) -> DamgardJurikKeyPair:
     if not 1 <= s <= MAX_S:

@@ -39,6 +39,9 @@ class GoldwasserMicaliKeyPair:
     q: int
 
 
+KEY_CLASSES = (GoldwasserMicaliPublicKey, GoldwasserMicaliKeyPair)
+
+
 def keygen(bits: int, rng: RandomSource, p: int | None = None,
            q: int | None = None) -> GoldwasserMicaliKeyPair:
     if p is None or q is None:

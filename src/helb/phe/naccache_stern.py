@@ -54,6 +54,9 @@ class NaccacheSternKeyPair:
     s: int
 
 
+KEY_CLASSES = (NaccacheSternPublicKey, NaccacheSternKeyPair)
+
+
 def keygen(bits: int, rng: RandomSource, n_bits: int = DEFAULT_MSG_BITS,
            p: int | None = None, s: int | None = None) -> NaccacheSternKeyPair:
     if n_bits < 1:

@@ -54,6 +54,9 @@ class OkamotoUchiyamaKeyPair:
         return mod_inv(_l(pow(self.public.g, p - 1, p * p), p), p)
 
 
+KEY_CLASSES = (OkamotoUchiyamaPublicKey, OkamotoUchiyamaKeyPair)
+
+
 def keygen(bits: int, rng: RandomSource, p: int | None = None,
            q: int | None = None) -> OkamotoUchiyamaKeyPair:
     if p is None or q is None:

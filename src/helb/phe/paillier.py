@@ -63,6 +63,9 @@ class PaillierKeyPair:
         return []
 
 
+KEY_CLASSES = (PaillierPublicKey, PaillierKeyPair)
+
+
 def _l(x: int, n: int) -> int:
     if (x - 1) % n:
         raise DecryptionFailure("value is not congruent to 1 modulo n")

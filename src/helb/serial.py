@@ -41,16 +41,7 @@ except ImportError:
 from . import bfv, phe
 from .errors import FormatError, SchemeMismatch
 from .ipmatch import BFV_SCHEME, GM_WIDTH, EncryptedStore
-from .phe import (
-    PheCiphertext,
-    SchemeId,
-    benaloh,
-    damgard_jurik,
-    goldwasser_micali,
-    naccache_stern,
-    okamoto_uchiyama,
-    paillier,
-)
+from .phe import PheCiphertext, SchemeId
 
 KEY_MAGIC = "HELB-KEY v1"
 STORE_MAGIC = b"HELB"
@@ -68,18 +59,13 @@ _SCHEME_BYTES = {
 _PACKED_SCHEME_BYTE = 8
 _SCHEME_OF_BYTE = {v: k for k, v in _SCHEME_BYTES.items()}
 
-# scheme name -> (public key class, key pair class)
-_KEY_CLASSES = {pub.SCHEME: (pub, pair) for pub, pair in (
-    (paillier.PaillierPublicKey, paillier.PaillierKeyPair),
-    (damgard_jurik.DamgardJurikPublicKey, damgard_jurik.DamgardJurikKeyPair),
-    (okamoto_uchiyama.OkamotoUchiyamaPublicKey,
-     okamoto_uchiyama.OkamotoUchiyamaKeyPair),
-    (benaloh.BenalohPublicKey, benaloh.BenalohKeyPair),
-    (naccache_stern.NaccacheSternPublicKey, naccache_stern.NaccacheSternKeyPair),
-    (goldwasser_micali.GoldwasserMicaliPublicKey,
-     goldwasser_micali.GoldwasserMicaliKeyPair),
-    (bfv.BfvPublicKey, bfv.BfvKeyPair),
-)}
+
+def _key_classes(scheme: str) -> tuple[type, type]:
+    """(public key class, key pair class) of a known scheme name; a PHE
+    scheme's module is imported here, when its key is first read."""
+    if scheme == BFV_SCHEME:
+        return bfv.BfvPublicKey, bfv.BfvKeyPair
+    return phe.key_classes(scheme)
 
 
 def _hex_list(values) -> str:
@@ -197,9 +183,9 @@ def read_key_file(path: str):
             scheme, fields = _parse_key_text(fh.read())
     except UnicodeDecodeError:
         raise FormatError(f"{path}: key file is not UTF-8 text") from None
-    if scheme not in _KEY_CLASSES:
+    if scheme not in _SCHEME_BYTES:
         raise FormatError(f"{path}: unknown scheme {scheme!r}")
-    pub_cls, pair_cls = _KEY_CLASSES[scheme]
+    pub_cls, pair_cls = _key_classes(scheme)
     # a pair's own (not nested) fields include all its private ones
     private = all(name in fields for name, _, kind in pair_cls.FILE_FIELDS
                   if kind in _CODECS)

@@ -1,5 +1,7 @@
+import hashlib
 import random
 
+import _decimal
 import pytest
 import support
 
@@ -112,17 +114,22 @@ class TestNegacyclicMul:
         for _ in range(pairs):
             a = _uniform(rnd, n, q)
             for b in (_uniform(rnd, n, q), _ternary(rnd, n, q), zero):
-                assert bfv.negacyclic_mul(a, b, q) == \
-                       bfv.schoolbook_negacyclic_mul(b, a, q)
+                want = bfv.schoolbook_negacyclic_mul(a, b, q)
+                assert bfv.negacyclic_mul(a, b, q) == want
+                assert bfv.negacyclic_mul(b, a, q) == want
         assert bfv.negacyclic_mul(zero, zero, q) == zero
 
     @pytest.mark.parametrize("n,q", [
         (TINY.ring_dim, TINY.ciphertext_mod),
         (TINY_NO_NTT.ring_dim, TINY_NO_NTT.ciphertext_mod),
         (SMALL.ring_dim, SMALL.ciphertext_mod),
-        # 16 * (q//2)^2 needs 80 bits plus a sign bit: one more than 10 bytes
-        (16, (1 << 39) - 1)],
-        ids=["tiny", "tiny-no-ntt", "small", "byte-boundary"])
+        # q//2 = 25 * 10^10 - 1: the bound 16 * (q//2)^2 is just below 10^24
+        (16, 500_000_000_000 - 1),
+        # q//2 = 25 * 10^10: the bound is exactly 10^24
+        (16, 500_000_000_000 + 1),
+        (DESK.ring_dim, DESK.ciphertext_mod)],
+        ids=["tiny", "tiny-no-ntt", "small", "below-power-of-ten",
+             "at-power-of-ten", "desk"])
     def test_worst_case_digits(self, n, q):
         # every coefficient of the plain product at its largest magnitude,
         # n * (q//2)^2, positive and negative
@@ -131,6 +138,21 @@ class TestNegacyclicMul:
         for a, b in ((top, top), (top, bottom), (bottom, bottom)):
             assert bfv.negacyclic_mul(a, b, q) == \
                    bfv.schoolbook_negacyclic_mul(a, b, q)
+
+    @pytest.mark.parametrize("n,q", [
+        (16, 500_000_000_000 + 1),
+        (DESK.ring_dim, DESK.ciphertext_mod)], ids=["n16", "desk"])
+    def test_zero_times_full_width(self, n, q):
+        # the product bound is 0, yet the slots must still hold the other
+        # operand's coefficients at their largest magnitude
+        zero = [0] * n
+        for full in ([q // 2] * n, [-(q // 2) % q] * n):
+            assert bfv.negacyclic_mul(zero, full, q) == zero
+            assert bfv.negacyclic_mul(full, zero, q) == zero
+
+    def test_product_runs_on_the_c_decimal_module(self):
+        # the pure-Python fallback multiplies in quadratic time
+        assert bfv.Decimal is _decimal.Decimal
 
     def test_x_power_n_equals_minus_one(self):
         # multiplying x^(n-1) by x wraps to -1
@@ -235,6 +257,50 @@ def test_round_trip_random_vectors(bfv_small_keys):
         pt = bfv.encode(values, SMALL)
         ct = bfv.encrypt(bfv_small_keys, pt, SMALL, rng)
         assert bfv.decrypt(bfv_small_keys, ct, SMALL) == pt
+
+
+class TestKeyHolderEncryption:
+    """`encrypt` under a key pair: (-a*s + e + delta*m, a)."""
+
+    @pytest.mark.parametrize("params,fixture", [(SMALL, "bfv_small_keys"),
+                                                (DESK, "desk_keys")],
+                             ids=["small", "desk"])
+    def test_round_trip(self, params, fixture, request):
+        keys = request.getfixturevalue(fixture)
+        rnd = random.Random("key-holder")
+        rng = RNG(22)
+        t, n = params.plaintext_mod, params.ring_dim
+        for _ in range(3):
+            pt = bfv.encode([rnd.randrange(t) for _ in range(n)], params)
+            ct = bfv.encrypt(keys, pt, params, rng)
+            assert bfv.decrypt(keys, ct, params) == pt
+            assert bfv.measure_noise(keys, ct, pt, params) <= \
+                   bfv.fresh_noise_bound(params)
+
+    def test_store_record_minus_query_within_budget(self, desk_keys):
+        # a store record is a public-key encryption, a lookup query the key
+        # holder's; their difference decrypts within the one-op budget
+        rng = RNG(23)
+        t, n = DESK.plaintext_mod, DESK.ring_dim
+        budget = bfv.additive_noise_budget(DESK, 1)
+        for _ in range(3):
+            record = [rng.randrange(t) for _ in range(n)]
+            query = [rng.randrange(t) for _ in range(n)]
+            diff = bfv.eval_sub(
+                bfv.encrypt(desk_keys, bfv.encode(query, DESK), DESK, rng),
+                bfv.encrypt(desk_keys.public, bfv.encode(record, DESK), DESK, rng))
+            expected = bfv.encode([(a - b) % t for a, b in zip(query, record)], DESK)
+            assert bfv.measure_noise(desk_keys, diff, expected, DESK) <= budget
+            assert bfv.decrypt(desk_keys, diff, DESK) == expected
+
+    def test_public_key_ciphertext_is_pinned(self, desk_keys):
+        # stores are public-key encryptions: a seeded one must not change
+        # from release to release
+        pt = bfv.encode([0x0A000000, 0xC0A80100, 0xFFFFFFFF], DESK)
+        ct = bfv.encrypt(desk_keys.public, pt, DESK, RNG(33))
+        blob = b"".join(c.to_bytes(10, "big") for c in ct.c0.coeffs + ct.c1.coeffs)
+        assert hashlib.sha256(blob).hexdigest() == \
+               "54b8064712ee3c10eb5c5825970d7ad66fa284262d04933d8be94c337a236b9c"
 
 
 def test_public_key_handle_can_encrypt(bfv_small_keys):

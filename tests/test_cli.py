@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 import support
@@ -388,9 +391,72 @@ class TestLatticeFlow:
         assert json.loads(result.output)["stats"] == {
             "encryptions": 1, "sub_calls": 1, "zero_tests": 1}
 
+    @pytest.mark.parametrize("packed", [False, True], ids=["unpacked", "packed"])
+    def test_store_is_the_same_from_either_key_file(self, bfv_files, cidr_file,
+                                                     tmp_path, packed):
+        # a store is a public-key encryption even when built from the .sec
+        flag = ["--packed"] if packed else []
+        blobs = []
+        for key in bfv_files:
+            out = tmp_path / (os.path.basename(key) + ".bin")
+            result = run("blacklist", "encrypt", "--key", key, "--cidr-file",
+                         cidr_file, "--out", out, "--seed", 5, *flag)
+            assert result.exit_code == 0, result.output
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_scale_packed_flag(self):
         result = run("bench", "scale", "--counts", "2", "--packed", "--seed", 36)
         assert result.exit_code == 0, result.output
+
+
+def _modules_after_match(keys, store, ip):
+    """Exit status of `helb match` in a fresh interpreter, and the helb
+    modules it loaded."""
+    script = ("import json, sys\n"
+              "from helb import cli\n"
+              "try:\n"
+              "    cli.main(args=sys.argv[1:], prog_name='helb')\n"
+              "except SystemExit as exc:\n"
+              "    status = exc.code\n"
+              "print(json.dumps([status, sorted(m for m in sys.modules\n"
+              "                                 if m.startswith('helb'))]))\n")
+    src = os.path.dirname(os.path.dirname(serial.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "match", "--keys", keys, "--store", store,
+         "--ip", ip, "--seed", "1"],
+        capture_output=True, text=True, env=env, check=True)
+    status, modules = json.loads(done.stdout.splitlines()[-1])
+    return status, set(modules)
+
+
+class TestImportFloor:
+    """A lookup imports the modules of its own scheme only."""
+
+    def test_bfv_match_loads_no_phe_scheme_and_no_bench(self, bfv_files,
+                                                         mixed_stores):
+        status, modules = _modules_after_match(
+            bfv_files[1], mixed_stores["packed"][0], "2.3.4.5")
+        assert status == 0
+        assert "helb.bfv" in modules
+        assert not [m for m in modules if m.startswith("helb.phe.")]
+        assert "helb.bench" not in modules
+
+    def test_paillier_match_loads_paillier_only(self, paillier_files,
+                                                paillier_store):
+        status, modules = _modules_after_match(
+            paillier_files[1], paillier_store, "4.4.4.4")
+        assert status == 1
+        assert [m for m in modules if m.startswith("helb.phe.")] == \
+               ["helb.phe.paillier"]
+        assert "helb.bench" not in modules
+
+    def test_bench_still_runs(self):
+        result = run("bench", "--schemes", "bfv", "--iterations", 1, "--seed", 6)
+        assert result.exit_code == 0, result.output
+        assert "bfv" in result.output
 
 
 class TestBench:
