@@ -2,14 +2,15 @@
 
 Addresses are plain 32-bit integers (big-endian octet packing, validated
 at parse time).  A store groups ciphertexts of masked network addresses by
-prefix length.  `match` masks the target with each group's subnet mask,
-encrypts it once per group, combines it with every stored record and
-zero-tests the result.  The store's scheme picks the combination:
-subtraction for the additive schemes and the lattice backend, XOR of all
-`GM_WIDTH` bits for Goldwasser-Micali.  A packed lattice record holds up to
-ring_dim networks of any prefix lengths, longest prefix first; its query
-holds the target masked for each slot's prefix, and its first zero
-coefficient marks the longest matching network.
+prefix length.  Every record is a ciphertext with its slot runs: one slot
+for a PHE or unpacked lattice record, up to ring_dim networks of any
+prefix lengths, longest prefix first, for a packed lattice record.
+`match` encrypts the target masked for each slot's prefix once per slot
+layout, combines it with every stored record and zero-tests the filled
+slots; the first zero slot marks the longest matching network.  The
+store's scheme picks the combination: subtraction for the additive
+schemes and the lattice backend, XOR of all `GM_WIDTH` bits for
+Goldwasser-Micali.
 """
 
 from __future__ import annotations
@@ -100,14 +101,14 @@ def load_cidr_file(path) -> list[CidrEntry]:
 class EncryptedStore:
     """Encrypted blacklist grouped by prefix length.
 
-    Unpacked groups hold (entry_id, ciphertext) pairs.  Packed groups hold
-    (runs, ciphertext) records with up to ring_dim networks in one
-    ciphertext's coefficients; `runs` lays out its slots as (prefix length,
-    first entry id, count) triples, longest prefix first, and a record sits
-    in the group of its first slot's prefix.  Prefix lengths and group sizes
-    are public.  `pub` is the public key the store was built under; a store
-    file carries only its fingerprint (stores and keys travel in separate
-    files).
+    Every record is (runs, ciphertext).  `runs` lays out the ciphertext's
+    slots as (prefix length, first entry id, count) triples, longest prefix
+    first, and a record sits in the group of its first slot's prefix.  A
+    PHE or unpacked lattice record holds one network, `((prefix length,
+    entry id, 1),)`; a packed one up to ring_dim networks in its
+    coefficients.  Prefix lengths and group sizes are public.  `pub` is
+    the public key the store was built under; a store file carries only
+    its fingerprint (stores and keys travel in separate files).
     """
 
     scheme: str
@@ -118,8 +119,6 @@ class EncryptedStore:
 
     def prefix_counts(self) -> dict[int, int]:
         """Number of networks per prefix length."""
-        if not self.packed:
-            return {p: len(records) for p, records in self.groups.items()}
         counts: dict[int, int] = {}
         for records in self.groups.values():
             for runs, _ in records:
@@ -208,9 +207,7 @@ def build_store(entries, keys, rng: RandomSource, *,
     for i in range(0, len(slots), size):
         chunk = slots[i:i + size]
         ct = encrypt([value for _, _, value in chunk])
-        head, first_id, _ = chunk[0]
-        groups.setdefault(head, []).append(
-            (_runs(chunk), ct) if packed else (first_id, ct))
+        groups.setdefault(chunk[0][0], []).append((_runs(chunk), ct))
 
     meta = {"duplicates_removed": duplicates, "entries_normalized": normalized}
     return EncryptedStore(scheme, groups, packed, meta, pub)
@@ -225,6 +222,14 @@ def _runs(slots) -> tuple[tuple[int, int, int], ...]:
         else:
             runs.append([prefix_len, entry_id, 1])
     return tuple(tuple(run) for run in runs)
+
+
+def _entry_id(runs, slot: int) -> int:
+    """Entry id of a record's slot, counted through its runs."""
+    for _, first_id, count in runs:
+        if slot < count:
+            return first_id + slot
+        slot -= count
 
 
 def _check_store_keys(store: EncryptedStore, keys) -> None:
@@ -245,28 +250,20 @@ def _debug_decrypt(keys, diff) -> int | None:
         return None
 
 
-def _prefix_of(prefix_len: int, record) -> int:
-    return prefix_len
-
-
 def _hooks(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
            blind: bool, debug: bool):
-    """The three steps in which the backends differ.
+    """The two steps in which the backends differ.
 
-    `query_of(prefix_len, record)` names what the query for a record of
-    the group `prefix_len` depends on: the prefix length, or a packed
-    record's slot layout.  `encrypt(query)` encrypts the target masked
-    accordingly.  `test(target, record)` combines it with one stored
-    record, zero-tests the result, and returns (entry id of the first
-    matching slot or None, decrypted difference or None).
+    `encrypt(layout)` encrypts the target masked for each slot of a record
+    layout ((prefix length, count), ...).  `test(target, ct, fill)`
+    combines it with one stored ciphertext, zero-tests the first `fill`
+    slots, and returns (first zero slot or None, decrypted difference of
+    slot 0 or None).  A PHE ciphertext has the one slot 0.
     """
     if blind and store.scheme in (BFV_SCHEME, _GM):
         raise InvalidOptions("blinding is only available for the additive schemes")
-    if store.scheme == BFV_SCHEME and store.packed:
+    if store.scheme == BFV_SCHEME:
         params = keys.params
-
-        def layout_of(prefix_len, record):
-            return tuple((p, count) for p, _, count in record[0])
 
         def encrypt(layout):
             values = []
@@ -274,48 +271,30 @@ def _hooks(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
                 values += [ip & prefix_to_mask(prefix_len)] * count
             return bfv.encrypt(keys, bfv.encode(values, params), params, rng)
 
-        def test(target, record):
-            runs, ct = record
+        def test(target, ct, fill):
             coeffs = bfv.decrypt(keys, bfv.eval_sub(target, ct), params).coeffs
             try:
-                slot = coeffs.index(0, 0, sum(count for _, _, count in runs))
+                return coeffs.index(0, 0, fill), coeffs[0]
             except ValueError:
-                return None, None
-            for _, first_id, count in runs:
-                if slot < count:
-                    return first_id + slot, None
-                slot -= count
+                return None, coeffs[0]
 
-        return layout_of, encrypt, test
+        return encrypt, test
 
-    if store.scheme == BFV_SCHEME:
-        params = keys.params
-
-        def encrypt(prefix_len):
-            masked = ip & prefix_to_mask(prefix_len)
-            return bfv.encrypt(keys, bfv.encode([masked], params), params, rng)
-
-        def test(target, record):
-            diff = bfv.eval_sub(target, record[1])
-            coeffs = bfv.decrypt(keys, diff, params).coeffs
-            return (None if any(coeffs) else record[0]), coeffs[0]
-
-        return _prefix_of, encrypt, test
-
-    def encrypt(prefix_len):
+    def encrypt(layout):
+        (prefix_len, _), = layout
         return phe.encrypt(keys, ip & prefix_to_mask(prefix_len), rng)
 
-    def test(target, record):
+    def test(target, ct, fill):
         if store.scheme == _GM:
-            diff = phe.xor_encrypted(keys, target, record[1])
+            diff = phe.xor_encrypted(keys, target, ct)
         else:
-            diff = phe.sub_encrypted(keys, target, record[1])
+            diff = phe.sub_encrypted(keys, target, ct)
             if blind:
                 diff = phe.scalar_mul(keys, diff, phe.blinding_factor(keys, rng))
-        entry_id = record[0] if phe.is_zero(keys, diff) else None
-        return entry_id, _debug_decrypt(keys, diff) if debug else None
+        slot = 0 if phe.is_zero(keys, diff) else None
+        return slot, _debug_decrypt(keys, diff) if debug else None
 
-    return _prefix_of, encrypt, test
+    return encrypt, test
 
 
 def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
@@ -324,34 +303,35 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
     """Test `ip` against `store` under the key pair `keys`.
 
     Scans prefix groups longest first and records in insertion order, and
-    encrypts a new query only when a record needs another than the record
-    before it: once per group, or once per packed slot layout.  The first
-    match wins, and `exhaustive` only keeps the scan going to the end.
-    `blind` multiplies each difference by a fresh unit before the zero test
-    (additive schemes only).  `debug` reports each record's decrypted
-    difference by entry id; packed records, which hold many entries, report
-    none.
+    encrypts a new query only when a record's slot layout differs from the
+    record's before it: once per slot layout, which for one-network
+    records is once per group.  The first match wins, and `exhaustive`
+    only keeps the scan going to the end.  `blind` multiplies each
+    difference by a fresh unit before the zero test (additive schemes
+    only).  `debug` reports each record's decrypted difference by entry
+    id; packed records, which hold many entries, report none.
     """
     _check_store_keys(store, keys)
-    query_of, encrypt, test = _hooks(ip, store, keys, rng, blind=blind,
-                                     debug=debug)
+    encrypt, test = _hooks(ip, store, keys, rng, blind=blind, debug=debug)
     op = "xor_calls" if store.scheme == _GM else "sub_calls"
     stats = {"encryptions": 0, op: 0, "zero_tests": 0}
     differences = {} if debug and not store.packed else None
     matched_id = query = target = None
     for prefix_len in sorted(store.groups, reverse=True):
-        for record in store.groups[prefix_len]:
-            wanted = query_of(prefix_len, record)
-            if wanted != query:
-                query, target = wanted, encrypt(wanted)
+        for runs, ct in store.groups[prefix_len]:
+            layout = tuple((p, count) for p, _, count in runs)
+            if layout != query:
+                query, target = layout, encrypt(layout)
+                fill = sum(count for _, count in layout)
                 stats["encryptions"] += 1
-            entry_id, difference = test(target, record)
+            slot, difference = test(target, ct, fill)
             stats[op] += 1
             stats["zero_tests"] += 1
             if differences is not None:
-                differences[record[0]] = difference
-            if entry_id is not None and matched_id is None:
-                matched_id = entry_id
+                differences[runs[0][1]] = difference
+            if slot is not None and matched_id is None:
+                matched_id = _entry_id(runs, slot)
                 if not exhaustive:
                     return MatchResult(True, matched_id, differences, stats)
     return MatchResult(matched_id is not None, matched_id, differences, stats)
+

@@ -16,12 +16,14 @@ SHA-256 of the public-file text of the key the store was built under, a
 big-endian u32 group count, then per group a prefix byte and u32 record
 count, and per record a u32 element count and length-prefixed big-endian
 magnitudes.  A PHE record holds its ciphertext's group elements, an
-unpacked lattice record the 2 * ring_dim coefficients of c0 and c1.  Their
-entry ids are not stored: they count records in file order, as
-`build_store` assigns them.  A packed lattice record appends its slot runs
-to the coefficients, three elements per run: prefix length, first entry
-id, count.  Reading a store needs its key, which the fingerprint must
-match, and every value is range-checked against it.
+unpacked lattice record the 2 * ring_dim coefficients of c0 and c1.  Each
+holds one network, whose slot run is not stored: its prefix length is the
+group's, its entry id counts records in file order, as `build_store`
+assigns them.  A packed lattice record appends its slot runs to the
+coefficients, three elements per run: prefix length, first entry id,
+count.  A store without groups, or with an empty group, is refused.
+Reading a store needs its key, which the fingerprint must match, and every
+value is range-checked against it.
 """
 
 from __future__ import annotations
@@ -342,15 +344,18 @@ def read_store(path: str, keys) -> EncryptedStore:
                 ct = bfv.BfvCiphertext(bfv.RingPoly(tuple(values[:n])),
                                        bfv.RingPoly(tuple(values[n:])), params)
             if packed:
-                records.append((_packed_runs(extra, n, path), ct))
+                runs = _packed_runs(extra, n, path)
             else:
-                records.append((next_id, ct))
+                runs = ((prefix_len, next_id, 1),)
                 next_id += 1
+            records.append((runs, ct))
         if prefix_len in groups:
             raise FormatError(f"{path}: duplicate group for prefix {prefix_len}")
         groups[prefix_len] = records
     if reader.pos != len(reader.data):
         raise FormatError(f"{path}: trailing bytes after the last group")
+    if not groups or not all(groups.values()):
+        raise FormatError(f"{path}: store has no groups, or an empty group")
     if packed:
         _check_packed_layout(groups, path)
     return EncryptedStore(scheme, groups, packed, pub=pub)

@@ -213,6 +213,26 @@ class TestMatch:
         assert ("error: internal error: IndexError: list index out of range"
                 in result.output)
 
+    @pytest.mark.parametrize("body, message", [
+        (bytes(4), "no groups"),
+        (bytes([0, 0, 0, 1, 24, 0, 0, 0, 0]), "empty group"),
+    ], ids=["no-groups", "empty-group"])
+    def test_empty_store_exits_two(self, paillier_files, tmp_path, body,
+                                   message):
+        # a valid one-network store's header (magic, version, scheme byte,
+        # key fingerprint), then a body of no groups or of one empty group
+        cidrs, store = tmp_path / "one.txt", tmp_path / "one.bin"
+        cidrs.write_text("2.3.4.0/24\n")
+        result = run("blacklist", "encrypt", "--key", paillier_files[0],
+                     "--cidr-file", cidrs, "--out", store, "--seed", 15)
+        assert result.exit_code == 0, result.output
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(store.read_bytes()[:38] + body)
+        result = run("match", "--keys", paillier_files[1], "--store", empty,
+                     "--ip", "2.3.4.77", "--seed", 16)
+        assert result.exit_code == 2
+        assert message in result.output
+
     def test_bad_ip_exits_two(self, paillier_files, paillier_store):
         result = run("match", "--keys", paillier_files[1],
                      "--store", paillier_store, "--ip", "2.3.4.999")

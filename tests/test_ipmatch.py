@@ -262,7 +262,7 @@ class TestMatchSubtract:
         store = build_store(entries, paillier_keys, RNG(19))
         result = match(parse_ipv4("2.3.4.9"), store, paillier_keys, RNG(20))
         # both groups contain the address; the /24 entry must win
-        group24_ids = [entry_id for entry_id, _ in store.groups[24]]
+        group24_ids = [runs[0][1] for runs, _ in store.groups[24]]
         assert result.entry_id in group24_ids
 
     def test_exhaustive_scans_all(self, paillier_keys):
@@ -279,15 +279,35 @@ class TestMatchSubtract:
         assert full.stats["sub_calls"] == 2
         assert lazy.stats["sub_calls"] == 1
 
-    def test_debug_differences(self, paillier_keys):
-        entries = [parse_cidr("2.3.4.0/24"), parse_cidr("9.9.9.0/24")]
-        store = build_store(entries, paillier_keys, RNG(24))
-        result = match(parse_ipv4("1.1.1.1"), store, paillier_keys,
-                       RNG(25), debug=True)
-        assert not result.matched
-        assert len(result.differences) == 2
-        no_debug = match(parse_ipv4("1.1.1.1"), store, paillier_keys, RNG(26))
+    @pytest.mark.parametrize("fixture, packed", [
+        ("paillier_keys", False), ("gm_keys", False),
+        ("bfv_small_keys", False), ("bfv_small_keys", True)],
+        ids=["paillier", "gm", "bfv", "bfv-packed"])
+    def test_debug_differences(self, fixture, packed, request):
+        keys = request.getfixturevalue(fixture)
+        # ids count group by group: 0 and 1 in the /24 group, 2 in the /8
+        entries = [parse_cidr("2.3.4.0/24"), parse_cidr("9.9.9.0/24"),
+                   parse_cidr("3.0.0.0/8")]
+        store = build_store(entries, keys, RNG(24), packed=packed)
+        ip = parse_ipv4("2.3.4.1")
+        hit = match(ip, store, keys, RNG(25), exhaustive=True, debug=True)
+        miss = match(parse_ipv4("1.1.1.1"), store, keys, RNG(25), debug=True)
+        assert (hit.matched, hit.entry_id, miss.matched) == (True, 0, False)
+        no_debug = match(ip, store, keys, RNG(26))
         assert no_debug.differences is None
+        if packed:  # a packed record holds many entries and reports none
+            assert hit.differences is miss.differences is None
+            return
+        scanned = {runs[0][1] for group in store.groups.values()
+                   for runs, _ in group}
+        assert set(hit.differences) == set(miss.differences) == scanned == {0, 1, 2}
+        assert [i for i, d in hit.differences.items() if d == 0] == [0]
+        assert 0 not in miss.differences.values()
+        if fixture == "bfv_small_keys":
+            t = SMALL.plaintext_mod
+            assert hit.differences == {
+                i: ((ip & prefix_to_mask(e.prefix_len)) - e.network) % t
+                for i, e in enumerate(entries)}
 
     def test_blind_keeps_verdicts(self, paillier_keys):
         rnd = random.Random("blind")

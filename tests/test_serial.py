@@ -255,7 +255,8 @@ class TestStoreFileErrors:
 
     def test_gm_entry_of_wrong_width(self, tmp_path, gm_keys):
         ct = phe.PheCiphertext(phe.SchemeId.GOLDWASSER_MICALI, tuple(range(1, 32)))
-        store = ipmatch.EncryptedStore("goldwasser_micali", {24: [(0, ct)]},
+        store = ipmatch.EncryptedStore("goldwasser_micali",
+                                       {24: [(((24, 0, 1),), ct)]},
                                        pub=gm_keys.public)
         path = str(tmp_path / "s.bin")
         serial.write_store(store, path)
