@@ -79,6 +79,10 @@ def _mask24(value: int) -> int:
     return value & 0xFFFFFF00
 
 
+def _whole(ct: phe.PheCiphertext) -> phe.PheCiphertext:
+    return phe.PheCiphertext(ct.scheme, int(ct.payload))
+
+
 def _bench_iteration(scheme: str, bits: int, rng: RandomSource,
                      test_mode: bool, params: bfv.BfvParams):
     """One timed (keygen_s, encrypt_s, op_decrypt_s) sample."""
@@ -107,8 +111,10 @@ def _bench_iteration(scheme: str, bits: int, rng: RandomSource,
         diff = phe.xor_encrypted(keys, ct1, ct2)
         _ = phe.is_zero(keys, diff)
     else:
-        ct1 = phe.encrypt(keys, target, rng)
-        ct2 = phe.encrypt(keys, network, rng)
+        # whole ciphertexts, as a store holds: a key holder's Paillier or
+        # Damgard-Jurik encryption defers its residue mod q^(s+1) otherwise
+        ct1 = _whole(phe.encrypt(keys, target, rng))
+        ct2 = _whole(phe.encrypt(keys, network, rng))
         t2 = time.perf_counter()
         diff = phe.sub_encrypted(keys, ct1, ct2)
         _ = phe.is_zero(keys, diff)

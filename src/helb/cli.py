@@ -161,6 +161,7 @@ def match(keys_path, store_path, ip, exhaustive, blind, as_json,
             "matched": result.matched,
             "entry_id": result.entry_id,
             "stats": result.stats,
+            "seconds": result.seconds,
         }
         if debug_differences:
             payload["differences"] = result.differences

@@ -16,6 +16,7 @@ Goldwasser-Micali.
 from __future__ import annotations
 
 import ipaddress
+import time
 from dataclasses import dataclass, field
 
 from . import bfv, phe
@@ -137,6 +138,7 @@ class MatchResult:
     entry_id: int | None = None
     differences: dict[int, int | None] | None = None
     stats: dict = field(default_factory=dict)
+    seconds: dict = field(default_factory=dict)
 
 
 # packed coefficients that carry no entry hold this plaintext value, which
@@ -252,13 +254,14 @@ def _debug_decrypt(keys, diff) -> int | None:
 
 def _hooks(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
            blind: bool, debug: bool):
-    """The two steps in which the backends differ.
+    """The three steps in which the backends differ.
 
     `encrypt(layout)` encrypts the target masked for each slot of a record
-    layout ((prefix length, count), ...).  `test(target, ct, fill)`
-    combines it with one stored ciphertext, zero-tests the first `fill`
-    slots, and returns (first zero slot or None, decrypted difference of
-    slot 0 or None).  A PHE ciphertext has the one slot 0.
+    layout ((prefix length, count), ...).  `combine(target, ct)` subtracts
+    (or XORs) one stored ciphertext from it, blinded when asked.
+    `test(diff, fill)` zero-tests the first `fill` slots of the difference
+    and returns (first zero slot or None, decrypted difference of slot 0
+    or None).  A PHE ciphertext has the one slot 0.
     """
     if blind and store.scheme in (BFV_SCHEME, _GM):
         raise InvalidOptions("blinding is only available for the additive schemes")
@@ -271,30 +274,32 @@ def _hooks(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
                 values += [ip & prefix_to_mask(prefix_len)] * count
             return bfv.encrypt(keys, bfv.encode(values, params), params, rng)
 
-        def test(target, ct, fill):
-            coeffs = bfv.decrypt(keys, bfv.eval_sub(target, ct), params).coeffs
+        def test(diff, fill):
+            coeffs = bfv.decrypt(keys, diff, params).coeffs
             try:
                 return coeffs.index(0, 0, fill), coeffs[0]
             except ValueError:
                 return None, coeffs[0]
 
-        return encrypt, test
+        return encrypt, bfv.eval_sub, test
 
     def encrypt(layout):
         (prefix_len, _), = layout
         return phe.encrypt(keys, ip & prefix_to_mask(prefix_len), rng)
 
-    def test(target, ct, fill):
+    def combine(target, ct):
         if store.scheme == _GM:
-            diff = phe.xor_encrypted(keys, target, ct)
-        else:
-            diff = phe.sub_encrypted(keys, target, ct)
-            if blind:
-                diff = phe.scalar_mul(keys, diff, phe.blinding_factor(keys, rng))
+            return phe.xor_encrypted(keys, target, ct)
+        diff = phe.sub_encrypted(keys, target, ct)
+        if blind:
+            diff = phe.scalar_mul(keys, diff, phe.blinding_factor(keys, rng))
+        return diff
+
+    def test(diff, fill):
         slot = 0 if phe.is_zero(keys, diff) else None
         return slot, _debug_decrypt(keys, diff) if debug else None
 
-    return encrypt, test
+    return encrypt, combine, test
 
 
 def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
@@ -309,22 +314,34 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
     only keeps the scan going to the end.  `blind` multiplies each
     difference by a fresh unit before the zero test (additive schemes
     only).  `debug` reports each record's decrypted difference by entry
-    id; packed records, which hold many entries, report none.
+    id; packed records, which hold many entries, report none.  `seconds`
+    holds the wall time of each phase: query encryption, the homomorphic
+    operation (with blinding) and the zero test (with `debug`'s
+    decryption).
     """
     _check_store_keys(store, keys)
-    encrypt, test = _hooks(ip, store, keys, rng, blind=blind, debug=debug)
+    encrypt, combine, test = _hooks(ip, store, keys, rng, blind=blind, debug=debug)
     op = "xor_calls" if store.scheme == _GM else "sub_calls"
     stats = {"encryptions": 0, op: 0, "zero_tests": 0}
+    seconds = dict.fromkeys(("encrypt", "combine", "zero_test"), 0.0)
     differences = {} if debug and not store.packed else None
     matched_id = query = target = None
     for prefix_len in sorted(store.groups, reverse=True):
         for runs, ct in store.groups[prefix_len]:
             layout = tuple((p, count) for p, _, count in runs)
+            t0 = time.perf_counter()
             if layout != query:
                 query, target = layout, encrypt(layout)
                 fill = sum(count for _, count in layout)
                 stats["encryptions"] += 1
-            slot, difference = test(target, ct, fill)
+            t1 = time.perf_counter()
+            diff = combine(target, ct)
+            t2 = time.perf_counter()
+            slot, difference = test(diff, fill)
+            t3 = time.perf_counter()
+            seconds["encrypt"] += t1 - t0
+            seconds["combine"] += t2 - t1
+            seconds["zero_test"] += t3 - t2
             stats[op] += 1
             stats["zero_tests"] += 1
             if differences is not None:
@@ -332,6 +349,6 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
             if slot is not None and matched_id is None:
                 matched_id = _entry_id(runs, slot)
                 if not exhaustive:
-                    return MatchResult(True, matched_id, differences, stats)
-    return MatchResult(matched_id is not None, matched_id, differences, stats)
-
+                    return MatchResult(True, matched_id, differences, stats, seconds)
+    return MatchResult(matched_id is not None, matched_id, differences, stats,
+                       seconds)

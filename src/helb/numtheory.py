@@ -196,6 +196,8 @@ class PrimePowerCrt:
         self.p, self.q = p, q
         self._p_s, self._q_s = p**s, q**s
         self._p_mod, self._q_mod = p * self._p_s, q * self._q_s
+        # orders of the unit groups modulo p^(s+1) and q^(s+1)
+        self._p_order, self._q_order = self._p_s * (p - 1), self._q_s * (q - 1)
         self._modulus = self._p_mod * self._q_mod
         self._r_exp_p, self._r_exp_q = self._q_s % (p - 1), self._p_s % (q - 1)
         self._q_mod_inv = mod_inv(self._q_mod, self._p_mod)
@@ -209,27 +211,101 @@ class PrimePowerCrt:
             raise InvalidModulus("lambda does not yield two factors of n")
         return cls(p, q, s)
 
-    def nth_power(self, r: int) -> int:
+    def nth_power(self, r: int) -> "CrtElement":
         """r^(n^s) mod n^(s+1), for r coprime to n.
 
         y^(p^s) mod p^(s+1) depends only on y mod p, so r^(q^s) is taken
-        mod p first (by Fermat), then lifted; the same for q, and the two
-        residues are recombined.
+        mod p first (by Fermat), then lifted.  The residue mod q^(s+1) is
+        left to `nth_power_mod_q`, which runs only when it is read.
         """
         xp = pow(pow(r, self._r_exp_p, self.p), self._p_s, self._p_mod)
-        xq = pow(pow(r, self._r_exp_q, self.q), self._q_s, self._q_mod)
-        return xq + self._q_mod * ((xp - xq) * self._q_mod_inv % self._p_mod)
+        return CrtElement(self, xp, lambda: self.nth_power_mod_q(r))
 
-    def is_nth_residue(self, c: int) -> bool:
+    def nth_power_mod_q(self, r: int) -> int:
+        """r^(n^s) mod q^(s+1): the deferred half of `nth_power`."""
+        return pow(pow(r, self._r_exp_q, self.q), self._q_s, self._q_mod)
+
+    def is_nth_residue(self, c) -> bool:
         """Whether c is an n^s-th power modulo n^(s+1), that is
         (1 + n)^m * r^(n^s) with m = 0: c^(p-1) = 1 mod p^(s+1) and
         c^(q-1) = 1 mod q^(s+1).  A non-residue almost always fails the
-        first test.  Raises DecryptionFailure unless c is a unit in
-        [1, n^(s+1)), as decryption does."""
+        first test, and a `CrtElement` then never computes its residue
+        mod q^(s+1).  Raises DecryptionFailure unless c is a unit in
+        [1, n^(s+1)), as decryption does; a `CrtElement` always is one."""
+        if isinstance(c, CrtElement) and c.crt is self:
+            return (pow(c.xp, self.p - 1, self._p_mod) == 1
+                    and pow(c.xq, self.q - 1, self._q_mod) == 1)
+        c = int(c)
         if not 0 < c < self._modulus or c % self.p == 0 or c % self.q == 0:
             raise DecryptionFailure("ciphertext outside the units modulo n^(s+1)")
         return (pow(c, self.p - 1, self._p_mod) == 1
                 and pow(c, self.q - 1, self._q_mod) == 1)
+
+
+class CrtElement:
+    """A unit modulo n^(s+1), held as its residue mod p^(s+1); its residue
+    mod q^(s+1) is computed on first read, then kept.
+
+    `combine`, `invert` and `scale` act on each residue separately, the q
+    side again on first read, so a zero test that fails modulo p^(s+1)
+    never pays for the q side.  `int()` recombines the two residues into
+    the integer that the arithmetic modulo n^(s+1) gives; `==` and `hash`
+    compare that integer.  An operand that is not a unit is handed back
+    as a plain integer, so that no test can skip its refusal.
+    """
+
+    __slots__ = ("crt", "xp", "_xq", "_q_of")
+
+    def __init__(self, crt: PrimePowerCrt, xp: int, q_of):
+        self.crt, self.xp = crt, xp
+        self._xq, self._q_of = None, q_of
+
+    @property
+    def xq(self) -> int:
+        if self._q_of is not None:
+            self._xq, self._q_of = self._q_of(), None
+        return self._xq
+
+    def combine(self, other) -> "CrtElement | int":
+        """self * other mod n^(s+1)."""
+        crt = self.crt
+        if isinstance(other, CrtElement) and other.crt is crt:
+            return CrtElement(crt, self.xp * other.xp % crt._p_mod,
+                              lambda: self.xq * other.xq % crt._q_mod)
+        other = int(other)
+        bp = other % crt._p_mod
+        if bp % crt.p == 0 or other % crt.q == 0:
+            return int(self) * other % crt._modulus
+        return CrtElement(crt, self.xp * bp % crt._p_mod,
+                          lambda: self.xq * other % crt._q_mod)
+
+    def invert(self) -> "CrtElement":
+        """self^-1 mod n^(s+1)."""
+        crt = self.crt
+        return CrtElement(crt, pow(self.xp, -1, crt._p_mod),
+                          lambda: pow(self.xq, -1, crt._q_mod))
+
+    def scale(self, k: int) -> "CrtElement":
+        """self^k mod n^(s+1), each exponent reduced modulo the order of
+        its residue's unit group."""
+        crt = self.crt
+        return CrtElement(crt, pow(self.xp, k % crt._p_order, crt._p_mod),
+                          lambda: pow(self.xq, k % crt._q_order, crt._q_mod))
+
+    def __int__(self) -> int:
+        crt, xq = self.crt, self.xq
+        return xq + crt._q_mod * ((self.xp - xq) * crt._q_mod_inv % crt._p_mod)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, CrtElement)):
+            return int(self) == int(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(int(self))
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"CrtElement({int(self)})"
 
 
 def mod_inv(a: int, m: int) -> int:

@@ -6,7 +6,10 @@ with a ``public`` part; each key class names its scheme in ``SCHEME`` and
 its key-file fields in ``FILE_FIELDS`` (see :mod:`helb.serial`).
 Ciphertexts are :class:`PheCiphertext` values whose payload is a single
 group element, or a tuple of per-bit elements for Goldwasser-Micali; each
-element lies in [1, ``cipher_modulus``) of the public key.  A scheme's
+element lies in [1, ``cipher_modulus``) of the public key.  A key holder's
+Paillier or Damgard-Jurik ciphertext holds a
+:class:`~helb.numtheory.CrtElement`, which ``int()`` turns into that
+element; its residue modulo q^(s+1) is computed only when read.  A scheme's
 module is imported on first use, so a process loads only the schemes
 whose keys it handles.
 """
@@ -114,7 +117,7 @@ def encrypt(keys, m: int, rng: RandomSource, *, width: int | None = None) -> Phe
     """Encrypt `m` under the public part of `keys`.
 
     The scheme module gets `keys` as given: Paillier and Damgard-Jurik
-    encrypt by CRT under a key pair, to the same ciphertext.
+    encrypt by CRT under a key pair, to a `CrtElement` of the same value.
     """
     scheme = scheme_of(keys)
     mod = _module(scheme)

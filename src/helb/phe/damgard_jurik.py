@@ -4,7 +4,7 @@ Ciphertexts live in Z*_{n^(s+1)}.  Decryption raises to the CRT exponent d
 (d = 1 mod n^s, d = 0 mod lam) and then extracts the exponent of (1 + n)
 with the iterative digit-extraction algorithm; s = 1 reduces exactly to
 Paillier.  As for Paillier, the holder of the key pair encrypts and
-zero-tests modulo p^(s+1) and q^(s+1).
+zero-tests modulo p^(s+1) and q^(s+1), the q side only when read.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from ..errors import (
     MessageOutOfRange,
 )
 from ..numtheory import (
+    CrtElement,
     PrimePowerCrt,
     RandomSource,
     gen_prime,
@@ -110,16 +111,17 @@ def keygen(bits: int, rng: RandomSource, s: int = 1, p: int | None = None,
     return DamgardJurikKeyPair(DamgardJurikPublicKey(n, n + 1, s), lam, d)
 
 
-def encrypt(keys, m: int, rng: RandomSource) -> int:
+def encrypt(keys, m: int, rng: RandomSource):
     """Encrypt under a public key, or by CRT under a key pair: the same
-    ciphertext for the same draw of r."""
+    ciphertext for the same draw of r, which under a key pair is a
+    `CrtElement` that computes its residue mod q^(s+1) only when read."""
     pub = getattr(keys, "public", keys)
     if not 0 <= m < pub.message_space:
         raise MessageOutOfRange(f"message must lie in [0, n^s), got {m}")
     nx = pub.cipher_modulus
     r = rand_coprime(pub.n, rng)
     if isinstance(keys, DamgardJurikKeyPair):
-        return pow(pub.g, m, nx) * keys.crt.nth_power(r) % nx
+        return keys.crt.nth_power(r).combine(pow(pub.g, m, nx))
     return pow(pub.g, m, nx) * pow(r, pub.n**pub.s, nx) % nx
 
 
@@ -143,26 +145,28 @@ def _extract_exponent(a: int, n: int, s: int) -> int:
     return m
 
 
-def decrypt(keys: DamgardJurikKeyPair, c: int) -> int:
-    pub = keys.public
+def decrypt(keys: DamgardJurikKeyPair, c) -> int:
+    pub, c = keys.public, int(c)
     if not 0 < c < pub.cipher_modulus:
         raise DecryptionFailure("ciphertext outside Z*_{n^(s+1)}")
     return _extract_exponent(pow(c, keys.d, pub.cipher_modulus), pub.n, pub.s)
 
 
-def combine(pub: DamgardJurikPublicKey, a: int, b: int) -> int:
-    return a * b % pub.cipher_modulus
+def combine(pub: DamgardJurikPublicKey, a, b):
+    if isinstance(b, CrtElement):
+        a, b = b, a
+    return a.combine(b) if isinstance(a, CrtElement) else a * b % pub.cipher_modulus
 
 
-def invert(pub: DamgardJurikPublicKey, a: int) -> int:
-    return mod_inv(a, pub.cipher_modulus)
+def invert(pub: DamgardJurikPublicKey, a):
+    return a.invert() if isinstance(a, CrtElement) else mod_inv(a, pub.cipher_modulus)
 
 
-def scale(pub: DamgardJurikPublicKey, a: int, k: int) -> int:
-    return pow(a, k, pub.cipher_modulus)
+def scale(pub: DamgardJurikPublicKey, a, k: int):
+    return a.scale(k) if isinstance(a, CrtElement) else pow(a, k, pub.cipher_modulus)
 
 
-def is_zero(keys: DamgardJurikKeyPair, c: int) -> bool:
+def is_zero(keys: DamgardJurikKeyPair, c) -> bool:
     """decrypt(keys, c) == 0, raising where decrypt raises: c is an
     encryption of 0 exactly when it is an n^s-th residue modulo n^(s+1)."""
     return keys.crt.is_nth_residue(c)

@@ -3,7 +3,8 @@
 The generator is fixed at g = n + 1, which keeps mu well-defined and lets
 encryption of the g^m factor collapse to (1 + m*n) mod n^2.  The holder of
 the key pair recovers p and q from lambda, and encrypts and zero-tests
-modulo p^2 and q^2; `decrypt` keeps the exponentiation modulo n^2.
+modulo p^2 and q^2, computing the q^2 side of a ciphertext only when a
+zero test gets that far; `decrypt` keeps the exponentiation modulo n^2.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 from ..errors import DecryptionFailure, InvalidModulus, MessageOutOfRange
 from ..numtheory import (
+    CrtElement,
     PrimePowerCrt,
     RandomSource,
     gen_prime,
@@ -88,9 +90,10 @@ def keygen(bits: int, rng: RandomSource, p: int | None = None,
     return PaillierKeyPair(PaillierPublicKey(n, g), lam, mu)
 
 
-def encrypt(keys, m: int, rng: RandomSource) -> int:
+def encrypt(keys, m: int, rng: RandomSource):
     """Encrypt under a public key, or by CRT under a key pair: the same
-    ciphertext for the same draw of r."""
+    ciphertext for the same draw of r, which under a key pair is a
+    `CrtElement` that computes its residue mod q^2 only when read."""
     pub = getattr(keys, "public", keys)
     if not 0 <= m < pub.n:
         raise MessageOutOfRange(f"message must lie in [0, n), got {m}")
@@ -101,30 +104,32 @@ def encrypt(keys, m: int, rng: RandomSource) -> int:
         gm = pow(pub.g, m, nsq)
     r = rand_coprime(pub.n, rng)
     if isinstance(keys, PaillierKeyPair):
-        return gm * keys.crt.nth_power(r) % nsq
+        return keys.crt.nth_power(r).combine(gm)
     return gm * pow(r, pub.n, nsq) % nsq
 
 
-def decrypt(keys: PaillierKeyPair, c: int) -> int:
-    n = keys.public.n
+def decrypt(keys: PaillierKeyPair, c) -> int:
+    n, c = keys.public.n, int(c)
     if not 0 < c < keys.public.cipher_modulus:
         raise DecryptionFailure("ciphertext outside Z*_{n^2}")
     return _l(pow(c, keys.lam, keys.public.cipher_modulus), n) * keys.mu % n
 
 
-def combine(pub: PaillierPublicKey, a: int, b: int) -> int:
-    return a * b % pub.cipher_modulus
+def combine(pub: PaillierPublicKey, a, b):
+    if isinstance(b, CrtElement):
+        a, b = b, a
+    return a.combine(b) if isinstance(a, CrtElement) else a * b % pub.cipher_modulus
 
 
-def invert(pub: PaillierPublicKey, a: int) -> int:
-    return mod_inv(a, pub.cipher_modulus)
+def invert(pub: PaillierPublicKey, a):
+    return a.invert() if isinstance(a, CrtElement) else mod_inv(a, pub.cipher_modulus)
 
 
-def scale(pub: PaillierPublicKey, a: int, k: int) -> int:
-    return pow(a, k, pub.cipher_modulus)
+def scale(pub: PaillierPublicKey, a, k: int):
+    return a.scale(k) if isinstance(a, CrtElement) else pow(a, k, pub.cipher_modulus)
 
 
-def is_zero(keys: PaillierKeyPair, c: int) -> bool:
+def is_zero(keys: PaillierKeyPair, c) -> bool:
     """decrypt(keys, c) == 0, raising where decrypt raises: c is an
     encryption of 0 exactly when it is an n-th residue modulo n^2."""
     return keys.crt.is_nth_residue(c)

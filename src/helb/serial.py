@@ -207,7 +207,8 @@ def _record_elements(store: EncryptedStore, record) -> list[int]:
     if store.scheme == BFV_SCHEME:
         runs = [value for run in record[0] for value in run] if store.packed else []
         return list(ct.c0.coeffs) + list(ct.c1.coeffs) + runs
-    return list(ct.payload) if ct.width is not None else [ct.payload]
+    # int(): a key holder's ciphertext may still defer half of its residues
+    return list(ct.payload) if ct.width is not None else [int(ct.payload)]
 
 
 def write_store(store: EncryptedStore, path: str) -> None:

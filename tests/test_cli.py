@@ -265,6 +265,50 @@ class TestMatch:
         assert payload["list_kind"] == "whitelist"
         assert payload["matched"] is True
 
+    @pytest.mark.parametrize("ip, status", [("2.3.4.77", 0), ("4.4.4.4", 1)],
+                             ids=["hit", "miss"])
+    def test_json_seconds_per_phase(self, paillier_files, paillier_store, ip,
+                                    status):
+        result = run("match", "--keys", paillier_files[1],
+                     "--store", paillier_store, "--ip", ip, "--json",
+                     "--seed", 18)
+        assert result.exit_code == status, result.output
+        seconds = json.loads(result.output)["seconds"]
+        assert set(seconds) == {"encrypt", "combine", "zero_test"}
+        assert all(isinstance(v, float) and v >= 0 for v in seconds.values())
+
+    @pytest.mark.parametrize("scheme, factor", [
+        ("paillier", "p"), ("paillier", "q"),
+        ("damgard_jurik", "p"), ("damgard_jurik", "q"),
+    ], ids=["paillier-p", "paillier-q", "dj-p", "dj-q"])
+    def test_non_unit_record_exits_two(self, scheme, factor, cidr_file,
+                                       tmp_path):
+        # a record that shares a factor with n has no inverse modulo
+        # n^(s+1): the key holder's arithmetic must not skip that refusal
+        from helb import phe
+
+        base = tmp_path / scheme
+        extra = ["--dj-s", 2] if scheme == "damgard_jurik" else []
+        result = run("keygen", "--scheme", scheme, "--bits", 512,
+                     "--out", base, "--seed", 19, *extra)
+        assert result.exit_code == 0, result.output
+        sec, path = str(base) + ".sec", str(tmp_path / "store.bin")
+        result = run("blacklist", "encrypt", "--key", str(base) + ".pub",
+                     "--cidr-file", cidr_file, "--out", path, "--seed", 20)
+        assert result.exit_code == 0, result.output
+        keys = serial.read_key_file(sec)
+        store = serial.read_store(path, keys)
+        records = store.groups[24]  # 2.3.4.0/24 is scanned first
+        runs, ct = records[0]
+        records[0] = (runs, phe.PheCiphertext(ct.scheme,
+                                              3 * getattr(keys.crt, factor)))
+        serial.write_store(store, path)
+        for ip in ("2.3.4.77", "4.4.4.4"):
+            result = run("match", "--keys", sec, "--store", path, "--ip", ip,
+                         "--seed", 21)
+            assert result.exit_code == 2, (ip, result.output)
+            assert "has no inverse modulo" in result.output
+
 
 @pytest.fixture(scope="module")
 def bfv_files(tmp_path_factory):

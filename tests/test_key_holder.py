@@ -9,14 +9,19 @@ not fit the public key are refused on load.
 """
 
 import dataclasses
+import hashlib
+import json
+import random
 
 import pytest
+import support
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helb import ipmatch, phe, serial
+from helb import cli, ipmatch, phe, serial
 from helb.errors import FormatError
-from helb.numtheory import RandomSource
+from helb.numtheory import PrimePowerCrt, RandomSource
 from helb.phe import SchemeId, damgard_jurik, paillier
 
 RNG = RandomSource.seeded
@@ -158,3 +163,143 @@ def test_dj_s_out_of_range_is_refused_on_load(dj_keys, tmp_path):
         fh.write(text)
     with pytest.raises(FormatError, match="s is outside"):
         serial.read_key_file(pub_path)
+
+
+# ---------------------------------------------------------------------------
+# the deferred residue mod q^(s+1)
+
+def test_deferred_arithmetic_converts_to_the_eager_integer(case):
+    """A key holder's encryption, and what combine, invert and scale make
+    of it, is the integer that the arithmetic modulo n^(s+1) gives."""
+    module, keys = case
+    pub = keys.public
+    modulus = pub.cipher_modulus
+    top = min(module.message_modulus(keys), 2**40) - 1
+
+    @EXAMPLES
+    @given(st.integers(0, 2**32), st.integers(0, top), st.integers(0, top),
+           st.integers(-(2**80), 2**80))
+    def check(seed, m1, m2, k):
+        lazy1 = module.encrypt(keys, m1, RNG(seed))
+        lazy2 = module.encrypt(keys, m2, RNG(seed + 1))
+        eager1 = module.encrypt(pub, m1, RNG(seed))
+        eager2 = module.encrypt(pub, m2, RNG(seed + 1))
+        assert not isinstance(lazy1, int)
+        assert int(lazy1) == eager1 and lazy1 == eager1
+        assert hash(lazy1) == hash(eager1)
+        diff = module.combine(pub, lazy1, module.invert(pub, lazy2))
+        assert int(diff) == eager1 * pow(eager2, -1, modulus) % modulus
+        assert int(module.combine(pub, eager2, lazy1)) == eager1 * eager2 % modulus
+        assert int(module.combine(pub, lazy1, eager2)) == eager1 * eager2 % modulus
+        assert int(module.invert(pub, lazy1)) == pow(eager1, -1, modulus)
+        assert int(module.scale(pub, lazy1, k)) == pow(eager1, k, modulus)
+        blinded = module.scale(pub, diff, k)
+        assert int(blinded) == pow(int(diff), k, modulus)
+        assert module.is_zero(keys, blinded) == \
+            (module.decrypt(keys, blinded) == 0) == module.is_zero(keys, int(blinded))
+        assert module.decrypt(keys, diff) == (m1 - m2) % module.message_modulus(keys)
+
+    check()
+
+
+def test_non_unit_operand_leaves_the_deferral(case):
+    """Combined with a multiple of p or q, a deferred value becomes the
+    plain product, whose zero test refuses it as decryption does."""
+    module, keys = case
+    pub = keys.public
+    lazy = module.encrypt(keys, 7, RNG(1))
+    for factor in (keys.crt.p, keys.crt.q):
+        product = module.combine(pub, lazy, 3 * factor)
+        assert isinstance(product, int)
+        assert product == int(lazy) * 3 * factor % pub.cipher_modulus
+        assert _outcome(module.is_zero, keys, product) == \
+            _outcome(_decrypts_to_zero(module), keys, product)
+
+
+@pytest.fixture(scope="module", params=["paillier", "dj-s2"])
+def listed_store(request):
+    """A 512-bit key pair, a seeded 24-network store of mixed prefixes
+    built under its public key, a miss and a hit address."""
+    module, s = (paillier, 1) if request.param == "paillier" else (damgard_jurik, 2)
+    keys = _keygen(module, s, 512, 40 + s)
+    rnd = random.Random(41)
+    entries = []
+    for _ in range(24):
+        prefix_len = rnd.choice((8, 16, 20, 24, 28, 32))
+        network = rnd.getrandbits(32) & ipmatch.prefix_to_mask(prefix_len)
+        entries.append(ipmatch.CidrEntry(network, prefix_len))
+    store = ipmatch.build_store(entries, keys.public, RNG(42))
+    hit = entries[len(entries) // 2].network
+    miss = next(ip for ip in range(0x04040404, 0x04040504)
+                if not support.plain_member(ip, entries))
+    return keys, store, miss, hit
+
+
+@pytest.fixture
+def q_residues(monkeypatch):
+    """Counts the queries whose residue mod q^(s+1) gets computed."""
+    calls = []
+    deferred = PrimePowerCrt.nth_power_mod_q
+
+    def spy(self, r):
+        calls.append(r)
+        return deferred(self, r)
+
+    monkeypatch.setattr(PrimePowerCrt, "nth_power_mod_q", spy)
+    return calls
+
+
+@pytest.mark.parametrize("blind", [False, True], ids=["plain", "blind"])
+def test_a_miss_computes_no_q_residue_and_a_hit_one(listed_store, q_residues,
+                                                    blind):
+    keys, store, miss, hit = listed_store
+    result = ipmatch.match(miss, store, keys, RNG(43), blind=blind)
+    assert not result.matched and result.stats["encryptions"] > 1
+    assert q_residues == []
+    result = ipmatch.match(hit, store, keys, RNG(44), blind=blind)
+    assert result.matched
+    assert len(q_residues) == 1
+
+
+# SHA-256 of the `helb match --blind --exhaustive --debug --json` output,
+# less its wall-clock "seconds", taken before the deferral: the draws of
+# the randomness and the decrypted differences did not move
+DEBUG_JSON_SHA256 = {
+    ("paillier", "2.3.4.77"):
+        "7ed1f38442bc008ec9e840bbf393ca7e8fd209ddfb3bcb3f208501b266c59ba7",
+    ("paillier", "4.4.4.4"):
+        "13c4f3994fbea3ca093f52f521454c5ec941fb2e02968a71a5c7fbc474a12be9",
+    ("damgard_jurik", "2.3.4.77"):
+        "82a8fc6466bcaa1952a85b64cfb3c55b3ac2ef3530d34d95600956116f11011c",
+    ("damgard_jurik", "4.4.4.4"):
+        "7fe73b1140f98619a38c44b6d096309d27cc83fb59f77a5c40c1c25747ad64c1",
+}
+
+
+@pytest.mark.parametrize("scheme", ["paillier", "damgard_jurik"])
+def test_seeded_debug_json_is_pinned(scheme, tmp_path):
+    runner = CliRunner()
+
+    def run(*args):
+        result = runner.invoke(cli.main, [str(a) for a in args])
+        assert result.exit_code in (0, 1), result.output
+        return result
+
+    cidrs, base = tmp_path / "list.txt", tmp_path / scheme
+    cidrs.write_text("2.3.4.0/24\n10.0.0.0/8\n192.168.0.10/24\n8.8.8.8/32\n")
+    extra = ["--dj-s", 2] if scheme == "damgard_jurik" else []
+    run("keygen", "--scheme", scheme, "--bits", 256, "--out", base,
+        "--seed", 1, *extra)
+    store = tmp_path / "store.bin"
+    # built from the secret key file: its deferred values are written whole
+    run("blacklist", "encrypt", "--key", f"{base}.sec", "--cidr-file", cidrs,
+        "--out", store, "--seed", 3)
+    for ip in ("2.3.4.77", "4.4.4.4"):
+        result = run("match", "--keys", f"{base}.sec", "--store", store,
+                     "--ip", ip, "--blind", "--exhaustive", "--debug",
+                     "--json", "--seed", 17)
+        payload = json.loads(result.output)
+        del payload["seconds"]
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            DEBUG_JSON_SHA256[scheme, ip]
