@@ -292,7 +292,7 @@ def _hooks(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
             return phe.xor_encrypted(keys, target, ct)
         diff = phe.sub_encrypted(keys, target, ct)
         if blind:
-            diff = phe.scalar_mul(keys, diff, phe.blinding_factor(keys, rng))
+            diff = phe.blind(keys, diff, rng)
         return diff
 
     def test(diff, fill):

@@ -6,12 +6,20 @@ with a ``public`` part; each key class names its scheme in ``SCHEME`` and
 its key-file fields in ``FILE_FIELDS`` (see :mod:`helb.serial`).
 Ciphertexts are :class:`PheCiphertext` values whose payload is a single
 group element, or a tuple of per-bit elements for Goldwasser-Micali; each
-element lies in [1, ``cipher_modulus``) of the public key.  A key holder's
-Paillier or Damgard-Jurik ciphertext holds a
+element is a unit modulo ``cipher_modulus`` of the public key.
+
+The group law is written once, here: a sum, difference or scalar multiple
+of additive ciphertexts, and the XOR of Goldwasser-Micali ones (element by
+element), is a product, inverse or power modulo ``cipher_modulus``.  A
+scheme's module exports only ``KEY_CLASSES``, ``keygen``, ``encrypt``,
+``decrypt``, ``is_zero`` and ``message_modulus`` (Goldwasser-Micali also
+its ``DEFAULT_WIDTH``), and is imported on first use, so a process loads
+only the schemes whose keys it handles.
+
+A key holder's Paillier or Damgard-Jurik ciphertext holds a
 :class:`~helb.numtheory.CrtElement`, which ``int()`` turns into that
-element; its residue modulo q^(s+1) is computed only when read.  A scheme's
-module is imported on first use, so a process loads only the schemes
-whose keys it handles.
+element; the group law hands it to its own ``combine``, ``invert`` and
+``scale``, so its residue modulo q^(s+1) is computed only when read.
 """
 
 from __future__ import annotations
@@ -21,7 +29,8 @@ import importlib
 from dataclasses import dataclass
 
 from ..errors import CapabilityUnsupported, InvalidOptions, SchemeMismatch, WidthMismatch
-from ..numtheory import RandomSource, rand_coprime
+from ..numtheory import CrtElement as _CrtElement, RandomSource, rand_coprime
+from ..numtheory import mod_inv as _mod_inv
 
 
 class SchemeId(str, enum.Enum):
@@ -158,22 +167,30 @@ def _check_pair(keys, ct1: PheCiphertext, ct2: PheCiphertext) -> SchemeId:
     return scheme
 
 
+def _mul(a, b, modulus: int):
+    """a * b mod `modulus`; a key holder's `CrtElement` operand multiplies
+    itself, so that its residue mod q^(s+1) stays deferred."""
+    if isinstance(b, _CrtElement):
+        a, b = b, a
+    return a.combine(b) if isinstance(a, _CrtElement) else a * b % modulus
+
+
 def add_encrypted(keys, ct1: PheCiphertext, ct2: PheCiphertext) -> PheCiphertext:
     """Ciphertext of m1 + m2 (mod the scheme's message modulus)."""
     scheme = _check_pair(keys, ct1, ct2)
     _require(scheme, "add")
-    pub = public_part(keys)
-    return PheCiphertext(scheme, _module(scheme).combine(pub, ct1.payload, ct2.payload))
+    modulus = public_part(keys).cipher_modulus
+    return PheCiphertext(scheme, _mul(ct1.payload, ct2.payload, modulus))
 
 
 def sub_encrypted(keys, ct1: PheCiphertext, ct2: PheCiphertext) -> PheCiphertext:
-    """Ciphertext of m1 - m2, via the group inverse of ct2."""
+    """Ciphertext of m1 - m2, via the group inverse of ct2; raises
+    NotInvertible when ct2 is not a unit modulo the cipher modulus."""
     scheme = _check_pair(keys, ct1, ct2)
     _require(scheme, "sub")
-    pub = public_part(keys)
-    mod = _module(scheme)
-    return PheCiphertext(
-        scheme, mod.combine(pub, ct1.payload, mod.invert(pub, ct2.payload)))
+    modulus, b = public_part(keys).cipher_modulus, ct2.payload
+    b = b.invert() if isinstance(b, _CrtElement) else _mod_inv(b, modulus)
+    return PheCiphertext(scheme, _mul(ct1.payload, b, modulus))
 
 
 def scalar_mul(keys, ct: PheCiphertext, k: int) -> PheCiphertext:
@@ -182,8 +199,9 @@ def scalar_mul(keys, ct: PheCiphertext, k: int) -> PheCiphertext:
     if ct.scheme is not scheme:
         raise SchemeMismatch("ciphertext does not match the key scheme")
     _require(scheme, "scalar_mul")
-    return PheCiphertext(
-        scheme, _module(scheme).scale(public_part(keys), ct.payload, k))
+    a = ct.payload
+    return PheCiphertext(scheme, a.scale(k) if isinstance(a, _CrtElement)
+                         else pow(a, k, public_part(keys).cipher_modulus))
 
 
 def xor_encrypted(keys, ct1: PheCiphertext, ct2: PheCiphertext) -> PheCiphertext:
@@ -192,8 +210,9 @@ def xor_encrypted(keys, ct1: PheCiphertext, ct2: PheCiphertext) -> PheCiphertext
     _require(scheme, "xor")
     if ct1.width != ct2.width:
         raise WidthMismatch(f"widths differ: {ct1.width} vs {ct2.width}")
-    pub = public_part(keys)
-    return PheCiphertext(scheme, _module(scheme).combine(pub, ct1.payload, ct2.payload))
+    modulus = public_part(keys).cipher_modulus
+    return PheCiphertext(scheme, tuple(
+        a * b % modulus for a, b in zip(ct1.payload, ct2.payload)))
 
 
 def is_zero(keys, ct: PheCiphertext) -> bool:

@@ -18,7 +18,6 @@ from ..numtheory import (
     brute_force_dlog,
     gen_prime,
     is_probable_prime,
-    mod_inv,
     rand_coprime,
 )
 
@@ -133,18 +132,6 @@ def decrypt(keys: BenalohKeyPair, c: int) -> int:
         return brute_force_dlog(keys.x, a, n, r)
     except NotFound:
         raise DecryptionFailure("no exponent matches; ciphertext is malformed") from None
-
-
-def combine(pub: BenalohPublicKey, a: int, b: int) -> int:
-    return a * b % pub.n
-
-
-def invert(pub: BenalohPublicKey, a: int) -> int:
-    return mod_inv(a, pub.n)
-
-
-def scale(pub: BenalohPublicKey, a: int, k: int) -> int:
-    return pow(a, k, pub.n)
 
 
 def is_zero(keys: BenalohKeyPair, c: int) -> bool:

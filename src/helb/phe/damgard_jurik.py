@@ -20,7 +20,6 @@ from ..errors import (
     MessageOutOfRange,
 )
 from ..numtheory import (
-    CrtElement,
     PrimePowerCrt,
     RandomSource,
     gen_prime,
@@ -150,20 +149,6 @@ def decrypt(keys: DamgardJurikKeyPair, c) -> int:
     if not 0 < c < pub.cipher_modulus:
         raise DecryptionFailure("ciphertext outside Z*_{n^(s+1)}")
     return _extract_exponent(pow(c, keys.d, pub.cipher_modulus), pub.n, pub.s)
-
-
-def combine(pub: DamgardJurikPublicKey, a, b):
-    if isinstance(b, CrtElement):
-        a, b = b, a
-    return a.combine(b) if isinstance(a, CrtElement) else a * b % pub.cipher_modulus
-
-
-def invert(pub: DamgardJurikPublicKey, a):
-    return a.invert() if isinstance(a, CrtElement) else mod_inv(a, pub.cipher_modulus)
-
-
-def scale(pub: DamgardJurikPublicKey, a, k: int):
-    return a.scale(k) if isinstance(a, CrtElement) else pow(a, k, pub.cipher_modulus)
 
 
 def is_zero(keys: DamgardJurikKeyPair, c) -> bool:

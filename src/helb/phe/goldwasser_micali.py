@@ -78,7 +78,7 @@ def encrypt(keys, m: int, rng: RandomSource,
 
 def _decrypt_bit(keys: GoldwasserMicaliKeyPair, c: int) -> int:
     sym = jacobi(c % keys.p, keys.p)
-    if sym == 0:
+    if sym == 0 or c % keys.q == 0:
         raise DecryptionFailure("ciphertext shares a factor with the modulus")
     return 0 if sym == 1 else 1
 
@@ -88,11 +88,6 @@ def decrypt(keys: GoldwasserMicaliKeyPair, payload: tuple[int, ...]) -> int:
     for c in payload:
         m = (m << 1) | _decrypt_bit(keys, c)
     return m
-
-
-def combine(pub: GoldwasserMicaliPublicKey, a: tuple[int, ...],
-            b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x * y % pub.n for x, y in zip(a, b))
 
 
 def is_zero(keys: GoldwasserMicaliKeyPair, payload: tuple[int, ...]) -> bool:

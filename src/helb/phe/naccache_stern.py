@@ -106,18 +106,6 @@ def decrypt(keys: NaccacheSternKeyPair, c: int) -> int:
     return m
 
 
-def combine(pub: NaccacheSternPublicKey, a: int, b: int) -> int:
-    return a * b % pub.p
-
-
-def invert(pub: NaccacheSternPublicKey, a: int) -> int:
-    return mod_inv(a, pub.p)
-
-
-def scale(pub: NaccacheSternPublicKey, a: int, k: int) -> int:
-    return pow(a, k, pub.p)
-
-
 def is_zero(keys: NaccacheSternKeyPair, c: int) -> bool:
     # c^s = prod p_i^(e_i) with |e_i| <= 1 after one subtraction; both sides
     # of the implied fraction stay below p, so the power is 1 iff all e_i = 0

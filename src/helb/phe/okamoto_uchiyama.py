@@ -107,18 +107,6 @@ def decrypt(keys: OkamotoUchiyamaKeyPair, c: int) -> int:
     return _l(pow(c, p - 1, psq), p) * keys.g_factor % p
 
 
-def combine(pub: OkamotoUchiyamaPublicKey, a: int, b: int) -> int:
-    return a * b % pub.n
-
-
-def invert(pub: OkamotoUchiyamaPublicKey, a: int) -> int:
-    return mod_inv(a, pub.n)
-
-
-def scale(pub: OkamotoUchiyamaPublicKey, a: int, k: int) -> int:
-    return pow(a, k, pub.n)
-
-
 def is_zero(keys: OkamotoUchiyamaKeyPair, c: int) -> bool:
     return decrypt(keys, c) == 0
 

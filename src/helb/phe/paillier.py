@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from ..errors import DecryptionFailure, InvalidModulus, MessageOutOfRange
 from ..numtheory import (
-    CrtElement,
     PrimePowerCrt,
     RandomSource,
     gen_prime,
@@ -113,20 +112,6 @@ def decrypt(keys: PaillierKeyPair, c) -> int:
     if not 0 < c < keys.public.cipher_modulus:
         raise DecryptionFailure("ciphertext outside Z*_{n^2}")
     return _l(pow(c, keys.lam, keys.public.cipher_modulus), n) * keys.mu % n
-
-
-def combine(pub: PaillierPublicKey, a, b):
-    if isinstance(b, CrtElement):
-        a, b = b, a
-    return a.combine(b) if isinstance(a, CrtElement) else a * b % pub.cipher_modulus
-
-
-def invert(pub: PaillierPublicKey, a):
-    return a.invert() if isinstance(a, CrtElement) else mod_inv(a, pub.cipher_modulus)
-
-
-def scale(pub: PaillierPublicKey, a, k: int):
-    return a.scale(k) if isinstance(a, CrtElement) else pow(a, k, pub.cipher_modulus)
 
 
 def is_zero(keys: PaillierKeyPair, c) -> bool:

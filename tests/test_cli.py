@@ -134,6 +134,11 @@ class TestBlacklistEncrypt:
         assert "line 2" in result.output
 
 
+# what `helb match` prints for a record that is not a unit
+NO_INVERSE = "has no inverse modulo"
+SHARED_FACTOR = "ciphertext shares a factor with the modulus"
+
+
 class TestMatch:
     def test_hit_exits_zero(self, paillier_files, paillier_store):
         result = run("match", "--keys", paillier_files[1],
@@ -277,14 +282,18 @@ class TestMatch:
         assert set(seconds) == {"encrypt", "combine", "zero_test"}
         assert all(isinstance(v, float) and v >= 0 for v in seconds.values())
 
-    @pytest.mark.parametrize("scheme, factor", [
-        ("paillier", "p"), ("paillier", "q"),
-        ("damgard_jurik", "p"), ("damgard_jurik", "q"),
-    ], ids=["paillier-p", "paillier-q", "dj-p", "dj-q"])
-    def test_non_unit_record_exits_two(self, scheme, factor, cidr_file,
+    @pytest.mark.parametrize("scheme, factor, error", [
+        pytest.param(scheme, factor, error, id=f"{short}-{factor}")
+        for scheme, short, error in (
+            ("paillier", "paillier", NO_INVERSE), ("damgard_jurik", "dj", NO_INVERSE),
+            ("okamoto_uchiyama", "ou", NO_INVERSE), ("benaloh", "benaloh", NO_INVERSE),
+            ("goldwasser_micali", "gm", SHARED_FACTOR))
+        for factor in ("p", "q")])
+    def test_non_unit_record_exits_two(self, scheme, factor, error, cidr_file,
                                        tmp_path):
-        # a record that shares a factor with n has no inverse modulo
-        # n^(s+1): the key holder's arithmetic must not skip that refusal
+        # a record that shares a factor with the modulus is no ciphertext:
+        # subtraction cannot invert it, and Goldwasser-Micali's zero test
+        # must refuse it modulo q as well as p
         from helb import phe
 
         base = tmp_path / scheme
@@ -300,14 +309,15 @@ class TestMatch:
         store = serial.read_store(path, keys)
         records = store.groups[24]  # 2.3.4.0/24 is scanned first
         runs, ct = records[0]
-        records[0] = (runs, phe.PheCiphertext(ct.scheme,
-                                              3 * getattr(keys.crt, factor)))
+        bad = 3 * getattr(getattr(keys, "crt", keys), factor)
+        payload = (bad,) * ct.width if ct.width else bad
+        records[0] = (runs, phe.PheCiphertext(ct.scheme, payload))
         serial.write_store(store, path)
         for ip in ("2.3.4.77", "4.4.4.4"):
             result = run("match", "--keys", sec, "--store", path, "--ip", ip,
                          "--seed", 21)
             assert result.exit_code == 2, (ip, result.output)
-            assert "has no inverse modulo" in result.output
+            assert error in result.output
 
 
 @pytest.fixture(scope="module")

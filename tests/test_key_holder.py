@@ -168,8 +168,12 @@ def test_dj_s_out_of_range_is_refused_on_load(dj_keys, tmp_path):
 # ---------------------------------------------------------------------------
 # the deferred residue mod q^(s+1)
 
+def _ct(keys, payload) -> phe.PheCiphertext:
+    return phe.PheCiphertext(phe.scheme_of(keys), payload)
+
+
 def test_deferred_arithmetic_converts_to_the_eager_integer(case):
-    """A key holder's encryption, and what combine, invert and scale make
+    """A key holder's encryption, and what the group law of `phe` makes
     of it, is the integer that the arithmetic modulo n^(s+1) gives."""
     module, keys = case
     pub = keys.public
@@ -187,13 +191,17 @@ def test_deferred_arithmetic_converts_to_the_eager_integer(case):
         assert not isinstance(lazy1, int)
         assert int(lazy1) == eager1 and lazy1 == eager1
         assert hash(lazy1) == hash(eager1)
-        diff = module.combine(pub, lazy1, module.invert(pub, lazy2))
+        diff = phe.sub_encrypted(pub, _ct(keys, lazy1), _ct(keys, lazy2)).payload
         assert int(diff) == eager1 * pow(eager2, -1, modulus) % modulus
-        assert int(module.combine(pub, eager2, lazy1)) == eager1 * eager2 % modulus
-        assert int(module.combine(pub, lazy1, eager2)) == eager1 * eager2 % modulus
-        assert int(module.invert(pub, lazy1)) == pow(eager1, -1, modulus)
-        assert int(module.scale(pub, lazy1, k)) == pow(eager1, k, modulus)
-        blinded = module.scale(pub, diff, k)
+        assert int(phe.add_encrypted(pub, _ct(keys, eager2), _ct(keys, lazy1)).payload) \
+            == eager1 * eager2 % modulus
+        assert int(phe.add_encrypted(pub, _ct(keys, lazy1), _ct(keys, eager2)).payload) \
+            == eager1 * eager2 % modulus
+        assert int(phe.sub_encrypted(pub, _ct(keys, eager2), _ct(keys, lazy1)).payload) \
+            == eager2 * pow(eager1, -1, modulus) % modulus
+        assert int(phe.scalar_mul(pub, _ct(keys, lazy1), k).payload) \
+            == pow(eager1, k, modulus)
+        blinded = phe.scalar_mul(pub, _ct(keys, diff), k).payload
         assert int(blinded) == pow(int(diff), k, modulus)
         assert module.is_zero(keys, blinded) == \
             (module.decrypt(keys, blinded) == 0) == module.is_zero(keys, int(blinded))
@@ -209,7 +217,7 @@ def test_non_unit_operand_leaves_the_deferral(case):
     pub = keys.public
     lazy = module.encrypt(keys, 7, RNG(1))
     for factor in (keys.crt.p, keys.crt.q):
-        product = module.combine(pub, lazy, 3 * factor)
+        product = phe.add_encrypted(pub, _ct(keys, lazy), _ct(keys, 3 * factor)).payload
         assert isinstance(product, int)
         assert product == int(lazy) * 3 * factor % pub.cipher_modulus
         assert _outcome(module.is_zero, keys, product) == \

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -476,3 +477,55 @@ def test_dj_high_s_round_trip():
         for _ in range(20):
             m = rnd.randrange(space)
             assert phe.decrypt(keys, phe.encrypt(keys, m, rng)) == m
+
+
+# toy key pairs for the pinned digest below: (scheme, bits, seed, options)
+PINNED_KEYS = [
+    (SchemeId.PAILLIER, 128, 151, {}),
+    (SchemeId.DAMGARD_JURIK, 128, 152, {"s": 2}),
+    (SchemeId.OKAMOTO_UCHIYAMA, 128, 153, {}),
+    (SchemeId.BENALOH, 128, 154, {"r": 257}),
+    (SchemeId.NACCACHE_STERN, 224, 155, {}),
+    (SchemeId.GOLDWASSER_MICALI, 128, 156, {}),
+]
+PINNED_OPS_SHA256 = "8fc7b4cac61e2e77d8b63a8d605c73f1ca91f6a3b60f631aa2ea5839dc1f891b"
+
+
+def _pinned_rows(keys, rnd, rng) -> list:
+    """Payloads and zero verdicts of seeded homomorphic operations, whose
+    operands are encrypted under the key pair, the public key, or one each
+    (a key holder's Paillier and Damgard-Jurik operands are `CrtElement`s)."""
+    scheme = phe.scheme_of(keys)
+    rows = []
+    for first, second in ((keys, keys), (keys.public, keys.public),
+                          (keys, keys.public), (keys.public, keys)):
+        m1, m2 = random_message(rnd, keys), random_message(rnd, keys)
+        c1, c3 = phe.encrypt(first, m1, rng), phe.encrypt(first, m1, rng)
+        c2 = phe.encrypt(second, m2, rng)
+        if scheme is SchemeId.GOLDWASSER_MICALI:
+            diffs = [phe.xor_encrypted(keys, c1, c2), phe.xor_encrypted(keys, c1, c3),
+                     phe.xor_encrypted(keys, c2, c1)]
+            others = []
+        else:
+            diffs = [phe.sub_encrypted(keys, c1, c2), phe.sub_encrypted(keys, c1, c3),
+                     phe.sub_encrypted(keys, c2, c1)]
+            if scheme is not SchemeId.NACCACHE_STERN:
+                diffs += [phe.blind(keys, d, rng) for d in diffs]
+            k = rnd.randrange(1, 2**64)
+            others = [phe.add_encrypted(keys, c1, c2), phe.add_encrypted(keys, c2, c1),
+                      phe.scalar_mul(keys, c1, k), phe.scalar_mul(keys, c2, -k)]
+        rows.append([ct.payload if isinstance(ct.payload, tuple) else int(ct.payload)
+                     for ct in diffs + others])
+        rows.append([phe.is_zero(keys, d) for d in diffs])
+    return rows
+
+
+def test_homomorphic_ops_are_pinned():
+    """The exact ciphertexts of add, sub, scalar_mul, blind and xor, and
+    their zero verdicts, for all six schemes."""
+    rows = []
+    for scheme, bits, seed, opts in PINNED_KEYS:
+        keys = phe.keygen(scheme, bits, RNG(seed), test_mode=True, **opts)
+        rows.append((scheme.value, _pinned_rows(keys, random.Random(seed), RNG(seed))))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == PINNED_OPS_SHA256
