@@ -6,17 +6,25 @@ evaluated homomorphically, so no relinearization or modulus switching is
 needed.  Polynomial products (a*s in key generation and in the key
 holder's encryption, pk*u in public-key encryption, c1*s in decryption)
 are one exact libmpdec multiplication each, by Kronecker substitution, for
-any q.
+any q.  A key pair packs its secret for that product once.
+
+In cryptographic mode, each sampler draws one byte block per polynomial;
+a seeded source keeps its stream of one draw per coefficient, so seeded
+keys and ciphertexts repeat from release to release.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
     MIN_EMIN,
+    ROUND_DOWN,
     Context,
     Decimal,
     Inexact,
@@ -44,6 +52,10 @@ _Q_DEFAULT = 604_490_591_182_956_796_837_889
 # integer arithmetic on decimals of any length; a rounded result would raise
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                  traps=[Inexact, InvalidOperation])
+
+# Widest Gaussian tail, floor(6 sigma), that crypto mode samples by table;
+# a wider one draws one normal variate per coefficient, as seeded mode does.
+_CDT_MAX_TAIL = 64
 
 
 @dataclass(frozen=True)
@@ -101,6 +113,12 @@ def param_violations(params: BfvParams) -> list[str]:
         out.append(f"ciphertext_mod / plaintext_mod must exceed {MIN_MOD_RATIO}")
     if not 0 < params.err_stddev < math.inf:
         out.append(f"err_stddev must be positive and finite, got {params.err_stddev}")
+    if not out:  # the noise bounds need t >= 2 and a finite sigma
+        budget = additive_noise_budget(params, 1)
+        if budget >= params.noise_threshold:
+            out.append(f"err_stddev leaves no noise headroom: the bound after "
+                       f"one subtraction, {budget}, reaches the decryption "
+                       f"threshold {params.noise_threshold}")
     return out
 
 
@@ -169,6 +187,13 @@ class BfvKeyPair:
     def public(self) -> BfvPublicKey:
         return BfvPublicKey(self.params, self.pk0, self.pk1)
 
+    @functools.cached_property
+    def packed_secret(self) -> "_Operand":
+        """The secret as a ring-product operand, packed once at the slot
+        width of its product with any polynomial mod q."""
+        q = self.params.ciphertext_mod
+        return _Operand(self.secret.coeffs, q, q // 2)
+
     violations = BfvPublicKey.violations
 
 
@@ -199,38 +224,71 @@ def schoolbook_negacyclic_mul(a, b, q: int) -> list[int]:
     return [c % q for c in out]
 
 
+def _centred(coeffs, q: int) -> list[int]:
+    half = q // 2
+    return [x - q if x > half else x for x in coeffs]
+
+
+@functools.lru_cache(maxsize=8)
+def _slot_offsets(n: int, digits: int) -> tuple[Decimal, Decimal]:
+    """Half of 10^digits in each of n slots, and in each of 2n slots."""
+    slot = str(5 * 10 ** (digits - 1))
+    return Decimal(slot * n), Decimal(slot * (2 * n))
+
+
+def _pack(centred: list[int], digits: int) -> Decimal:
+    """The decimal whose `digits`-digit slots, lowest last, hold `centred`."""
+    off = 5 * 10 ** (digits - 1)
+    text = "".join([str(x + off) for x in reversed(centred)])
+    if len(text) != len(centred) * digits:  # a slot below 10^(digits-1)
+        text = "".join([f"{x + off:0{digits}}" for x in reversed(centred)])
+    return _EXACT.subtract(Decimal(text), _slot_offsets(len(centred), digits)[0])
+
+
+class _Operand:
+    """Coefficients packed once for `negacyclic_mul`, at the slot width of
+    a product with any polynomial whose centred coefficients are at most
+    `reach` in magnitude."""
+
+    __slots__ = ("centred", "reach", "digits", "value")
+
+    def __init__(self, coeffs, q: int, reach: int):
+        self.centred = _centred(coeffs, q)
+        self.reach = reach
+        top = max(map(abs, self.centred))
+        # the smallest d with 2 * max(n * reach * top, reach, top) < 10^d
+        self.digits = len(str(2 * max(len(self.centred) * reach * top, reach, top)))
+        self.value = _pack(self.centred, self.digits)
+
+
 def negacyclic_mul(a, b, q: int) -> list[int]:
     """Product of two length-n coefficient vectors in Z_q[x]/(x^n + 1).
 
-    Kronecker substitution in decimal: each centred operand becomes one
-    decimal integer whose d-digit slots are its coefficients, and one exact
-    libmpdec product holds every coefficient c[k] of the plain product a*b.
-    The slot bound exceeds both every |c[k]| <= n * max|a_i| * max|b_j| and
-    every operand coefficient; d is one digit wider than the bound, so each
-    coefficient offset by 5 * 10^(d-1) is exactly d digits long.  The
-    offsets cancel in the negacyclic fold c[k] - c[k+n].  Only single slots
-    pass through int and str, which refuse whole operands of more than
-    4300 digits.
+    `b` may also be a key pair's `packed_secret`.  Kronecker substitution
+    in decimal: each centred operand becomes one decimal integer whose
+    d-digit slots are its coefficients, and one exact libmpdec product
+    holds every coefficient c[k] of the plain product a*b.  d is the
+    narrowest width with 2 * max(n * max|a_i| * max|b_j|, max|a_i|,
+    max|b_j|) < 10^d, so every operand coefficient, every |c[k]| and every
+    folded |c[k] - c[k+n]| is below half of 10^d, and each sits in its
+    slot offset by that half.  The fold subtracts the high n slots from
+    the low n in one decimal subtraction; only its n slots pass through
+    int and str, which refuse whole operands of more than 4300 digits.
     """
-    n = len(a)
-    half = q // 2
-    ca = [x - q if x > half else x for x in a]
-    cb = [x - q if x > half else x for x in b]
-    max_a, max_b = max(map(abs, ca)), max(map(abs, cb))
-    d = len(str(max(n * max_a * max_b, max_a, max_b))) + 1
+    ca = _centred(a, q)
+    top_a = max(map(abs, ca))
+    if not (isinstance(b, _Operand) and top_a <= b.reach):
+        b = _Operand(getattr(b, "centred", b), q, top_a)
+    n, d = len(ca), b.digits
+    width = n * d
+    slots_n, slots_2n = _slot_offsets(n, d)
+    product = _EXACT.add(_EXACT.multiply(_pack(ca, d), b.value), slots_2n)
+    high = product.scaleb(-width, _EXACT).to_integral_value(ROUND_DOWN, _EXACT)
+    low = _EXACT.subtract(product, high.scaleb(width, _EXACT))
+    text = str(_EXACT.add(_EXACT.subtract(low, high), slots_n)).zfill(width)
+    # slots are big-endian: c[n-1] - c[2n-1] first, c[0] - c[n] last
     off = 5 * 10 ** (d - 1)
-    slot = str(off)
-    off_n = Decimal(slot * n)
-
-    def pack(coeffs):
-        return _EXACT.subtract(
-            Decimal("".join([str(x + off) for x in reversed(coeffs)])), off_n)
-
-    text = str(_EXACT.add(_EXACT.multiply(pack(ca), pack(cb)),
-                          Decimal(slot * (2 * n))))
-    # slots are big-endian: c[2n-1] first, c[0] last
-    digits = [int(text[i:i + d]) for i in range(len(text) - d, -1, -d)]
-    return [(lo - hi) % q for lo, hi in zip(digits[:n], digits[n:])]
+    return [(int(text[i:i + d]) - off) % q for i in range(width - d, -1, -d)]
 
 
 # ---------------------------------------------------------------------------
@@ -238,26 +296,68 @@ def negacyclic_mul(a, b, q: int) -> list[int]:
 
 
 def _sample_ternary(n: int, q: int, rng: RandomSource) -> list[int]:
+    if rng.is_seeded:
+        return [(rng.randrange(3) - 1) % q for _ in range(n)]
+    value_of = [(b % 3 - 1) % q for b in range(255)]
     out = []
-    for _ in range(n):
-        v = rng.randrange(3) - 1
-        out.append(v % q)
+    while len(out) < n:
+        # bytes below 255 are uniform modulo 3
+        block = rng.randbytes(n - len(out) + 16).translate(None, b"\xff")
+        out += [value_of[b] for b in block]
+    del out[n:]
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_cdt(sigma: float) -> tuple[int, ...]:
+    """Inverse CDT of a normal variate of deviation sigma, rounded to the
+    nearest integer v and kept when |v| <= floor(6 sigma): a uniform 64-bit
+    word w stands for v = -floor(6 sigma) + bisect_right(table, w)."""
+    tail = int(6 * sigma)
+    scale = sigma * math.sqrt(2)
+    # twice P(v - 1/2 < X < v + 1/2), from the upper tail for accuracy
+    mass = [math.erfc((abs(v) - 0.5) / scale) - math.erfc((abs(v) + 0.5) / scale)
+            for v in range(-tail, tail + 1)]
+    total, acc, table = sum(mass), 0.0, []
+    for m in mass[:-1]:
+        acc += m
+        table.append(round(acc / total * 2**64))
+    return tuple(table)
 
 
 def _sample_gauss(n: int, sigma: float, q: int, rng: RandomSource) -> list[int]:
     # centered discrete Gaussian, tail cut at 6 sigma
     bound = int(6 * sigma)
-    out = []
-    while len(out) < n:
-        v = round(rng.gauss(sigma))
-        if abs(v) <= bound:
-            out.append(v % q)
-    return out
+    if rng.is_seeded or bound > _CDT_MAX_TAIL:
+        out = []
+        while len(out) < n:
+            v = round(rng.gauss(sigma))
+            if abs(v) <= bound:
+                out.append(v % q)
+        return out
+    value_of = [v % q for v in range(-bound, bound + 1)]
+    table = _gauss_cdt(sigma)
+    return [value_of[bisect_right(table, w)]
+            for w in struct.unpack(f"<{n}Q", rng.randbytes(8 * n))]
 
 
 def _sample_uniform(n: int, q: int, rng: RandomSource) -> list[int]:
-    return [rng.randrange(q) for _ in range(n)]
+    if rng.is_seeded:
+        return [rng.randrange(q) for _ in range(n)]
+    bits = q.bit_length()
+    size, mask = (bits + 7) // 8, (1 << bits) - 1
+    out = []
+    while len(out) < n:
+        # a bits-bit word lies below q with probability q / 2^bits > 1/2
+        need = n - len(out)
+        count = ((need + need // 32 + 16) << bits) // q
+        block = rng.randbytes(count * size)
+        words = map(int.from_bytes,
+                    [block[i:i + size] for i in range(0, len(block), size)],
+                    ["little"] * count)
+        out += [x for w in words if (x := w & mask) < q]
+    del out[n:]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +414,7 @@ def encrypt(keys: BfvKeyPair | BfvPublicKey, pt: RingPoly, params: BfvParams,
     if isinstance(keys, BfvKeyPair):
         a = _sample_uniform(n, q, rng)
         e = _sample_gauss(n, params.err_stddev, q, rng)
-        a_s = negacyclic_mul(a, keys.secret.coeffs, q)
+        a_s = negacyclic_mul(a, keys.packed_secret, q)
         c0 = [(y + z - x) % q for x, y, z in zip(a_s, e, scaled)]
         return BfvCiphertext(RingPoly(tuple(c0)), RingPoly(tuple(a)), params)
     u = _sample_ternary(n, q, rng)
@@ -336,7 +436,7 @@ def decrypt(keys: BfvKeyPair, ct: BfvCiphertext, params: BfvParams) -> RingPoly:
     if keys.params != params or ct.params != params:
         raise ParamMismatch("keys, ciphertext and parameters do not agree")
     q, t = params.ciphertext_mod, params.plaintext_mod
-    c1_s = negacyclic_mul(ct.c1.coeffs, keys.secret.coeffs, q)
+    c1_s = negacyclic_mul(ct.c1.coeffs, keys.packed_secret, q)
     half = q // 2
     out = [((c0 + x) % q * t + half) // q % t for c0, x in zip(ct.c0.coeffs, c1_s)]
     return RingPoly(tuple(out))
@@ -371,7 +471,7 @@ def measure_noise(keys: BfvKeyPair, ct: BfvCiphertext, expected_pt: RingPoly,
     params.noise_threshold for decryption to be exact."""
     q, t = params.ciphertext_mod, params.plaintext_mod
     delta = params.delta
-    c1_s = negacyclic_mul(ct.c1.coeffs, keys.secret.coeffs, q)
+    c1_s = negacyclic_mul(ct.c1.coeffs, keys.packed_secret, q)
     half = q // 2
     worst = 0
     for c0, x, m in zip(ct.c0.coeffs, c1_s, expected_pt.coeffs):

@@ -64,6 +64,9 @@ class RandomSource:
     def getrandbits(self, k: int) -> int:
         return self._rng.getrandbits(k)
 
+    def randbytes(self, k: int) -> bytes:
+        return self._rng.randbytes(k)
+
     def randrange(self, start: int, stop: int | None = None) -> int:
         return self._rng.randrange(start, stop)
 
@@ -224,6 +227,15 @@ class PrimePowerCrt:
     def nth_power_mod_q(self, r: int) -> int:
         """r^(n^s) mod q^(s+1): the deferred half of `nth_power`."""
         return pow(pow(r, self._r_exp_q, self.q), self._q_s, self._q_mod)
+
+    def inverse(self, c: int) -> "CrtElement":
+        """c^-1 mod n^(s+1) for an integer c, its residue mod q^(s+1)
+        computed only when read; raises NotInvertible, as `mod_inv` does,
+        when p or q divides c."""
+        if c % self.p == 0 or c % self.q == 0:
+            raise NotInvertible(f"{c} has no inverse modulo {self._modulus}")
+        return CrtElement(self, pow(c, -1, self._p_mod),
+                          lambda: pow(c, -1, self._q_mod))
 
     def is_nth_residue(self, c) -> bool:
         """Whether c is an n^s-th power modulo n^(s+1), that is

@@ -19,7 +19,9 @@ only the schemes whose keys it handles.
 A key holder's Paillier or Damgard-Jurik ciphertext holds a
 :class:`~helb.numtheory.CrtElement`, which ``int()`` turns into that
 element; the group law hands it to its own ``combine``, ``invert`` and
-``scale``, so its residue modulo q^(s+1) is computed only when read.
+``scale``, so its residue modulo q^(s+1) is computed only when read.  A
+stored record subtracted under such a key pair is inverted the same way,
+by ``PrimePowerCrt.inverse``.
 """
 
 from __future__ import annotations
@@ -185,11 +187,18 @@ def add_encrypted(keys, ct1: PheCiphertext, ct2: PheCiphertext) -> PheCiphertext
 
 def sub_encrypted(keys, ct1: PheCiphertext, ct2: PheCiphertext) -> PheCiphertext:
     """Ciphertext of m1 - m2, via the group inverse of ct2; raises
-    NotInvertible when ct2 is not a unit modulo the cipher modulus."""
+    NotInvertible when ct2 is not a unit modulo the cipher modulus.  A key
+    pair with a `crt` inverts an integer ct2 modulo p^(s+1) only, and
+    defers its residue mod q^(s+1)."""
     scheme = _check_pair(keys, ct1, ct2)
     _require(scheme, "sub")
     modulus, b = public_part(keys).cipher_modulus, ct2.payload
-    b = b.invert() if isinstance(b, _CrtElement) else _mod_inv(b, modulus)
+    if isinstance(b, _CrtElement):
+        b = b.invert()
+    elif hasattr(keys, "crt"):
+        b = keys.crt.inverse(b)
+    else:
+        b = _mod_inv(b, modulus)
     return PheCiphertext(scheme, _mul(ct1.payload, b, modulus))
 
 

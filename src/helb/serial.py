@@ -232,26 +232,29 @@ def write_store(store: EncryptedStore, path: str) -> None:
                     fh.write(blob)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+# magic, version byte, scheme byte, key fingerprint, group count
+_HEADER_SIZE = 4 + 1 + 1 + 32 + 4
+_U32 = struct.Struct(">I")
+_GROUP_HEAD = struct.Struct(">BI")
 
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
-            raise FormatError("store file is truncated")
-        out = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def element(self) -> int:
-        return int.from_bytes(self.take(self.u32()), "big")
+def _decode_elements(data: bytes, pos: int, path: str) -> tuple[list[int], int]:
+    """The length-prefixed big-endian elements of the record at `pos`, and
+    the position after them."""
+    unpack_u32, from_bytes = _U32.unpack_from, int.from_bytes
+    elements = []
+    try:
+        (count,) = unpack_u32(data, pos)
+        pos += 4
+        for _ in range(count):
+            (length,) = unpack_u32(data, pos)
+            pos += 4 + length
+            elements.append(from_bytes(data[pos - length:pos], "big"))
+    except struct.error:  # a length or count beyond the end
+        raise FormatError(f"{path}: store file is truncated") from None
+    if pos > len(data):  # the last element runs beyond the end
+        raise FormatError(f"{path}: store file is truncated")
+    return elements, pos
 
 
 def _packed_runs(values: list[int], n: int, path: str):
@@ -296,13 +299,14 @@ def read_store(path: str, keys) -> EncryptedStore:
     rebuilt with the parameters of `keys`.
     """
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
-    if reader.take(4) != STORE_MAGIC:
+        data = fh.read()
+    if data[:4] != STORE_MAGIC:
         raise FormatError(f"{path}: bad magic, not a store file")
-    version = reader.u8()
+    if len(data) < _HEADER_SIZE:
+        raise FormatError(f"{path}: store file is truncated")
+    version, scheme_byte = data[4], data[5]
     if version != STORE_VERSION:
         raise FormatError(f"{path}: unsupported store version {version}")
-    scheme_byte = reader.u8()
     packed = scheme_byte == _PACKED_SCHEME_BYTE
     scheme = BFV_SCHEME if packed else _SCHEME_OF_BYTE.get(scheme_byte)
     if scheme is None:
@@ -311,7 +315,7 @@ def read_store(path: str, keys) -> EncryptedStore:
         raise SchemeMismatch(f"{path}: store was built for {scheme}, keys are "
                              f"{keys.SCHEME}")
     pub = phe.public_part(keys)
-    if reader.take(32) != _fingerprint(pub):
+    if data[6:38] != _fingerprint(pub):
         raise SchemeMismatch(f"{path}: store was built under a different public key")
 
     params = keys.params if scheme == BFV_SCHEME else None
@@ -323,14 +327,17 @@ def read_store(path: str, keys) -> EncryptedStore:
         width = GM_WIDTH if scheme == SchemeId.GOLDWASSER_MICALI else 1
         low, modulus = 1, pub.cipher_modulus
     groups: dict[int, list] = {}
-    next_id = 0
-    for _ in range(reader.u32()):
-        prefix_len = reader.u8()
+    next_id, pos = 0, _HEADER_SIZE
+    for _ in range(_U32.unpack_from(data, pos - 4)[0]):
+        if pos + _GROUP_HEAD.size > len(data):
+            raise FormatError(f"{path}: store file is truncated")
+        prefix_len, record_count = _GROUP_HEAD.unpack_from(data, pos)
+        pos += _GROUP_HEAD.size
         if prefix_len > 32:
             raise FormatError(f"{path}: prefix byte {prefix_len} out of range")
         records = []
-        for _ in range(reader.u32()):
-            elements = [reader.element() for _ in range(reader.u32())]
+        for _ in range(record_count):
+            elements, pos = _decode_elements(data, pos, path)
             values, extra = elements[:width], elements[width:]
             if len(values) != width or (extra and not packed):
                 raise FormatError(f"{path}: {scheme} entry has {len(elements)} "
@@ -353,7 +360,7 @@ def read_store(path: str, keys) -> EncryptedStore:
         if prefix_len in groups:
             raise FormatError(f"{path}: duplicate group for prefix {prefix_len}")
         groups[prefix_len] = records
-    if reader.pos != len(reader.data):
+    if pos != len(data):
         raise FormatError(f"{path}: trailing bytes after the last group")
     if not groups or not all(groups.values()):
         raise FormatError(f"{path}: store has no groups, or an empty group")

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import random
+import statistics
 
 import _decimal
 import pytest
@@ -81,6 +83,24 @@ class TestParams:
             rejected += 1
         assert rejected > 250
 
+    def test_rejects_sigma_without_noise_headroom(self):
+        # sigma = 10^9 at desk: one subtraction could exceed the decryption
+        # threshold, so a listed address could read as not listed
+        params = bfv.BfvParams(DESK.ring_dim, DESK.plaintext_mod,
+                               DESK.ciphertext_mod, 1e9)
+        assert any("headroom" in v for v in bfv.param_violations(params))
+        assert bfv.additive_noise_budget(DESK, 1) == 327_722
+        assert DESK.noise_threshold > 8.59e9
+
+    @pytest.mark.parametrize("t, q, sigma", [
+        (0, DESK.ciphertext_mod, 3.2), (1, DESK.ciphertext_mod, 3.2),
+        (DESK.plaintext_mod, 0, 3.2), (DESK.plaintext_mod, DESK.ciphertext_mod, math.inf),
+        (DESK.plaintext_mod, DESK.ciphertext_mod, math.nan)],
+        ids=["t0", "t1", "q0", "sigma-inf", "sigma-nan"])
+    def test_degenerate_values_are_violations(self, t, q, sigma):
+        # the noise-headroom check must not divide by t or round sigma first
+        assert bfv.param_violations(bfv.BfvParams(DESK.ring_dim, t, q, sigma))
+
     def test_keygen_rejects_invalid_params(self):
         with pytest.raises(InvalidParams):
             bfv.keygen(bfv.BfvParams(4096, 65_536, DESK.ciphertext_mod, 3.2), RNG(1))
@@ -127,9 +147,13 @@ class TestNegacyclicMul:
         (16, 500_000_000_000 - 1),
         # q//2 = 25 * 10^10: the bound is exactly 10^24
         (16, 500_000_000_000 + 1),
+        # q//2 = h: the slot bound 2 * 16 * h^2 is just below 10^24, and
+        # just above it for h + 1
+        (16, 2 * math.isqrt((10**24 - 1) // 32) + 1),
+        (16, 2 * math.isqrt((10**24 - 1) // 32) + 3),
         (DESK.ring_dim, DESK.ciphertext_mod)],
         ids=["tiny", "tiny-no-ntt", "small", "below-power-of-ten",
-             "at-power-of-ten", "desk"])
+             "at-power-of-ten", "slot-bound-below", "slot-bound-above", "desk"])
     def test_worst_case_digits(self, n, q):
         # every coefficient of the plain product at its largest magnitude,
         # n * (q//2)^2, positive and negative
@@ -141,7 +165,10 @@ class TestNegacyclicMul:
 
     @pytest.mark.parametrize("n,q", [
         (16, 500_000_000_000 + 1),
-        (DESK.ring_dim, DESK.ciphertext_mod)], ids=["n16", "desk"])
+        # q//2 = 4.5 * 10^11 in 12-digit slots: offset by 5 * 10^11, the
+        # coefficient -q//2 packs to 11 digits and must be padded
+        (16, 900_000_000_000 + 1),
+        (DESK.ring_dim, DESK.ciphertext_mod)], ids=["n16", "short-slot", "desk"])
     def test_zero_times_full_width(self, n, q):
         # the product bound is 0, yet the slots must still hold the other
         # operand's coefficients at their largest magnitude
@@ -149,6 +176,26 @@ class TestNegacyclicMul:
         for full in ([q // 2] * n, [-(q // 2) % q] * n):
             assert bfv.negacyclic_mul(zero, full, q) == zero
             assert bfv.negacyclic_mul(full, zero, q) == zero
+
+    @pytest.mark.parametrize("fixture", ["bfv_small_keys", "desk_keys"])
+    def test_packed_secret_matches_schoolbook(self, fixture, request):
+        # packed once, the secret serves canonical operands at its own
+        # width and non-canonical ones by packing again
+        keys = request.getfixturevalue(fixture)
+        q, n = keys.params.ciphertext_mod, keys.params.ring_dim
+        secret = keys.secret.coeffs
+        assert keys.packed_secret is keys.packed_secret
+        rnd = random.Random(f"packed{n}")
+        operands = [_uniform(rnd, n, q), [q // 2] * n, [0] * n]
+        if n <= SMALL.ring_dim:
+            operands.append([rnd.randrange(-3 * q, 3 * q) for _ in range(n)])
+        for a in operands:
+            assert bfv.negacyclic_mul(a, keys.packed_secret, q) == \
+                   bfv.schoolbook_negacyclic_mul(a, secret, q)
+
+    def test_desk_secret_slots_are_28_digits(self, desk_keys):
+        # 2 * n * floor(q/2) < 10^28 for the ternary secret at desk
+        assert desk_keys.packed_secret.digits == 28
 
     def test_product_runs_on_the_c_decimal_module(self):
         # the pure-Python fallback multiplies in quadratic time
@@ -187,6 +234,122 @@ class TestNegacyclicMul:
             b = _ternary(rnd, n, q)
             assert bfv.negacyclic_mul(a, b, q) == \
                    bfv.negacyclic_mul([x % q for x in a], b, q)
+
+
+# ---------------------------------------------------------------------------
+# sampling
+
+CHI2_ALPHA = 1e-6
+DRAWS = 100_000
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """P(chi-square with df degrees of freedom > x): the regularized upper
+    incomplete gamma Q(df/2, x/2), by Q(a+1, y) = Q(a, y) + y^a e^-y / a!."""
+    y = x / 2
+    if df % 2:
+        a, total = 0.5, math.erfc(math.sqrt(y))
+    else:
+        a, total = 1.0, math.exp(-y)
+    while a < df / 2:
+        total += math.exp(a * math.log(y) - y - math.lgamma(a + 1)) if y else 0.0
+        a += 1
+    return total
+
+
+def _chi2_p_value(observed: list[int], probabilities: list[float]) -> float:
+    total = sum(observed)
+    stat = sum((o - total * p) ** 2 / (total * p)
+               for o, p in zip(observed, probabilities))
+    return _chi2_sf(stat, len(observed) - 1)
+
+
+def _crypto_draws(sampler, q):
+    out = sampler(RandomSource.crypto())
+    assert len(out) == DRAWS
+    return [x - q if x > q // 2 else x for x in out]
+
+
+class _FirstBlockAllOnes(RandomSource):
+    """A crypto-mode source whose first byte block is all 0xff."""
+
+    def __init__(self, forbid_bytes=False):
+        super().__init__(random.SystemRandom(), None)
+        self.blocks = 0
+        self.forbid_bytes = forbid_bytes
+
+    def randbytes(self, k):
+        assert not self.forbid_bytes, "this sampler must not draw bytes"
+        self.blocks += 1
+        return b"\xff" * k if self.blocks == 1 else super().randbytes(k)
+
+
+class TestCryptoSampling:
+    """The byte-block samplers of crypto mode, against the exact
+    distribution; seeded streams are pinned by the golden tests."""
+
+    @pytest.mark.parametrize("sigma", [3.2, 1.0])
+    def test_gauss_matches_rounded_truncated_normal(self, sigma):
+        q = DESK.ciphertext_mod
+        draws = _crypto_draws(lambda rng: bfv._sample_gauss(DRAWS, sigma, q, rng), q)
+        tail = int(6 * sigma)
+        assert max(map(abs, draws)) <= tail
+        normal = statistics.NormalDist(0, sigma)
+        mass = [normal.cdf(v + 0.5) - normal.cdf(v - 0.5)
+                for v in range(-tail, tail + 1)]
+        expected = [m / sum(mass) for m in mass]
+        counts = [draws.count(v) for v in range(-tail, tail + 1)]
+        # fold each tail inward until its bin expects at least 5 draws
+        for end in (0, -1):
+            while expected[end] * DRAWS < 5:
+                low_mass, low_count = expected.pop(end), counts.pop(end)
+                expected[end] += low_mass
+                counts[end] += low_count
+        assert _chi2_p_value(counts, expected) > CHI2_ALPHA
+
+    def test_ternary_is_uniform(self):
+        q = DESK.ciphertext_mod
+        draws = _crypto_draws(lambda rng: bfv._sample_ternary(DRAWS, q, rng), q)
+        counts = [draws.count(v) for v in (-1, 0, 1)]
+        assert sum(counts) == DRAWS
+        assert _chi2_p_value(counts, [1 / 3] * 3) > CHI2_ALPHA
+
+    @pytest.mark.parametrize("q", [DESK.ciphertext_mod, SMALL.ciphertext_mod],
+                             ids=["80-bit", "52-bit"])
+    def test_uniform_is_uniform_below_q(self, q):
+        draws = bfv._sample_uniform(DRAWS, q, RandomSource.crypto())
+        assert len(draws) == DRAWS and all(0 <= x < q for x in draws)
+        counts = [0] * 16
+        for x in draws:
+            counts[x * 16 // q] += 1
+        # bucket b holds the x with 16x // q == b
+        starts = [-(-b * q // 16) for b in range(17)]
+        expected = [(hi - lo) / q for lo, hi in zip(starts, starts[1:])]
+        assert _chi2_p_value(counts, expected) > CHI2_ALPHA
+
+    @pytest.mark.parametrize("n", [16, 4096])
+    def test_rejected_first_block_is_refilled(self, n):
+        q = DESK.ciphertext_mod
+        rng = _FirstBlockAllOnes()
+        uniform = bfv._sample_uniform(n, q, rng)
+        assert rng.blocks >= 2 and len(uniform) == n
+        assert all(0 <= x < q for x in uniform)
+        rng = _FirstBlockAllOnes()
+        ternary = bfv._sample_ternary(n, q, rng)
+        assert rng.blocks >= 2 and len(ternary) == n
+        assert set(ternary) <= {q - 1, 0, 1}
+        # a Gaussian word is never rejected: all ones is the top value
+        rng = _FirstBlockAllOnes()
+        assert bfv._sample_gauss(n, 3.2, q, rng) == [19] * n
+        assert rng.blocks == 1
+
+    def test_wide_gauss_keeps_the_normal_variate_loop(self):
+        # floor(6 sigma) = 120 exceeds the table's reach of 64
+        q = DESK.ciphertext_mod
+        rng = _FirstBlockAllOnes(forbid_bytes=True)
+        draws = bfv._sample_gauss(4096, 20.0, q, rng)
+        assert len(draws) == 4096
+        assert max(min(x, q - x) for x in draws) <= 120
 
 
 # ---------------------------------------------------------------------------

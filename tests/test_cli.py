@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -10,8 +11,9 @@ import pytest
 import support
 from click.testing import CliRunner
 
-from helb import serial
+from helb import bfv, ipmatch, serial
 from helb.cli import main
+from helb.numtheory import RandomSource
 
 runner = CliRunner()
 
@@ -430,6 +432,27 @@ class TestLatticeFlow:
                      "--ip", "4.4.4.4", "--seed", 45)
         assert result.exit_code == 2
         assert "coefficients" in result.output
+
+    def test_key_without_noise_headroom_exits_two(self, cidr_file, tmp_path):
+        # with sigma = 10^9 one subtraction can pass the decryption
+        # threshold: a listed address would read NO-MATCH and exit 1
+        keys = bfv.keygen(support.SMALL_PARAMS, RandomSource.seeded(46))
+        wide = dataclasses.replace(
+            keys, params=dataclasses.replace(keys.params, err_stddev=1e9))
+        base = str(tmp_path / "wide")
+        serial.write_key_files(wide, base)
+        store = str(tmp_path / "p.bin")
+        serial.write_store(ipmatch.build_store(ipmatch.load_cidr_file(cidr_file),
+                                               wide, RandomSource.seeded(47),
+                                               packed=True), store)
+        result = run("blacklist", "encrypt", "--key", base + ".pub", "--cidr-file",
+                     cidr_file, "--out", tmp_path / "q.bin", "--packed")
+        assert result.exit_code == 2, result.output
+        assert "noise headroom" in result.output
+        result = run("match", "--keys", base + ".sec", "--store", store,
+                     "--ip", "2.3.4.77")
+        assert result.exit_code == 2, result.output
+        assert "noise headroom" in result.output
 
     def test_packed_build_report(self, mixed_stores):
         # `helb blacklist encrypt` prints these lines, which callers parse

@@ -19,8 +19,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helb import cli, ipmatch, phe, serial
-from helb.errors import FormatError
+from helb import cli, ipmatch, numtheory, phe, serial
+from helb.errors import FormatError, NotInvertible
 from helb.numtheory import PrimePowerCrt, RandomSource
 from helb.phe import SchemeId, damgard_jurik, paillier
 
@@ -99,6 +99,37 @@ def test_crafted_values_cover_both_verdicts_and_refusals(case):
     outcomes = {_outcome(module.is_zero, keys, c) for c in _crafted(keys)}
     assert {True, False} <= outcomes
     assert any(isinstance(o, type) for o in outcomes)
+
+
+def test_record_subtraction_agrees_with_full_inverse(case):
+    # a stored record is a plain integer: the key holder inverts it modulo
+    # p^(s+1) and defers q^(s+1), for the integer the inverse modulo
+    # n^(s+1) gives, or refuses it with the same exception
+    module, keys = case
+    modulus = keys.public.cipher_modulus
+    scheme = SchemeId(keys.SCHEME)
+    query = phe.encrypt(keys, 2**32 + 7, RNG(5))
+
+    def subtract(keys, record):
+        return int(phe.sub_encrypted(keys, query, phe.PheCiphertext(scheme, record))
+                   .payload)
+
+    def full_inverse(keys, record):
+        return int(query.payload) * numtheory.mod_inv(record, modulus) % modulus
+
+    crafted = [int(c) for c in _crafted(keys)]
+
+    @EXAMPLES
+    @given(st.integers(-1, modulus + 1) | st.sampled_from(crafted))
+    def check(record):
+        assert _outcome(subtract, keys, record) == \
+            _outcome(full_inverse, keys, record)
+
+    check()
+    p, q = keys.crt.p, keys.crt.q
+    for record in (p, 2 * q, modulus, 0):
+        assert _outcome(subtract, keys, record) is NotInvertible
+    assert subtract(keys, -1) == full_inverse(keys, -1)
 
 
 @pytest.mark.parametrize("module, s", CASES[:3], ids=CASE_IDS[:3])

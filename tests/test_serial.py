@@ -226,14 +226,21 @@ class TestStoreFileErrors:
         with pytest.raises(SchemeMismatch, match="built for damgard_jurik"):
             serial.read_store(path, paillier_keys)
 
-    def test_truncated(self, tmp_path, paillier_keys):
-        _, store = _random_store(paillier_keys, 14, count=3)
+    def test_truncated(self, tmp_path, paillier_keys, bfv_small_keys):
+        # every proper prefix of a three-network Paillier store and of a
+        # small packed lattice store is refused
+        _, pai_store = _random_store(paillier_keys, 14, count=3)
+        bfv_store = ipmatch.build_store(
+            [ipmatch.parse_cidr(text) for text in ("2.3.4.0/24", "10.0.0.0/8")],
+            bfv_small_keys, RNG(14), packed=True)
         path = str(tmp_path / "s.bin")
-        serial.write_store(store, path)
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[:len(data) // 2])
-        with pytest.raises(FormatError):
-            serial.read_store(path, paillier_keys)
+        for keys, store in ((paillier_keys, pai_store), (bfv_small_keys, bfv_store)):
+            serial.write_store(store, path)
+            data = open(path, "rb").read()
+            for cut in range(len(data)):
+                open(path, "wb").write(data[:cut])
+                with pytest.raises(FormatError):
+                    serial.read_store(path, keys)
 
     def test_trailing_garbage(self, tmp_path, paillier_keys):
         _, store = _random_store(paillier_keys, 15, count=3)
