@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -194,7 +195,24 @@ class BfvKeyPair:
         q = self.params.ciphertext_mod
         return _Operand(self.secret.coeffs, q, q // 2)
 
-    violations = BfvPublicKey.violations
+    def violations(self) -> list[str]:
+        """The public key's violations, plus a secret that does not fit it.
+
+        pk0 + pk1*s is the key's noise, at most 6 sigma in each slot.  Only
+        slot 0 is checked: changing any coefficient of s moves it by a
+        multiple of a uniform pk1 coefficient.
+        """
+        out = BfvPublicKey.violations(self)
+        if not out:
+            q = self.params.ciphertext_mod
+            s, a = _centred(self.secret.coeffs, q), self.pk1.coeffs
+            # slot 0 of the negacyclic product: a_0 s_0 - sum a_j s_(n-j)
+            slot = (self.pk0.coeffs[0] + a[0] * s[0]
+                    - sum(map(operator.mul, a[1:], reversed(s[1:])))) % q
+            if min(slot, q - slot) > int(6 * self.params.err_stddev):
+                out.append("s does not fit the public key: pk0 + pk1*s is "
+                           "not small noise")
+        return out
 
 
 @dataclass(frozen=True)

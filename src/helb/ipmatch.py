@@ -2,9 +2,10 @@
 
 Addresses are plain 32-bit integers (big-endian octet packing, validated
 at parse time).  A store groups ciphertexts of masked network addresses by
-prefix length.  Every record is a ciphertext with its slot runs: one slot
-for a PHE or unpacked lattice record, up to ring_dim networks of any
-prefix lengths, longest prefix first, for a packed lattice record.
+prefix length.  Every record is a ciphertext with its slot runs, which
+`slot_layout` derives from the network count of each prefix length: one
+slot for a PHE or unpacked lattice record, up to ring_dim networks of any
+prefix lengths for a packed lattice record, longest prefix first.
 `match` encrypts the target masked for each slot's prefix once per slot
 layout, combines it with every stored record and zero-tests the filled
 slots; the first zero slot marks the longest matching network.  The
@@ -103,11 +104,11 @@ class EncryptedStore:
     """Encrypted blacklist grouped by prefix length.
 
     Every record is (runs, ciphertext).  `runs` lays out the ciphertext's
-    slots as (prefix length, first entry id, count) triples, longest prefix
-    first, and a record sits in the group of its first slot's prefix.  A
-    PHE or unpacked lattice record holds one network, `((prefix length,
-    entry id, 1),)`; a packed one up to ring_dim networks in its
-    coefficients.  Prefix lengths and group sizes are public.  `pub` is
+    slots as (prefix length, first entry id, count) triples, as
+    `slot_layout` cuts them, and a record sits in the group of its first
+    slot's prefix.  A PHE or unpacked lattice record holds one network,
+    `((prefix length, entry id, 1),)`; a packed one up to ring_dim networks
+    in its coefficients.  Prefix lengths and group sizes are public.  `pub` is
     the public key the store was built under; a store file carries only
     its fingerprint (stores and keys travel in separate files).
     """
@@ -119,12 +120,12 @@ class EncryptedStore:
     pub: object | None = None
 
     def prefix_counts(self) -> dict[int, int]:
-        """Number of networks per prefix length."""
+        """Number of networks per prefix length, in entry-id order."""
         counts: dict[int, int] = {}
-        for records in self.groups.values():
-            for runs, _ in records:
-                for prefix_len, _, count in runs:
-                    counts[prefix_len] = counts.get(prefix_len, 0) + count
+        runs = [run for records in self.groups.values()
+                for record_runs, _ in records for run in record_runs]
+        for prefix_len, _, count in sorted(runs, key=lambda run: run[1]):
+            counts[prefix_len] = counts.get(prefix_len, 0) + count
         return counts
 
     @property
@@ -196,34 +197,44 @@ def build_store(entries, keys, rng: RandomSource, *,
         def encrypt(chunk):
             return phe.encrypt(keys, chunk[0], rng)
 
-    # entry ids count networks group by group in first-appearance order;
-    # packed slots run longest prefix first (a stable sort keeps the ids
-    # of one prefix ascending)
-    slots, next_id = [], 0
-    for prefix_len, values in cleaned.items():
-        slots += [(prefix_len, next_id + i, value) for i, value in enumerate(values)]
-        next_id += len(values)
-    if packed:
-        slots.sort(key=lambda slot: -slot[0])
+    # entry ids count networks prefix by prefix in first-appearance order
+    values = [value for group in cleaned.values() for value in group]
     groups: dict[int, list] = {}
-    for i in range(0, len(slots), size):
-        chunk = slots[i:i + size]
-        ct = encrypt([value for _, _, value in chunk])
-        groups.setdefault(chunk[0][0], []).append((_runs(chunk), ct))
+    for runs in slot_layout([(p, len(group)) for p, group in cleaned.items()], size):
+        chunk = [value for _, first_id, count in runs
+                 for value in values[first_id:first_id + count]]
+        groups.setdefault(runs[0][0], []).append((runs, encrypt(chunk)))
 
     meta = {"duplicates_removed": duplicates, "entries_normalized": normalized}
     return EncryptedStore(scheme, groups, packed, meta, pub)
 
 
-def _runs(slots) -> tuple[tuple[int, int, int], ...]:
-    """(prefix length, first entry id, count) of each prefix's slots."""
-    runs = []
-    for prefix_len, entry_id, _ in slots:
-        if runs and runs[-1][0] == prefix_len:
-            runs[-1][2] += 1
-        else:
-            runs.append([prefix_len, entry_id, 1])
-    return tuple(tuple(run) for run in runs)
+def slot_layout(counts, size: int) -> list[tuple[tuple[int, int, int], ...]]:
+    """The (prefix length, first entry id, count) runs of each record.
+
+    `counts` holds (prefix length, network count) pairs with distinct
+    prefix lengths, in entry-id order: the ids count networks prefix by
+    prefix, in that order.  Slots run longest prefix first, ids ascending
+    within a prefix, so the first zero slot of a scan marks the longest
+    covering network; every `size` slots make one record.
+    """
+    first_ids, next_id = {}, 0
+    for prefix_len, count in counts:
+        first_ids[prefix_len] = next_id
+        next_id += count
+    records, runs, fill = [], [], 0
+    for prefix_len, count in sorted(counts, reverse=True):
+        first_id = first_ids[prefix_len]
+        while count:
+            take = min(count, size - fill)
+            runs.append((prefix_len, first_id, take))
+            first_id, count, fill = first_id + take, count - take, fill + take
+            if fill == size:
+                records.append(tuple(runs))
+                runs, fill = [], 0
+    if runs:
+        records.append(tuple(runs))
+    return records
 
 
 def _entry_id(runs, slot: int) -> int:

@@ -11,19 +11,20 @@ A declared field that is not a constructor argument is derived, and must
 agree with the loaded key.  The public file carries the public fields
 only; the secret file repeats them and appends the private fields.
 
-Store files are binary: magic `HELB`, version byte 3, a scheme byte, the
+Store files are binary: magic `HELB`, version byte 4, a scheme byte, the
 SHA-256 of the public-file text of the key the store was built under, a
-big-endian u32 group count, then per group a prefix byte and u32 record
-count, and per record a u32 element count and length-prefixed big-endian
-magnitudes.  A PHE record holds its ciphertext's group elements, an
-unpacked lattice record the 2 * ring_dim coefficients of c0 and c1.  Each
-holds one network, whose slot run is not stored: its prefix length is the
-group's, its entry id counts records in file order, as `build_store`
-assigns them.  A packed lattice record appends its slot runs to the
-coefficients, three elements per run: prefix length, first entry id,
-count.  A store without groups, or with an empty group, is refused.
-Reading a store needs its key, which the fingerprint must match, and every
-value is range-checked against it.
+byte giving the number of prefix runs, then one (prefix byte, big-endian
+u32 network count) per prefix length, in entry-id order.  The records
+follow as bare ciphertexts: each value is exactly w big-endian bytes, w
+the byte length of (modulus - 1), and a record holds one value (PHE),
+`GM_WIDTH` values (Goldwasser-Micali) or the 2 * ring_dim coefficients of
+c0 and c1 (lattice).  The last 32 bytes are the SHA-256 of everything
+before them.  Nothing else is stored: `ipmatch.slot_layout` derives every
+record's slot runs from the header, for the writer and the reader alike,
+so the file cannot express a bad layout, and the header fixes the file's
+exact length, which the reader checks once before it derives anything.
+Reading a store needs its key, which the fingerprint must match, and
+every value is range-checked against it.
 """
 
 from __future__ import annotations
@@ -42,12 +43,12 @@ except ImportError:
 
 from . import bfv, phe
 from .errors import FormatError, SchemeMismatch
-from .ipmatch import BFV_SCHEME, GM_WIDTH, EncryptedStore
+from .ipmatch import BFV_SCHEME, GM_WIDTH, EncryptedStore, slot_layout
 from .phe import PheCiphertext, SchemeId
 
 KEY_MAGIC = "HELB-KEY v1"
 STORE_MAGIC = b"HELB"
-STORE_VERSION = 3
+STORE_VERSION = 4
 
 _SCHEME_BYTES = {
     SchemeId.PAILLIER.value: 1,
@@ -197,116 +198,78 @@ def read_key_file(path: str):
 # ---------------------------------------------------------------------------
 # store files
 
+# magic, version byte, scheme byte, key fingerprint, prefix run count
+_HEADER_SIZE = 4 + 1 + 1 + 32 + 1
+_RUN = struct.Struct(">BI")  # prefix length, network count
+_DIGEST_SIZE = 32
 
-def _magnitude(value: int) -> bytes:
-    return value.to_bytes((value.bit_length() + 7) // 8, "big")
+
+def _record_shape(pub, packed: bool) -> tuple[int, int, int, int]:
+    """(slots, elements, low, modulus) of the records of a store built
+    under `pub`: each holds `slots` networks in `elements` ciphertext
+    values, every one in [low, modulus)."""
+    if pub.SCHEME == BFV_SCHEME:
+        n = pub.params.ring_dim
+        return n if packed else 1, 2 * n, 0, pub.params.ciphertext_mod
+    width = GM_WIDTH if pub.SCHEME == SchemeId.GOLDWASSER_MICALI else 1
+    return 1, width, 1, pub.cipher_modulus
 
 
-def _record_elements(store: EncryptedStore, record) -> list[int]:
-    ct = record[-1]
-    if store.scheme == BFV_SCHEME:
-        runs = [value for run in record[0] for value in run] if store.packed else []
-        return list(ct.c0.coeffs) + list(ct.c1.coeffs) + runs
+def _byte_width(modulus: int) -> int:
+    return ((modulus - 1).bit_length() + 7) // 8
+
+
+def _ciphertext_values(ct) -> tuple[int, ...]:
+    if isinstance(ct, bfv.BfvCiphertext):
+        return ct.c0.coeffs + ct.c1.coeffs
     # int(): a key holder's ciphertext may still defer half of its residues
-    return list(ct.payload) if ct.width is not None else [int(ct.payload)]
+    return ct.payload if ct.width is not None else (int(ct.payload),)
 
 
 def write_store(store: EncryptedStore, path: str) -> None:
+    """Write `store` in record-scan order, sealed by its SHA-256."""
     if store.pub is None:
         raise FormatError("a store without its public key cannot be written")
     scheme_byte = _PACKED_SCHEME_BYTE if store.packed else _SCHEME_BYTES[store.scheme]
+    counts = store.prefix_counts()
+    width = _byte_width(_record_shape(store.pub, store.packed)[3])
+    parts = [STORE_MAGIC, bytes([STORE_VERSION, scheme_byte]),
+             _fingerprint(store.pub), bytes([len(counts)])]
+    parts += [_RUN.pack(*run) for run in counts.items()]
+    parts += [value.to_bytes(width, "big")
+              for prefix_len in sorted(store.groups, reverse=True)
+              for _, ct in store.groups[prefix_len]
+              for value in _ciphertext_values(ct)]
+    data = b"".join(parts)
     with open(path, "wb") as fh:
-        fh.write(STORE_MAGIC)
-        fh.write(bytes([STORE_VERSION, scheme_byte]))
-        fh.write(_fingerprint(store.pub))
-        fh.write(struct.pack(">I", len(store.groups)))
-        for prefix_len, records in store.groups.items():
-            fh.write(bytes([prefix_len]))
-            fh.write(struct.pack(">I", len(records)))
-            for record in records:
-                elements = _record_elements(store, record)
-                fh.write(struct.pack(">I", len(elements)))
-                for value in elements:
-                    blob = _magnitude(value)
-                    fh.write(struct.pack(">I", len(blob)))
-                    fh.write(blob)
-
-
-# magic, version byte, scheme byte, key fingerprint, group count
-_HEADER_SIZE = 4 + 1 + 1 + 32 + 4
-_U32 = struct.Struct(">I")
-_GROUP_HEAD = struct.Struct(">BI")
-
-
-def _decode_elements(data: bytes, pos: int, path: str) -> tuple[list[int], int]:
-    """The length-prefixed big-endian elements of the record at `pos`, and
-    the position after them."""
-    unpack_u32, from_bytes = _U32.unpack_from, int.from_bytes
-    elements = []
-    try:
-        (count,) = unpack_u32(data, pos)
-        pos += 4
-        for _ in range(count):
-            (length,) = unpack_u32(data, pos)
-            pos += 4 + length
-            elements.append(from_bytes(data[pos - length:pos], "big"))
-    except struct.error:  # a length or count beyond the end
-        raise FormatError(f"{path}: store file is truncated") from None
-    if pos > len(data):  # the last element runs beyond the end
-        raise FormatError(f"{path}: store file is truncated")
-    return elements, pos
-
-
-def _packed_runs(values: list[int], n: int, path: str):
-    """The (prefix length, first entry id, count) runs of a packed record."""
-    if not values or len(values) % 3:
-        raise FormatError(f"{path}: packed entry has {len(values)} run "
-                          "elements, expected a positive multiple of 3")
-    runs = tuple(zip(values[0::3], values[1::3], values[2::3]))
-    if any(prefix_len > 32 or count < 1 for prefix_len, _, count in runs):
-        raise FormatError(f"{path}: packed entry run out of range (a prefix "
-                          "length above 32 or no slots)")
-    fill = sum(count for _, _, count in runs)
-    if not 1 <= fill <= n:
-        # str() refuses ints of more than 4300 digits
-        shown = fill if fill.bit_length() <= 64 else f"of {fill.bit_length()} bits"
-        raise FormatError(f"{path}: packed entry fill {shown} is outside [1, {n}]")
-    return runs
-
-
-def _check_packed_layout(groups: dict[int, list], path: str) -> None:
-    """Slots run longest prefix first in scan order, so the first zero slot
-    is the longest covering network, and the runs number the entries
-    0, 1, ... without gaps or repeats."""
-    runs = [run for prefix_len in sorted(groups, reverse=True)
-            for record_runs, _ in groups[prefix_len] for run in record_runs]
-    if any(a[0] < b[0] for a, b in zip(runs, runs[1:])):
-        raise FormatError(f"{path}: packed slots do not run longest prefix first")
-    next_id = 0
-    for _, first_id, count in sorted(runs, key=lambda run: run[1]):
-        if first_id != next_id:
-            raise FormatError(f"{path}: packed entry ids skip or repeat at {next_id}")
-        next_id += count
+        fh.write(data + sha256(data).digest())
 
 
 def read_store(path: str, keys) -> EncryptedStore:
     """Load a store file built under the public part of `keys`.
 
     Raises SchemeMismatch when the file's key fingerprint is not that of
-    `keys`, and FormatError for a malformed file, including a ciphertext
-    value outside its group: a PHE element outside [1, cipher_modulus), a
-    lattice coefficient not below ciphertext_mod.  Lattice ciphertexts are
-    rebuilt with the parameters of `keys`.
+    `keys`, and FormatError for a malformed file: a SHA-256 that does not
+    seal it, a header that gives no networks, a prefix length above 32,
+    a repeated one or one of no networks, a length other than the header
+    implies, or a ciphertext value outside its group: a PHE element
+    outside [1, cipher_modulus), a lattice coefficient not below
+    ciphertext_mod.  Lattice ciphertexts are rebuilt with the parameters
+    of `keys`, and every record's runs by `slot_layout`.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != STORE_MAGIC:
         raise FormatError(f"{path}: bad magic, not a store file")
-    if len(data) < _HEADER_SIZE:
+    if len(data) < _HEADER_SIZE + _DIGEST_SIZE:
         raise FormatError(f"{path}: store file is truncated")
     version, scheme_byte = data[4], data[5]
     if version != STORE_VERSION:
-        raise FormatError(f"{path}: unsupported store version {version}")
+        raise FormatError(f"{path}: unsupported store version {version}; "
+                          "rebuild the store with `helb blacklist encrypt`")
+    if sha256(memoryview(data)[:-_DIGEST_SIZE]).digest() != data[-_DIGEST_SIZE:]:
+        raise FormatError(f"{path}: store file is damaged (its SHA-256 does "
+                          "not match)")
     packed = scheme_byte == _PACKED_SCHEME_BYTE
     scheme = BFV_SCHEME if packed else _SCHEME_OF_BYTE.get(scheme_byte)
     if scheme is None:
@@ -318,52 +281,41 @@ def read_store(path: str, keys) -> EncryptedStore:
     if data[6:38] != _fingerprint(pub):
         raise SchemeMismatch(f"{path}: store was built under a different public key")
 
-    params = keys.params if scheme == BFV_SCHEME else None
-    # each ciphertext value lies in [low, modulus)
-    if params is not None:
-        n = params.ring_dim
-        width, low, modulus = 2 * n, 0, params.ciphertext_mod
-    else:
-        width = GM_WIDTH if scheme == SchemeId.GOLDWASSER_MICALI else 1
-        low, modulus = 1, pub.cipher_modulus
+    body = _HEADER_SIZE + _RUN.size * data[_HEADER_SIZE - 1]
+    if len(data) < body + _DIGEST_SIZE:
+        raise FormatError(f"{path}: store file is truncated")
+    counts = list(_RUN.iter_unpack(data[_HEADER_SIZE:body]))
+    if not counts:
+        raise FormatError(f"{path}: store holds no networks")
+    for prefix_len, count in counts:
+        if prefix_len > 32 or count < 1:
+            raise FormatError(f"{path}: header gives {count} networks of prefix "
+                              f"length {prefix_len}")
+    if len({prefix_len for prefix_len, _ in counts}) != len(counts):
+        raise FormatError(f"{path}: header repeats a prefix length")
+    size, elements, low, modulus = _record_shape(pub, packed)
+    width = _byte_width(modulus)
+    records = -(-sum(count for _, count in counts) // size)
+    expected = body + records * elements * width + _DIGEST_SIZE
+    if len(data) != expected:
+        raise FormatError(f"{path}: store file is {len(data)} bytes, its header "
+                          f"implies {expected}")
+
+    from_bytes = int.from_bytes
+    values = [from_bytes(data[pos:pos + width], "big")
+              for pos in range(body, len(data) - _DIGEST_SIZE, width)]
+    if min(values) < low or max(values) >= modulus:
+        raise FormatError(f"{path}: {scheme} ciphertext value outside "
+                          f"[{low}, {modulus:#x})")
     groups: dict[int, list] = {}
-    next_id, pos = 0, _HEADER_SIZE
-    for _ in range(_U32.unpack_from(data, pos - 4)[0]):
-        if pos + _GROUP_HEAD.size > len(data):
-            raise FormatError(f"{path}: store file is truncated")
-        prefix_len, record_count = _GROUP_HEAD.unpack_from(data, pos)
-        pos += _GROUP_HEAD.size
-        if prefix_len > 32:
-            raise FormatError(f"{path}: prefix byte {prefix_len} out of range")
-        records = []
-        for _ in range(record_count):
-            elements, pos = _decode_elements(data, pos, path)
-            values, extra = elements[:width], elements[width:]
-            if len(values) != width or (extra and not packed):
-                raise FormatError(f"{path}: {scheme} entry has {len(elements)} "
-                                  f"elements, expected {width}")
-            if min(values) < low or max(values) >= modulus:
-                raise FormatError(f"{path}: {scheme} ciphertext value outside "
-                                  f"[{low}, {modulus:#x})")
-            if params is None:
-                ct = PheCiphertext(SchemeId(scheme), values[0] if width == 1
-                                   else tuple(values))
-            else:
-                ct = bfv.BfvCiphertext(bfv.RingPoly(tuple(values[:n])),
-                                       bfv.RingPoly(tuple(values[n:])), params)
-            if packed:
-                runs = _packed_runs(extra, n, path)
-            else:
-                runs = ((prefix_len, next_id, 1),)
-                next_id += 1
-            records.append((runs, ct))
-        if prefix_len in groups:
-            raise FormatError(f"{path}: duplicate group for prefix {prefix_len}")
-        groups[prefix_len] = records
-    if pos != len(data):
-        raise FormatError(f"{path}: trailing bytes after the last group")
-    if not groups or not all(groups.values()):
-        raise FormatError(f"{path}: store has no groups, or an empty group")
-    if packed:
-        _check_packed_layout(groups, path)
+    for i, runs in enumerate(slot_layout(counts, size)):
+        ct_values = values[i * elements:(i + 1) * elements]
+        if scheme == BFV_SCHEME:
+            n = pub.params.ring_dim
+            ct = bfv.BfvCiphertext(bfv.RingPoly(tuple(ct_values[:n])),
+                                   bfv.RingPoly(tuple(ct_values[n:])), pub.params)
+        else:
+            ct = PheCiphertext(SchemeId(scheme), ct_values[0] if elements == 1
+                               else tuple(ct_values))
+        groups.setdefault(runs[0][0], []).append((runs, ct))
     return EncryptedStore(scheme, groups, packed, pub=pub)

@@ -6,6 +6,9 @@ reciprocity, plain masking instead of encrypted matching, quadratic
 convolution instead of the Kronecker product.
 """
 
+import hashlib
+import struct
+
 from helb import bfv
 from helb.ipmatch import CidrEntry, prefix_to_mask
 
@@ -84,13 +87,22 @@ def biased_address(rnd, entries) -> int:
     return rnd.getrandbits(32)
 
 
-def set_packed_fill(path, fill: int) -> None:
-    """Rewrite the fill of a one-network packed store file, the count of its
-    one slot run.  The count is the file's last element: a u32 length of 1,
-    then the byte 0x01."""
+def reseal(path) -> None:
+    """Recompute the SHA-256 that ends a store file, so that a damaged file
+    reaches the reader's other checks."""
+    with open(path, "rb") as fh:
+        data = fh.read()[:-32]
+    with open(path, "wb") as fh:
+        fh.write(data + hashlib.sha256(data).digest())
+
+
+def set_header_runs(path, runs) -> None:
+    """Replace the (prefix length, network count) runs in a store file's
+    header, keep its records, and reseal it."""
     with open(path, "rb") as fh:
         data = fh.read()
-    assert data[-5:] == bytes([0, 0, 0, 1, 1])
-    blob = fill.to_bytes((fill.bit_length() + 7) // 8, "big")
+    header = data[:38] + bytes([len(runs)])
+    header += b"".join(struct.pack(">BI", *run) for run in runs)
     with open(path, "wb") as fh:
-        fh.write(data[:-5] + len(blob).to_bytes(4, "big") + blob)
+        fh.write(header + data[39 + 5 * data[38]:])
+    reseal(path)

@@ -220,25 +220,45 @@ class TestMatch:
         assert ("error: internal error: IndexError: list index out of range"
                 in result.output)
 
-    @pytest.mark.parametrize("body, message", [
-        (bytes(4), "no groups"),
-        (bytes([0, 0, 0, 1, 24, 0, 0, 0, 0]), "empty group"),
+    @pytest.mark.parametrize("runs, message", [
+        ([], "no networks"),
+        ([(24, 0)], "0 networks of prefix length 24"),
     ], ids=["no-groups", "empty-group"])
-    def test_empty_store_exits_two(self, paillier_files, tmp_path, body,
+    def test_empty_store_exits_two(self, paillier_files, tmp_path, runs,
                                    message):
-        # a valid one-network store's header (magic, version, scheme byte,
-        # key fingerprint), then a body of no groups or of one empty group
+        # a valid one-network store whose header, resealed, gives no prefix
+        # runs or a run of no networks
         cidrs, store = tmp_path / "one.txt", tmp_path / "one.bin"
         cidrs.write_text("2.3.4.0/24\n")
         result = run("blacklist", "encrypt", "--key", paillier_files[0],
                      "--cidr-file", cidrs, "--out", store, "--seed", 15)
         assert result.exit_code == 0, result.output
-        empty = tmp_path / "empty.bin"
-        empty.write_bytes(store.read_bytes()[:38] + body)
-        result = run("match", "--keys", paillier_files[1], "--store", empty,
+        support.set_header_runs(store, runs)
+        result = run("match", "--keys", paillier_files[1], "--store", store,
                      "--ip", "2.3.4.77", "--seed", 16)
         assert result.exit_code == 2
         assert message in result.output
+
+    def test_flipped_record_bit_exits_two(self, tmp_path):
+        # one flipped bit inside the last record's Paillier element stays in
+        # range, so only the file's SHA-256 tells it from a non-match
+        base, cidrs, store = tmp_path / "pai", tmp_path / "one.txt", tmp_path / "s.bin"
+        cidrs.write_text("2.3.4.0/24\n")
+        result = run("keygen", "--scheme", "paillier", "--bits", 512,
+                     "--out", base, "--seed", 1)
+        assert result.exit_code == 0, result.output
+        result = run("blacklist", "encrypt", "--key", f"{base}.pub",
+                     "--cidr-file", cidrs, "--out", store, "--seed", 2)
+        assert result.exit_code == 0, result.output
+        args = ["match", "--keys", f"{base}.sec", "--store", store,
+                "--ip", "2.3.4.9", "--seed", 3]
+        assert run(*args).exit_code == 0
+        data = bytearray(store.read_bytes())
+        data[-33] ^= 1  # the last byte before the digest
+        store.write_bytes(bytes(data))
+        result = run(*args)
+        assert result.exit_code == 2, result.output
+        assert "damaged" in result.output
 
     def test_bad_ip_exits_two(self, paillier_files, paillier_store):
         result = run("match", "--keys", paillier_files[1],
@@ -397,11 +417,11 @@ class TestLatticeFlow:
         result = run("blacklist", "encrypt", "--key", pub, "--cidr-file", lst,
                      "--out", store, "--packed", "--seed", 39)
         assert result.exit_code == 0
-        support.set_packed_fill(store, 5000)
+        support.set_header_runs(store, [(24, 5000)])
         result = run("match", "--keys", sec, "--store", store,
                      "--ip", "9.9.9.9", "--seed", 40)
         assert result.exit_code == 2
-        assert "fill 5000" in result.output
+        assert "header implies" in result.output
 
     def test_other_key_on_packed_store_exits_two(self, bfv_files, cidr_file,
                                                  tmp_path):
@@ -432,6 +452,27 @@ class TestLatticeFlow:
                      "--ip", "4.4.4.4", "--seed", 45)
         assert result.exit_code == 2
         assert "coefficients" in result.output
+
+    def test_secret_that_does_not_fit_public_key_exits_two(self, tmp_path):
+        # s[0] + 1 keeps every coefficient in range, but pk0 + pk1*s is no
+        # longer small noise; the tampered key would read a listed
+        # address as "not listed"
+        keys = bfv.keygen(support.SMALL_PARAMS, RandomSource.seeded(3))
+        base, cidrs = str(tmp_path / "lat"), tmp_path / "one.txt"
+        serial.write_key_files(keys, base)
+        cidrs.write_text("2.3.4.0/24\n")
+        store = tmp_path / "p.bin"
+        result = run("blacklist", "encrypt", "--key", base + ".pub", "--cidr-file",
+                     cidrs, "--out", store, "--packed", "--seed", 4)
+        assert result.exit_code == 0, result.output
+        q = keys.params.ciphertext_mod
+        secret = ((keys.secret.coeffs[0] + 1) % q,) + keys.secret.coeffs[1:]
+        serial.write_key_files(
+            dataclasses.replace(keys, secret=bfv.RingPoly(secret)), base)
+        result = run("match", "--keys", base + ".sec", "--store", store,
+                     "--ip", "2.3.4.9", "--seed", 5)
+        assert result.exit_code == 2, result.output
+        assert "does not fit the public key" in result.output
 
     def test_key_without_noise_headroom_exits_two(self, cidr_file, tmp_path):
         # with sigma = 10^9 one subtraction can pass the decryption

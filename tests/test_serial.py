@@ -213,6 +213,7 @@ class TestStoreFileErrors:
         data = bytearray(open(path, "rb").read())
         data[5] = 0x63
         open(path, "wb").write(bytes(data))
+        support.reseal(path)
         with pytest.raises(FormatError, match="scheme"):
             serial.read_store(path, paillier_keys)
 
@@ -223,6 +224,7 @@ class TestStoreFileErrors:
         data = bytearray(open(path, "rb").read())
         data[5] = 2  # damgard_jurik
         open(path, "wb").write(bytes(data))
+        support.reseal(path)
         with pytest.raises(SchemeMismatch, match="built for damgard_jurik"):
             serial.read_store(path, paillier_keys)
 
@@ -243,21 +245,28 @@ class TestStoreFileErrors:
                     serial.read_store(path, keys)
 
     def test_trailing_garbage(self, tmp_path, paillier_keys):
+        # an appended byte breaks the seal; resealed, the length is wrong
         _, store = _random_store(paillier_keys, 15, count=3)
         path = str(tmp_path / "s.bin")
         serial.write_store(store, path)
         with open(path, "ab") as fh:
             fh.write(b"\x00")
-        with pytest.raises(FormatError, match="trailing"):
+        with pytest.raises(FormatError, match="damaged"):
+            serial.read_store(path, paillier_keys)
+        with open(path, "ab") as fh:
+            fh.write(bytes(32))
+        support.reseal(path)
+        with pytest.raises(FormatError, match="header implies"):
             serial.read_store(path, paillier_keys)
 
     def test_packed_fill_beyond_ring(self, tmp_path, bfv_small_keys):
+        # 5000 networks need 79 records of 64 slots; the file holds one
         store = ipmatch.build_store([ipmatch.parse_cidr("2.3.4.0/24")],
                                     bfv_small_keys, RNG(17), packed=True)
         path = str(tmp_path / "s.bin")
         serial.write_store(store, path)
-        support.set_packed_fill(path, 5000)
-        with pytest.raises(FormatError, match="fill 5000"):
+        support.set_header_runs(path, [(24, 5000)])
+        with pytest.raises(FormatError, match="header implies"):
             serial.read_store(path, bfv_small_keys)
 
     def test_gm_entry_of_wrong_width(self, tmp_path, gm_keys):
@@ -267,7 +276,7 @@ class TestStoreFileErrors:
                                        pub=gm_keys.public)
         path = str(tmp_path / "s.bin")
         serial.write_store(store, path)
-        with pytest.raises(FormatError, match="expected 32"):
+        with pytest.raises(FormatError, match="header implies"):
             serial.read_store(path, gm_keys)
 
     def test_version_1_rejected(self, tmp_path, paillier_keys):
@@ -278,6 +287,16 @@ class TestStoreFileErrors:
         data[4] = 1
         open(path, "wb").write(bytes(data))
         with pytest.raises(FormatError, match="version 1"):
+            serial.read_store(path, paillier_keys)
+
+    def test_version_3_store_rejected(self, tmp_path, paillier_keys):
+        _, store = _random_store(paillier_keys, 24, count=3)
+        path = str(tmp_path / "s.bin")
+        serial.write_store(store, path)
+        data = bytearray(open(path, "rb").read())
+        data[4] = 3
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(FormatError, match="version 3; rebuild"):
             serial.read_store(path, paillier_keys)
 
     def test_store_without_public_key_is_not_written(self, tmp_path):
@@ -314,23 +333,24 @@ class TestStoreFileErrors:
                 serial.read_store(path, keys)
 
     @pytest.mark.parametrize("runs, message", [
-        (((33, 0, 1),), "run out of range"),
-        (((24, 0, 1), (16, 1, 0)), "run out of range"),
-        (((24, 0),), "multiple of 3"),
-        (((16, 0, 1), (24, 1, 1)), "longest prefix first"),
-        (((24, 0, 1), (16, 0, 1)), "skip or repeat"),
-        (((24, 1, 1),), "skip or repeat"),
-        (((24, 0, 1 << 16000),), "fill of 16001 bits"),
-    ])
-    def test_malformed_packed_runs(self, runs, message, bfv_small_keys, tmp_path):
+        ([(33, 1)], "1 networks of prefix length 33"),
+        ([(24, 0)], "0 networks of prefix length 24"),
+        ([(24, 1), (24, 1)], "repeats a prefix length"),
+        ([(24, 2)], "header implies"),
+        ([(24, 1), (16, 1)], "header implies"),
+        ([(24, (1 << 32) - 1)], "header implies"),
+        ([], "no networks"),
+    ], ids=["prefix-33", "count-0", "repeated-prefix", "count-2", "extra-run",
+            "count-u32-max", "no-runs"])
+    def test_malformed_header(self, runs, message, paillier_keys, tmp_path):
+        # a one-network store whose header runs are rewritten and resealed
         store = ipmatch.build_store([ipmatch.parse_cidr("2.3.4.0/24")],
-                                    bfv_small_keys, RNG(22), packed=True)
-        (_, ct), = store.groups[24]
-        store.groups = {24: [(runs, ct)]}
+                                    paillier_keys, RNG(22))
         path = str(tmp_path / "s.bin")
         serial.write_store(store, path)
+        support.set_header_runs(path, runs)
         with pytest.raises(FormatError, match=message):
-            serial.read_store(path, bfv_small_keys)
+            serial.read_store(path, paillier_keys)
 
     def test_version_2_packed_store_rejected(self, tmp_path, bfv_small_keys):
         # a version 2 packed record ends in a fill count instead of runs
@@ -346,32 +366,35 @@ class TestStoreFileErrors:
 
 
 def test_store_binary_layout(paillier_keys, tmp_path):
-    # spot-check the exact header layout: magic, version 3, scheme byte,
-    # SHA-256 of the public key file, big-endian group count, prefix byte,
-    # big-endian record count, then the record's element count (no entry id)
+    # the exact layout: magic, version 4, scheme byte, SHA-256 of the public
+    # key file, one prefix run (prefix byte, big-endian network count), the
+    # one ciphertext element in exactly the byte length of n^2 - 1, and the
+    # SHA-256 of everything before it
     store = ipmatch.build_store([ipmatch.parse_cidr("2.3.4.0/24")],
                                 paillier_keys, RNG(16))
     path = str(tmp_path / "s.bin")
     serial.write_store(store, path)
     pub_path, _ = serial.write_key_files(paillier_keys, str(tmp_path / "key"))
     data = open(path, "rb").read()
+    width = ((paillier_keys.public.n ** 2 - 1).bit_length() + 7) // 8
     assert data[:4] == b"HELB"
-    assert data[4] == 3
+    assert data[4] == 4
     assert data[5] == 1  # paillier
     assert data[6:38] == hashlib.sha256(open(pub_path, "rb").read()).digest()
-    assert int.from_bytes(data[38:42], "big") == 1  # one group
-    assert data[42] == 24                           # prefix byte
-    assert int.from_bytes(data[43:47], "big") == 1  # one record
-    assert int.from_bytes(data[47:51], "big") == 1  # one payload element
-    blob_len = int.from_bytes(data[51:55], "big")
-    assert len(data) == 55 + blob_len
+    assert data[38] == 1                            # one prefix run
+    assert data[39] == 24                           # prefix byte
+    assert int.from_bytes(data[40:44], "big") == 1  # one network
+    (_, ct), = store.groups[24]
+    assert data[44:44 + width] == int(ct.payload).to_bytes(width, "big")
+    assert data[-32:] == hashlib.sha256(data[:-32]).digest()
+    assert len(data) == 44 + width + 32
 
 
 def test_entry_ids_are_derived_in_file_order(bfv_small_keys, tmp_path):
     # 70 networks of one prefix fill one 64-slot record and start another,
-    # which the 3 networks of a shorter prefix share; the ids, which a
-    # packed record stores in its runs, restart nowhere and skip nothing
-    # across groups
+    # which the 3 networks of a shorter prefix share; the ids, which the
+    # reader derives from the header's counts, restart nowhere and skip
+    # nothing across groups
     rnd = random.Random("ids")
     entries = support.random_entries(rnd, 70, prefixes=(24,))
     entries += support.random_entries(rnd, 3, prefixes=(16,))

@@ -1,10 +1,12 @@
 """Property tests: damaged key and store files load or fail with a HelbError.
 
 Valid files for every scheme get one byte flipped, a tail cut off, or
-bytes appended.  `read_key_file` and `read_store` must then return an
-object or raise a `HelbError` subclass; any other exception would reach
-the CLI as an internal error instead of a typed refusal.  The examples
-are derandomized, so every run tries the same damaged files.
+bytes appended.  `read_key_file` must then return an object or raise a
+`HelbError` subclass; any other exception would reach the CLI as an
+internal error instead of a typed refusal.  A store file's SHA-256 must
+refuse every such damage with a `FormatError`; resealed after the damage,
+the store must still load or raise a `HelbError`.  The examples are
+derandomized, so every run tries the same damaged files.
 """
 
 import random
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helb import ipmatch, serial
-from helb.errors import HelbError
+from helb.errors import FormatError, HelbError
 from helb.numtheory import RandomSource
 
 KEY_FIXTURES = ["paillier_keys", "dj_keys", "ou_keys", "benaloh_keys",
@@ -66,22 +68,45 @@ def test_damaged_key_file_loads_or_raises_helb_error(fixture, request, tmp_path)
     check()
 
 
-@pytest.mark.parametrize("fixture, packed", STORE_CASES)
-def test_damaged_store_file_loads_or_raises_helb_error(fixture, packed, request,
-                                                      tmp_path):
+def _store_file(fixture, packed, request, tmp_path):
+    """The keys of a store case, and the bytes of a small store under them."""
     keys = request.getfixturevalue(fixture)
     entries = support.random_entries(random.Random(fixture), 3)
     store = ipmatch.build_store(entries, keys, RandomSource.seeded(5),
                                 packed=packed)
     path = tmp_path / "store.bin"
     serial.write_store(store, str(path))
-    original = path.read_bytes()
+    return keys, path.read_bytes()
+
+
+@pytest.mark.parametrize("fixture, packed", STORE_CASES)
+def test_damaged_store_file_loads_or_raises_helb_error(fixture, packed, request,
+                                                      tmp_path):
+    # the SHA-256 that seals the file refuses every damage
+    keys, original = _store_file(fixture, packed, request, tmp_path)
     target = tmp_path / "damaged"
 
     @EXAMPLES
     @given(st.data())
     def check(data):
         target.write_bytes(data.draw(damaged(original)))
+        with pytest.raises(FormatError):
+            serial.read_store(str(target), keys)
+
+    check()
+
+
+@pytest.mark.parametrize("fixture, packed", STORE_CASES)
+def test_resealed_damaged_store_loads_or_raises_helb_error(fixture, packed,
+                                                          request, tmp_path):
+    keys, original = _store_file(fixture, packed, request, tmp_path)
+    target = tmp_path / "damaged"
+
+    @EXAMPLES
+    @given(st.data())
+    def check(data):
+        target.write_bytes(data.draw(damaged(original)))
+        support.reseal(target)
         _loads_or_refuses(serial.read_store, str(target), keys)
 
     check()

@@ -30,13 +30,13 @@ CASES = {
 
 GOLDEN = {
     "paillier": (
-        "3f03307e390d9c1d4542bc4b2ec9103bfa807df3167bb40f0ebf0744c4e2fcac"),
+        "b0739a40fedaef7aed783f24e665340af87ba0fdcf34522062ba1847b5da9a2e"),
     "goldwasser_micali": (
-        "32ab464588c45094b4ab0c39db59499745ac6a0acd0f69719787d37ff6942af7"),
+        "9b0ede909e302103ca73028feb6a4795c3cfb0db8348d508fb1b898f0f3cfd35"),
     "bfv": (
-        "4898e3164884aecec4288a8c84db506bc6db65cb3bb5d8da9a4344dcb31073c4"),
+        "996b7573ab3496d12b1b922827af6d6a6e9598b3d01651fd8aa77fe90664d9b6"),
     "bfv_packed": (
-        "393538c80e57387bf1a95c1ed7aad1858bf93f5467e05e12e8e2cda7a761eb27"),
+        "105be1980547d5ac2c9254070625a250e6877d6970fd6749aa78dfb45adac252"),
 }
 
 
