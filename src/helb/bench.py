@@ -72,6 +72,8 @@ def hardware_metadata() -> dict[str, str]:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "cpu_count": str(os.cpu_count() or "unknown"),
+        # the CPUs this process may run on bound the worker processes
+        "usable_cpus": str(ipmatch._usable_cpus()),
     }
 
 

@@ -4,7 +4,9 @@ Commands: `keygen`, `blacklist encrypt`, `match`, `bench`, `bench scale`.
 `match` exits 0 on a match, 1 on no match, and 2 on any error, internal
 faults included; all other commands exit 0 on success and 2 on error.
 Passing `--seed` anywhere switches to deterministic test mode (small keys
-allowed, reproducible randomness); never use seeded keys outside testing.
+allowed, reproducible randomness, one process); never use seeded keys
+outside testing.  Without it, `match` and `blacklist encrypt` spread a
+store's records over worker processes (see `ipmatch.match`).
 """
 
 from __future__ import annotations

@@ -11,12 +11,16 @@ layout, combines it with every stored record and zero-tests the filled
 slots; the first zero slot marks the longest matching network.  The
 store's scheme picks the combination: subtraction for the additive
 schemes and the lattice backend, XOR of all `GM_WIDTH` bits for
-Goldwasser-Micali.
+Goldwasser-Micali.  Without a seed, `match` and `build_store` spread
+their records over forked worker processes, one per usable CPU
+(`_spread`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ipaddress
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -195,15 +199,20 @@ def build_store(entries, keys, rng: RandomSource, *,
         size = 1
 
         def encrypt(chunk):
-            return phe.encrypt(keys, chunk[0], rng)
+            ct = phe.encrypt(keys, chunk[0], rng)
+            # a key pair's CrtElement crosses a worker's pipe as its integer
+            return ct if ct.width else phe.PheCiphertext(ct.scheme, int(ct.payload))
 
     # entry ids count networks prefix by prefix in first-appearance order
     values = [value for group in cleaned.values() for value in group]
+    records = slot_layout([(p, len(group)) for p, group in cleaned.items()], size)
+    chunks = [[value for _, first_id, count in runs
+               for value in values[first_id:first_id + count]] for runs in records]
+    getattr(keys, "crt", None)  # built once here, not once per worker
     groups: dict[int, list] = {}
-    for runs in slot_layout([(p, len(group)) for p, group in cleaned.items()], size):
-        chunk = [value for _, first_id, count in runs
-                 for value in values[first_id:first_id + count]]
-        groups.setdefault(runs[0][0], []).append((runs, encrypt(chunk)))
+    with _spread(encrypt, chunks, [1] * len(chunks), rng) as cts:
+        for runs, ct in zip(records, cts):
+            groups.setdefault(runs[0][0], []).append((runs, ct))
 
     meta = {"duplicates_removed": duplicates, "entries_normalized": normalized}
     return EncryptedStore(scheme, groups, packed, meta, pub)
@@ -318,48 +327,169 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
           debug: bool = False) -> MatchResult:
     """Test `ip` against `store` under the key pair `keys`.
 
-    Scans prefix groups longest first and records in insertion order, and
-    encrypts a new query only when a record's slot layout differs from the
-    record's before it: once per slot layout, which for one-network
-    records is once per group.  The first match wins, and `exhaustive`
-    only keeps the scan going to the end.  `blind` multiplies each
-    difference by a fresh unit before the zero test (additive schemes
-    only).  `debug` reports each record's decrypted difference by entry
-    id; packed records, which hold many entries, report none.  `seconds`
-    holds the wall time of each phase: query encryption, the homomorphic
-    operation (with blinding) and the zero test (with `debug`'s
-    decryption).
+    Scans prefix groups longest first and records in insertion order, cut
+    into batches of consecutive records that share a slot layout; each
+    batch encrypts one query, which for one-network records is once per
+    prefix group.  The first match wins, and `exhaustive` only keeps the scan
+    going to the end.  `blind` multiplies each difference by a fresh unit
+    before the zero test (additive schemes only).  `debug` reports each
+    record's decrypted difference by entry id; packed records, which hold
+    many entries, report none.  `seconds` holds the time spent in each
+    phase, summed over the batches scanned up to the answer: query
+    encryption, the homomorphic operation (with blinding) and the zero
+    test (with `debug`'s decryption).  Batches go to worker processes as
+    `_spread` decides, so `seconds` may exceed the wall time, while
+    `stats` still counts the sequential scan up to the answer.
     """
     _check_store_keys(store, keys)
     encrypt, combine, test = _hooks(ip, store, keys, rng, blind=blind, debug=debug)
-    op = "xor_calls" if store.scheme == _GM else "sub_calls"
-    stats = {"encryptions": 0, op: 0, "zero_tests": 0}
-    seconds = dict.fromkeys(("encrypt", "combine", "zero_test"), 0.0)
-    differences = {} if debug and not store.packed else None
-    matched_id = query = target = None
-    for prefix_len in sorted(store.groups, reverse=True):
-        for runs, ct in store.groups[prefix_len]:
-            layout = tuple((p, count) for p, _, count in runs)
-            t0 = time.perf_counter()
-            if layout != query:
-                query, target = layout, encrypt(layout)
-                fill = sum(count for _, count in layout)
-                stats["encryptions"] += 1
+    debug_entries = debug and not store.packed
+
+    def scan(batch):
+        """(entry id of the first zero slot or None, records scanned,
+        seconds per phase, differences by entry id) of one batch."""
+        layout, records = batch
+        fill = sum(count for _, count in layout)
+        t0 = time.perf_counter()
+        target = encrypt(layout)
+        seconds = {"encrypt": time.perf_counter() - t0, "combine": 0.0,
+                   "zero_test": 0.0}
+        found, scanned, differences = None, 0, {}
+        for runs, ct in records:
             t1 = time.perf_counter()
             diff = combine(target, ct)
             t2 = time.perf_counter()
             slot, difference = test(diff, fill)
-            t3 = time.perf_counter()
-            seconds["encrypt"] += t1 - t0
             seconds["combine"] += t2 - t1
-            seconds["zero_test"] += t3 - t2
-            stats[op] += 1
-            stats["zero_tests"] += 1
-            if differences is not None:
+            seconds["zero_test"] += time.perf_counter() - t2
+            scanned += 1
+            if debug_entries:
                 differences[runs[0][1]] = difference
-            if slot is not None and matched_id is None:
-                matched_id = _entry_id(runs, slot)
+            if slot is not None and found is None:
+                found = _entry_id(runs, slot)
                 if not exhaustive:
-                    return MatchResult(True, matched_id, differences, stats, seconds)
+                    break
+        return found, scanned, seconds, differences
+
+    batches = []  # (slot layout, records)
+    for prefix_len in sorted(store.groups, reverse=True):
+        for record in store.groups[prefix_len]:
+            layout = tuple((p, count) for p, _, count in record[0])
+            if not batches or batches[-1][0] != layout:
+                batches.append((layout, []))
+            batches[-1][1].append(record)
+    for cache in ("crt", "packed_secret"):  # built once here, not per worker
+        getattr(keys, cache, None)
+
+    op = "xor_calls" if store.scheme == _GM else "sub_calls"
+    stats = {"encryptions": 0, op: 0, "zero_tests": 0}
+    seconds = dict.fromkeys(("encrypt", "combine", "zero_test"), 0.0)
+    differences = {} if debug_entries else None
+    matched_id = None
+    with _spread(scan, batches, [len(records) + 1 for _, records in batches],
+                 rng) as outcomes:
+        for found, scanned, batch_seconds, batch_differences in outcomes:
+            stats["encryptions"] += 1
+            stats[op] += scanned
+            stats["zero_tests"] += scanned
+            for phase, spent in batch_seconds.items():
+                seconds[phase] += spent
+            if differences is not None:
+                differences.update(batch_differences)
+            if found is not None and matched_id is None:
+                matched_id = found
+                if not exhaustive:
+                    break
     return MatchResult(matched_id is not None, matched_id, differences, stats,
                        seconds)
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _spread(run, jobs: list, costs: list[int], rng: RandomSource):
+    """Yields an iterator of run(job) for every job, in job order.
+
+    Seeded randomness, a platform without `os.fork`, one job or one usable
+    CPU run the jobs in this process, lazily, so that a consumer that
+    stops early skips the rest.  Otherwise one forked worker per usable CPU
+    (at most one per job) takes jobs in order, each to the worker with the
+    least cost so far, and sends each result down its pipe, pickled.  An
+    error raised by a job is raised again here when its turn comes, and a
+    worker that ends without a job's result raises HelbError then.
+    Workers end only through `os._exit`, and leave early once this process
+    is gone.  On leaving the context, however it is left, every worker is
+    killed and reaped.
+    """
+    workers = min(_usable_cpus(), len(jobs))
+    if rng.is_seeded or not hasattr(os, "fork") or workers < 2:
+        yield map(run, jobs)
+        return
+    import pickle  # only a process that forks needs these
+    import signal
+
+    owner, load = [], [0] * workers
+    for cost in costs:
+        owner.append(load.index(min(load)))
+        load[owner[-1]] += cost
+    parent, pids, readers = os.getpid(), [], []
+
+    def work(write_fd: int, share: list[int]):
+        """A worker's whole life.  It first closes the read ends it holds,
+        its own included, so that a write to a parent that is gone fails
+        instead of filling a pipe that nobody reads."""
+        try:
+            for reader in readers:
+                os.close(reader.fileno())
+            with open(write_fd, "wb") as out:
+                for index in share:
+                    if os.getppid() != parent:
+                        break
+                    try:
+                        message = (index, True, run(jobs[index]))
+                    except Exception as exc:
+                        message = (index, False, exc)
+                    pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
+                    out.flush()
+        finally:
+            os._exit(0)
+
+    def results():
+        for index, worker in enumerate(owner):
+            try:
+                got, ok, value = pickle.load(readers[worker])
+            except Exception:  # cut short: the worker died or could not send
+                got = None
+            if got != index:
+                raise HelbError(f"a worker process ended without the result "
+                                f"of job {index}")
+            if not ok:
+                raise value
+            yield value
+
+    try:
+        for worker in range(workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(open(read_fd, "rb"))
+            pid = os.fork()
+            if pid == 0:
+                work(write_fd, [i for i, w in enumerate(owner) if w == worker])
+            os.close(write_fd)
+            pids.append(pid)
+        yield results()
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

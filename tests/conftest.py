@@ -1,14 +1,28 @@
 """Shared fixtures: one reasonably sized key pair per scheme.
 
 Key generation dominates test start-up, so the pairs are session-scoped
-and seeded for reproducibility.
+and seeded for reproducibility.  Every test must also reap each child
+process it starts (`no_child_left`).
 """
+
+import os
 
 import pytest
 
 from helb import bfv, phe
 from helb.numtheory import RandomSource
 from helb.phe import SchemeId
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test after which a child process is still running or unreaped."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no children at all
+        return
+    pytest.fail(f"the test left a child process behind: waitpid gave {left}")
 
 
 @pytest.fixture(scope="session")

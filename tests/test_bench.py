@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 
 import pytest
 import support
@@ -99,3 +100,11 @@ def test_hardware_metadata_fields():
 def test_non_comparable_note_mentions_hardware():
     assert "identical hardware" in bench.NON_COMPARABLE_NOTE
     assert "not comparable" in bench.NON_COMPARABLE_NOTE
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_metadata_records_the_usable_cpus():
+    meta = bench.hardware_metadata()
+    assert meta["usable_cpus"] == str(len(os.sched_getaffinity(0)))
+    assert f"# usable_cpus: {meta['usable_cpus']}" in bench.format_metadata(meta)
