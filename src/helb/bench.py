@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import platform
 import statistics
@@ -230,6 +231,16 @@ def format_bench_csv(rows: list[BenchRow]) -> str:
                          f"{row.keypair_std:.6f}", f"{row.encrypt_std:.6f}",
                          f"{row.op_decrypt_std:.6f}", row.iterations])
     return buf.getvalue()
+
+
+def format_bench_json(rows: list[BenchRow], meta: dict[str, str]) -> str:
+    """The csv rows and the host metadata, with the note, as one object."""
+    return json.dumps({
+        "metadata": meta,
+        "note": NON_COMPARABLE_NOTE,
+        "rows": [{field: getattr(row, field) for field in _BENCH_FIELDS}
+                 for row in rows],
+    }, indent=2)
 
 
 def format_scale_table(rows: list[ScaleRow]) -> str:

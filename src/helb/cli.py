@@ -186,8 +186,9 @@ def match(keys_path, store_path, ip, exhaustive, blind, as_json,
               help="Modulus size for the partially homomorphic schemes.")
 @click.option("--profile", type=click.Choice(sorted(bfv.PROFILES)), default="desk",
               show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["table", "csv"]),
-              default="table", show_default=True)
+@click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]),
+              default="table", show_default=True,
+              help="json: one object with the host metadata and the rows.")
 @click.option("--seed", type=int, default=None)
 @click.pass_context
 @_cli_errors
@@ -200,6 +201,9 @@ def bench(ctx, schemes, iterations, bits, profile, fmt, seed):
     names = None if schemes == "all" else [s.strip() for s in schemes.split(",")]
     rows = bench_mod.bench_schemes(names, iterations=iterations, bits=bits,
                                    seed=seed, bfv_profile=bfv.PROFILES[profile]())
+    if fmt == "json":
+        click.echo(bench_mod.format_bench_json(rows, bench_mod.hardware_metadata()))
+        return
     click.echo(bench_mod.format_metadata(bench_mod.hardware_metadata()))
     click.echo(f"# note: {bench_mod.NON_COMPARABLE_NOTE}")
     if fmt == "csv":

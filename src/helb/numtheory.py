@@ -2,10 +2,22 @@
 
 Plain Python integers are the big-integer substrate throughout the
 package; nothing here assumes values fit a machine word.
+
+Primality tests sieve before Miller-Rabin, in two stages.  Trial division
+by the primes up to 349 refuses most candidates for a few microseconds.
+Above `_MR_DETERMINISTIC_BOUND`, where the witnesses are random, one gcd
+with the product of the primes from 353 to `_SIEVE_BOUND` then refuses
+about half of the survivors for a fraction of one Miller-Rabin round.
+Both stages refuse only numbers with a small prime factor, which
+Miller-Rabin refuses too, and the witnesses come from the operating
+system, not from the caller's stream.  So a seeded prime search returns
+the same prime as a plain Miller-Rabin loop over the same candidates.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random as _random
 
@@ -25,6 +37,12 @@ _TRIAL_PRIMES = (
     211, 223, 227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277,
     281, 283, 293, 307, 311, 313, 317, 331, 337, 347, 349,
 )
+
+# The second sieve stage divides by the primes from 353 up to this bound.
+# At 2^16 its gcd costs 0.3 ms against a 1024-bit candidate and refuses
+# 47 % of the trial-division survivors, each of which would cost a 5-6 ms
+# Miller-Rabin round; 2^15 and 2^17 cost more per survivor.
+_SIEVE_BOUND = 1 << 16
 
 # Internal source for Miller-Rabin witness selection; the verdict does not
 # need to be reproducible, only the candidate stream fed by the caller.
@@ -78,26 +96,47 @@ class RandomSource:
         return f"RandomSource({mode})"
 
 
+@functools.cache
+def _sieve_product() -> int:
+    """The product of the primes from 353 to `_SIEVE_BOUND`, built once
+    per process by a product tree."""
+    flags = bytearray([1]) * _SIEVE_BOUND
+    flags[:2] = b"\0\0"
+    for i in range(2, math.isqrt(_SIEVE_BOUND - 1) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, _SIEVE_BOUND, i)))
+    first = _TRIAL_PRIMES[-1] + 1
+    level = list(itertools.compress(range(first, _SIEVE_BOUND), flags[first:]))
+    while len(level) > 1:
+        level = [math.prod(level[i:i + 2]) for i in range(0, len(level), 2)]
+    return level[0]
+
+
 def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     """Miller-Rabin primality test.
 
     Composites slip through with probability at most 4**-rounds; below
-    ~3.3e24 the fixed witness set makes the answer exact.
+    ~3.3e24 the fixed witness set makes the answer exact.  Above it, one
+    gcd with `_sieve_product` refuses a number with a prime factor up to
+    `_SIEVE_BOUND` before any round, and each random witness is drawn
+    when its round runs, so a composite costs one draw.
     """
     if n < 2:
         return False
     for p in _TRIAL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < _MR_DETERMINISTIC_BOUND:
+        witnesses = _MR_FIXED_WITNESSES
+    elif math.gcd(n, _sieve_product()) != 1:
+        return False
+    else:
+        witnesses = (_witness_rng.randrange(2, n - 1) for _ in range(rounds))
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    if n < _MR_DETERMINISTIC_BOUND:
-        witnesses = _MR_FIXED_WITNESSES
-    else:
-        witnesses = [_witness_rng.randrange(2, n - 1) for _ in range(rounds)]
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -112,7 +151,13 @@ def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
 
 
 def gen_prime(bits: int, rng: RandomSource) -> int:
-    """Return an odd probable prime of exactly `bits` bits (top bit set)."""
+    """Return an odd probable prime of exactly `bits` bits (top bit set).
+
+    The first candidate that `is_probable_prime` accepts: its sieve stages
+    refuse only composites, and its witnesses do not come from `rng`, so
+    a seeded search returns the prime that a plain Miller-Rabin loop over
+    the same candidates would.
+    """
     if bits < 8:
         raise ValueError(f"prime size must be at least 8 bits, got {bits}")
     while True:
@@ -133,6 +178,11 @@ def gen_safe_prime(bits: int, rng: RandomSource) -> int:
             if (p % s == 0 and p != s) or (m % s == 0 and m != s):
                 break
         else:
+            # the second sieve stage for m and p together, where
+            # `is_probable_prime` would run it on each
+            if (m >= _MR_DETERMINISTIC_BOUND
+                    and math.gcd(m * p, _sieve_product()) != 1):
+                continue
             # one round on each first, so a composite p costs m no more
             # than one round either; the survivors take the full test
             if (is_probable_prime(m, 1) and is_probable_prime(p, 1)

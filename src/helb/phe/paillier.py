@@ -1,7 +1,8 @@
 """Paillier cryptosystem: additive homomorphism in Z*_{n^2}.
 
 The generator is fixed at g = n + 1, which keeps mu well-defined and lets
-encryption of the g^m factor collapse to (1 + m*n) mod n^2.  The holder of
+encryption of the g^m factor collapse to (1 + m*n) mod n^2; by the same
+identity, key generation takes mu = (lam mod n)^-1 mod n.  The holder of
 the key pair recovers p and q from lambda, and encrypts and zero-tests
 modulo p^2 and q^2, computing the q^2 side of a ciphertext only when a
 zero test gets that far; `decrypt` keeps the exponentiation modulo n^2.
@@ -85,7 +86,8 @@ def keygen(bits: int, rng: RandomSource, p: int | None = None,
     n = p * q
     g = n + 1
     lam = lcm(p - 1, q - 1)
-    mu = mod_inv(_l(pow(g, lam, n * n), n), n)
+    # g^lam = (1 + n)^lam = 1 + lam*n mod n^2, so L(g^lam mod n^2) = lam mod n
+    mu = mod_inv(lam % n, n)
     return PaillierKeyPair(PaillierPublicKey(n, g), lam, mu)
 
 

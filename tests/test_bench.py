@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import os
 
 import pytest
@@ -41,6 +42,22 @@ def test_csv_means_equal_table_means():
         assert float(record["keypair_ms"]) == pytest.approx(row.keypair_ms,
                                                             abs=1e-6)
         assert f"{row.keypair_ms:>12.3f}" in table
+
+
+def test_json_holds_the_csv_rows_and_the_metadata():
+    rows = bench.bench_schemes(["paillier", "benaloh"], iterations=2,
+                               bits=128, seed=11)
+    meta = bench.hardware_metadata()
+    record = json.loads(bench.format_bench_json(rows, meta))
+    assert record["metadata"] == meta
+    assert record["note"] == bench.NON_COMPARABLE_NOTE
+    parsed = list(csv.DictReader(io.StringIO(bench.format_bench_csv(rows))))
+    assert [list(row) for row in record["rows"]] == [list(bench._BENCH_FIELDS)] * 2
+    for row, csv_row in zip(record["rows"], parsed):
+        assert row["scheme"] == csv_row["scheme"]
+        assert row["iterations"] == int(csv_row["iterations"]) == 2
+        for field in bench._BENCH_FIELDS[1:-1]:
+            assert row[field] == pytest.approx(float(csv_row[field]), abs=1e-6)
 
 
 def test_iterations_must_be_positive():

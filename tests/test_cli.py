@@ -619,6 +619,16 @@ class TestBench:
             assert float(row["op_decrypt_ms"]) > 0
             assert int(row["iterations"]) == 2
 
+    def test_json_is_one_object_with_metadata_and_rows(self):
+        result = run("bench", "--iterations", 1, "--bits", 128, "--seed", 17,
+                     "--format", "json", "--schemes", "paillier,benaloh")
+        assert result.exit_code == 0, result.output
+        record = json.loads(result.output)
+        assert {"platform", "python", "cpu_count"} <= set(record["metadata"])
+        assert [r["scheme"] for r in record["rows"]] == ["paillier", "benaloh"]
+        assert all(r["keypair_ms"] > 0 and r["iterations"] == 1
+                   for r in record["rows"])
+
     def test_unknown_scheme_rejected(self):
         result = run("bench", "--schemes", "rot13", "--seed", 18)
         assert result.exit_code == 2

@@ -4,6 +4,7 @@ import random
 import pytest
 import support
 
+from helb import numtheory
 from helb.errors import InvalidModulus, NotFound, NotInvertible
 from helb.numtheory import (
     RandomSource,
@@ -42,6 +43,112 @@ class TestRandomSource:
             RandomSource.seeded(2**64)
         with pytest.raises(ValueError):
             RandomSource.seeded(-1)
+
+
+FIXED_WITNESSES = first_primes(12)
+
+
+def restated_miller_rabin(n, rounds=40):
+    """Miller-Rabin without any sieve, its witnesses from its own stream:
+    2..37 below 3.3e24, where they decide exactly, random ones above."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    if n < 3_317_044_064_679_887_385_961_981:
+        if n in FIXED_WITNESSES:
+            return True
+        witnesses = FIXED_WITNESSES
+    else:
+        rnd = random.Random(n)
+        witnesses = [rnd.randrange(2, n - 1) for _ in range(rounds)]
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class CountingWitnesses:
+    """A stand-in for `numtheory._witness_rng` that counts its draws and
+    always gives `witness`."""
+
+    def __init__(self, witness=2):
+        self.witness, self.draws = witness, 0
+
+    def randrange(self, start, stop):
+        self.draws += 1
+        return self.witness
+
+
+# the primes of the second sieve stage
+SIEVE_PRIMES = [s for s in range(353, numtheory._SIEVE_BOUND)
+                if support.trial_division_is_prime(s)]
+
+
+class TestSecondSieveStage:
+    def test_product_is_the_sieve_primes(self):
+        assert numtheory._sieve_product() == math.prod(SIEVE_PRIMES)
+        assert SIEVE_PRIMES[0] == numtheory._TRIAL_PRIMES[-1] + 4
+
+    def test_refuses_every_sieve_multiple_before_a_round(self, monkeypatch):
+        q = gen_prime(128, RandomSource.seeded(1))
+        stub = CountingWitnesses()
+        monkeypatch.setattr(numtheory, "_witness_rng", stub)
+        for s in SIEVE_PRIMES:
+            assert not is_probable_prime(s * q), s
+        assert stub.draws == 0
+
+    def test_accepts_every_prime_just_above_the_bound(self):
+        start = 1 << 82
+        assert start > numtheory._MR_DETERMINISTIC_BOUND
+        primes = {n for n in range(start + 1, start + 20_000, 2)
+                  if restated_miller_rabin(n)}
+        assert len(primes) > 100
+        for n in range(start, start + 20_000):
+            assert is_probable_prime(n) == (n in primes), n
+
+    def test_fixed_witness_range_never_builds_the_product(self):
+        numtheory._sieve_product.cache_clear()
+        try:
+            assert is_probable_prime(numtheory._MR_DETERMINISTIC_BOUND - 2) \
+                == restated_miller_rabin(numtheory._MR_DETERMINISTIC_BOUND - 2)
+            gen_prime(80, RandomSource.seeded(2))
+            assert numtheory._sieve_product.cache_info().currsize == 0
+        finally:
+            numtheory._sieve_product.cache_clear()
+
+
+class TestWitnessDraws:
+    def test_a_composite_draws_one_witness(self, monkeypatch):
+        # two primes above the sieve bound: both sieve stages pass it
+        n = gen_prime(64, RandomSource.seeded(3)) * gen_prime(64, RandomSource.seeded(4))
+        assert n > numtheory._MR_DETERMINISTIC_BOUND
+        assert math.gcd(n, numtheory._sieve_product()) == 1
+        assert not restated_miller_rabin(n)
+        stub = CountingWitnesses(2)
+        monkeypatch.setattr(numtheory, "_witness_rng", stub)
+        assert not is_probable_prime(n)
+        assert stub.draws == 1
+
+    def test_a_prime_draws_one_witness_per_round(self, monkeypatch):
+        stub = CountingWitnesses(2)
+        monkeypatch.setattr(numtheory, "_witness_rng", stub)
+        assert is_probable_prime(2**127 - 1, 7)
+        assert stub.draws == 7
+
+    def test_fixed_witness_range_draws_none(self, monkeypatch):
+        stub = CountingWitnesses()
+        monkeypatch.setattr(numtheory, "_witness_rng", stub)
+        assert is_probable_prime(2**61 - 1)
+        assert stub.draws == 0
 
 
 class TestIsProbablePrime:
@@ -101,7 +208,22 @@ class TestGenPrime:
         assert is_probable_prime(p)
         assert is_probable_prime((p - 1) // 2)
 
-    @pytest.mark.parametrize("bits", [64, 128])
+    @pytest.mark.parametrize("bits", [80, 81, 82, 96, 128, 256])
+    def test_prime_matches_a_restated_miller_rabin_loop(self, bits):
+        # same candidate stream, no sieve, other witnesses: the sieve stages
+        # refuse only composites, so the first prime is the same
+        def reference(rng):
+            while True:
+                candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+                if restated_miller_rabin(candidate):
+                    return candidate
+
+        for seed in range(20):
+            assert gen_prime(bits, RandomSource.seeded(seed)) == \
+                reference(RandomSource.seeded(seed))
+
+    # from 96 bits on, m and 2m + 1 go through the second sieve stage
+    @pytest.mark.parametrize("bits", [64, 96, 128])
     def test_safe_prime_matches_the_full_test_loop(self, bits):
         # the loop as it was before the one-round pre-tests: same candidate
         # stream, so the same first safe prime

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helb import phe
 from helb.errors import (
@@ -10,10 +12,17 @@ from helb.errors import (
     DecryptionFailure,
     InvalidOptions,
     MessageOutOfRange,
+    NotInvertible,
     WidthMismatch,
 )
-from helb.numtheory import RandomSource, is_probable_prime, jacobi
-from helb.phe import SchemeId, benaloh
+from helb.numtheory import (
+    RandomSource,
+    first_primes,
+    is_probable_prime,
+    jacobi,
+    mod_inv,
+)
+from helb.phe import SchemeId, benaloh, paillier
 
 RNG = RandomSource.seeded
 
@@ -33,6 +42,11 @@ def random_message(rnd, keys) -> int:
     return rnd.randrange(min(phe.message_modulus(keys), 1 << 128))
 
 
+def _mu_by_power(n, lam):
+    """mod_inv(L(g^lam mod n^2), n) for g = n + 1, by the full power."""
+    return mod_inv((pow(n + 1, lam, n * n) - 1) // n, n)
+
+
 ADDITIVE_FIXTURES = ["paillier_keys", "dj_keys", "ou_keys", "benaloh_keys"]
 ALL_FIXTURES = ADDITIVE_FIXTURES + ["ns_keys", "gm_keys"]
 
@@ -49,6 +63,24 @@ class TestKeygen:
         assert keys.lam == 12
         assert keys.lam == math.lcm(5 - 1, 7 - 1)
         assert keys.mu * 12 % 35 == 1
+
+    def test_paillier_mu_is_the_inverse_of_l_of_g_to_the_lambda(self, paillier_keys):
+        assert paillier_keys.mu == _mu_by_power(paillier_keys.public.n,
+                                                paillier_keys.lam)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(first_primes(300)[1:]),
+           st.sampled_from(first_primes(300)[1:]))
+    def test_paillier_mu_by_power_for_small_primes(self, p, q):
+        assume(p != q)
+        n = p * q
+        try:
+            expected = _mu_by_power(n, math.lcm(p - 1, q - 1))
+        except NotInvertible:
+            with pytest.raises(NotInvertible):
+                paillier.keygen(n.bit_length(), RNG(1), p=p, q=q)
+            return
+        assert paillier.keygen(n.bit_length(), RNG(1), p=p, q=q).mu == expected
 
     def test_gm_pseudosquare(self, gm_keys):
         assert jacobi(gm_keys.public.a % gm_keys.p, gm_keys.p) == -1
