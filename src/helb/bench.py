@@ -23,7 +23,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from . import bfv, ipmatch, phe
+from . import bfv, ipmatch, phe, pool
 from .errors import InvalidOptions
 from .numtheory import RandomSource
 from .phe import SchemeId
@@ -74,7 +74,7 @@ def hardware_metadata() -> dict[str, str]:
         "python": platform.python_version(),
         "cpu_count": str(os.cpu_count() or "unknown"),
         # the CPUs this process may run on bound the worker processes
-        "usable_cpus": str(ipmatch._usable_cpus()),
+        "usable_cpus": str(pool._usable_cpus()),
     }
 
 

@@ -4,9 +4,13 @@ Commands: `keygen`, `blacklist encrypt`, `match`, `bench`, `bench scale`.
 `match` exits 0 on a match, 1 on no match, and 2 on any error, internal
 faults included; all other commands exit 0 on success and 2 on error.
 Passing `--seed` anywhere switches to deterministic test mode (small keys
-allowed, reproducible randomness, one process); never use seeded keys
-outside testing.  Without it, `match` and `blacklist encrypt` spread a
-store's records over worker processes (see `ipmatch.match`).
+allowed, reproducible randomness); never use seeded keys outside testing.
+A seeded `match` or `blacklist encrypt` runs in one process; without
+`--seed`, they spread a store's records over worker processes (see
+`ipmatch.match`).  `keygen` runs the Miller-Rabin rounds of a large prime
+search in worker processes either way, but only this process draws from
+the stream, so seeded keys do not depend on the number of workers (see
+`numtheory._search`).
 """
 
 from __future__ import annotations

@@ -13,18 +13,17 @@ store's scheme picks the combination: subtraction for the additive
 schemes and the lattice backend, XOR of all `GM_WIDTH` bits for
 Goldwasser-Micali.  Without a seed, `match` and `build_store` spread
 their records over forked worker processes, one per usable CPU
-(`_spread`).
+(`_spread`, on the workers of `pool.forked`).
 """
 
 from __future__ import annotations
 
 import contextlib
 import ipaddress
-import os
 import time
 from dataclasses import dataclass, field
 
-from . import bfv, phe
+from . import bfv, phe, pool
 from .errors import (
     DecryptionFailure,
     HelbError,
@@ -408,14 +407,6 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
 # worker processes
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 @contextlib.contextmanager
 def _spread(run, jobs: list, costs: list[int], rng: RandomSource):
     """Yields an iterator of run(job) for every job, in job order.
@@ -424,72 +415,20 @@ def _spread(run, jobs: list, costs: list[int], rng: RandomSource):
     CPU run the jobs in this process, lazily, so that a consumer that
     stops early skips the rest.  Otherwise one forked worker per usable CPU
     (at most one per job) takes jobs in order, each to the worker with the
-    least cost so far, and sends each result down its pipe, pickled.  An
-    error raised by a job is raised again here when its turn comes, and a
-    worker that ends without a job's result raises HelbError then.
-    Workers end only through `os._exit`, and leave early once this process
-    is gone.  On leaving the context, however it is left, every worker is
-    killed and reaped.
+    least cost so far (`pool.forked`).  An error raised by a job is raised
+    again here when its turn comes, and a worker that ends without a job's
+    result raises HelbError then.  On leaving the context, however it is
+    left, every worker is killed and reaped.
     """
-    workers = min(_usable_cpus(), len(jobs))
-    if rng.is_seeded or not hasattr(os, "fork") or workers < 2:
+    count = 1 if rng.is_seeded else pool.worker_count(len(jobs))
+    if count < 2:
         yield map(run, jobs)
         return
-    import pickle  # only a process that forks needs these
-    import signal
-
-    owner, load = [], [0] * workers
+    owner, load = [], [0] * count
     for cost in costs:
         owner.append(load.index(min(load)))
         load[owner[-1]] += cost
-    parent, pids, readers = os.getpid(), [], []
-
-    def work(write_fd: int, share: list[int]):
-        """A worker's whole life.  It first closes the read ends it holds,
-        its own included, so that a write to a parent that is gone fails
-        instead of filling a pipe that nobody reads."""
-        try:
-            for reader in readers:
-                os.close(reader.fileno())
-            with open(write_fd, "wb") as out:
-                for index in share:
-                    if os.getppid() != parent:
-                        break
-                    try:
-                        message = (index, True, run(jobs[index]))
-                    except Exception as exc:
-                        message = (index, False, exc)
-                    pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
-                    out.flush()
-        finally:
-            os._exit(0)
-
-    def results():
-        for index, worker in enumerate(owner):
-            try:
-                got, ok, value = pickle.load(readers[worker])
-            except Exception:  # cut short: the worker died or could not send
-                got = None
-            if got != index:
-                raise HelbError(f"a worker process ended without the result "
-                                f"of job {index}")
-            if not ok:
-                raise value
-            yield value
-
-    try:
-        for worker in range(workers):
-            read_fd, write_fd = os.pipe()
-            readers.append(open(read_fd, "rb"))
-            pid = os.fork()
-            if pid == 0:
-                work(write_fd, [i for i, w in enumerate(owner) if w == worker])
-            os.close(write_fd)
-            pids.append(pid)
-        yield results()
-    finally:
-        for reader in readers:
-            reader.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    shares = [[job for job, w in zip(jobs, owner) if w == worker]
+              for worker in range(count)]
+    with pool.forked(run, shares) as workers:
+        yield (workers[w].receive(f"job {index}") for index, w in enumerate(owner))

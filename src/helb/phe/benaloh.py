@@ -16,6 +16,7 @@ from ..errors import DecryptionFailure, InvalidOptions, MessageOutOfRange, NotFo
 from ..numtheory import (
     RandomSource,
     brute_force_dlog,
+    find_prime,
     gen_prime,
     is_probable_prime,
     rand_coprime,
@@ -84,13 +85,13 @@ def keygen(bits: int, rng: RandomSource, r: int = DEFAULT_BLOCK_SIZE,
         if k_hi - k_lo < 2:
             raise InvalidOptions(
                 f"{bits}-bit modulus is too small for a {r.bit_length()}-bit block")
-        for _ in range(_KEYGEN_TRIES):
+
+        def candidate():
             k = rng.randrange(k_lo, k_hi + 1)
-            cand = r * k + 1
-            if k % r and is_probable_prime(cand):
-                p = cand
-                break
-        else:
+            return r * k + 1 if k % r else None
+
+        p = find_prime(candidate, half, rng, _KEYGEN_TRIES)
+        if p is None:
             raise InvalidOptions(
                 f"no prime p with r | p - 1 found within {_KEYGEN_TRIES} tries")
     if q is None:

@@ -1,23 +1,27 @@
-"""Lookups and store builds spread over worker processes.
+"""Lookups, store builds and prime searches spread over worker processes.
 
-Workers are forced by patching `ipmatch._usable_cpus`, and every store and
-lookup here draws crypto randomness, since a seeded source keeps the work
-in one process.  Each parallel result is held against the same call run
-in one process, and entry ids against a plaintext oracle.
+Workers are forced by patching `pool._usable_cpus` (the `cpus` fixture).
+Every store and lookup here draws crypto randomness, since a seeded
+source keeps that work in one process; a prime search forks for a seeded
+source too, and keeps the stream in this process.  Each parallel result
+is held against the same call run in one process, and entry ids against
+a plaintext oracle.
 """
 
 import os
+import pathlib
 import time
 
 import pytest
 import support
 from click.testing import CliRunner
 
-from helb import ipmatch, phe, serial
+from helb import ipmatch, numtheory, phe, pool, serial
 from helb.cli import main
 from helb.errors import HelbError, NotInvertible
 from helb.ipmatch import build_store, match, parse_cidr, parse_ipv4, prefix_to_mask
-from helb.numtheory import RandomSource
+from helb.numtheory import RandomSource, gen_prime, gen_safe_prime, is_probable_prime
+from helb.phe import SchemeId
 
 CRYPTO = RandomSource.crypto
 
@@ -50,7 +54,7 @@ def oracle(ip: int, entries) -> int | None:
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """cpus(n) makes `ipmatch` see n usable CPUs and returns a list that
+    """cpus(n) makes `pool` see n usable CPUs and returns a list that
     records each fork of this process from then on."""
     forks = []
     fork = os.fork
@@ -61,7 +65,7 @@ def cpus(monkeypatch):
 
     def force(count):
         forks.clear()
-        monkeypatch.setattr(ipmatch, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: count)
         monkeypatch.setattr(os, "fork", counting_fork)
         return forks
 
@@ -73,7 +77,7 @@ def no_fork(monkeypatch):
     def refuse():
         raise AssertionError("os.fork called")
 
-    monkeypatch.setattr(ipmatch, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", refuse)
 
 
@@ -289,3 +293,149 @@ class TestCliOnTheParallelPath:
         result = self.match(*files, LOOKUPS["miss"])
         assert result.exit_code == 2, result.output
         assert "ended without the result" in result.output
+
+
+# ---------------------------------------------------------------------------
+# prime search
+
+# moduli whose primes are large enough for the search to fork, down to
+# the third of the modulus that is Okamoto-Uchiyama's p
+KEY_BITS = 3 * numtheory._FORK_BITS
+KEY_SCHEMES = [SchemeId.PAILLIER, SchemeId.DAMGARD_JURIK,
+               SchemeId.OKAMOTO_UCHIYAMA, SchemeId.GOLDWASSER_MICALI,
+               SchemeId.BENALOH]
+
+
+@pytest.mark.parametrize("scheme", KEY_SCHEMES)
+def test_seeded_key_files_are_the_same_on_one_and_two_cpus(scheme, cpus, tmp_path):
+    files = []
+    for count in (1, 2):
+        forks = cpus(count)
+        keys = phe.keygen(scheme, KEY_BITS, RandomSource.seeded(7), test_mode=True)
+        assert bool(forks) == (count == 2)
+        paths = serial.write_key_files(keys, str(tmp_path / f"cpus{count}"))
+        files.append([pathlib.Path(path).read_bytes() for path in paths])
+    assert files[0] == files[1]
+
+
+def test_seeded_safe_prime_is_the_same_on_one_and_two_cpus(cpus):
+    found = []
+    for count in (1, 2):
+        forks = cpus(count)
+        rng = RandomSource.seeded(5)
+        found.append((gen_safe_prime(numtheory._FORK_BITS, rng), rng.getrandbits(64)))
+        assert bool(forks) == (count == 2)
+    assert found[0] == found[1]
+
+
+def test_candidates_drawn_past_the_winner_do_not_shift_the_stream(cpus):
+    bits = numtheory._FORK_BITS
+
+    def counted(rng):
+        """`rng`, with a list that records each of its draws."""
+        draws, draw = [], rng.getrandbits
+        rng.getrandbits = lambda k: draws.append(k) or draw(k)
+        return rng, draws
+
+    def plain_loop(rng):
+        while True:
+            candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+            if is_probable_prime(candidate):
+                return candidate
+
+    for seed in range(3):
+        rng, plain_draws = counted(RandomSource.seeded(seed))
+        want = [plain_loop(rng), plain_loop(rng), rng.getrandbits(64)]
+        forks = cpus(2)
+        rng, draws = counted(RandomSource.seeded(seed))
+        p, q = gen_prime(bits, rng), gen_prime(bits, rng)
+        assert [p, q, rng.getrandbits(64)] == want
+        assert len(forks) == 4
+        assert len(draws) > len(plain_draws)  # the parent drew ahead
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_crypto_search_forks_one_worker_per_usable_cpu(count, cpus):
+    forks = cpus(count)
+    p = gen_prime(numtheory._FORK_BITS, RandomSource.crypto())
+    assert p.bit_length() == numtheory._FORK_BITS and is_probable_prime(p)
+    assert len(forks) == (count if count > 1 else 0)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_search_gives_up_after_its_tries(count, cpus):
+    # a composite that passes both sieve stages: every try takes a round
+    p, q = (gen_prime(200, RandomSource.seeded(seed)) for seed in (1, 2))
+    composite = p * q
+    assert composite.bit_length() >= numtheory._FORK_BITS
+    draws = []
+    forks = cpus(count)
+    found = numtheory.find_prime(lambda: draws.append(1) or composite,
+                                 numtheory._FORK_BITS, RandomSource.seeded(3), 25)
+    assert (found, len(draws), len(forks)) == (None, 25, count if count > 1 else 0)
+
+
+def test_test_size_keygen_never_forks(no_fork):
+    for scheme in SchemeId:
+        bits = 224 if scheme == SchemeId.NACCACHE_STERN else 256
+        for rng in (RandomSource.seeded(1), RandomSource.crypto()):
+            phe.keygen(scheme, bits, rng, test_mode=True)
+
+
+def _kill_search_workers(monkeypatch):
+    """Make the Miller-Rabin rounds end any process but this one without
+    a word."""
+    parent, real = os.getpid(), numtheory._passes
+
+    def dying(job):
+        if os.getpid() != parent:
+            os._exit(0)
+        return real(job)
+
+    monkeypatch.setattr(numtheory, "_passes", dying)
+
+
+def test_search_worker_that_dies_is_an_error(cpus, monkeypatch, tmp_path):
+    cpus(2)
+    _kill_search_workers(monkeypatch)
+    with pytest.raises(HelbError, match="a worker process ended"):
+        gen_prime(numtheory._FORK_BITS, RandomSource.crypto())
+    result = CliRunner().invoke(main, ["keygen", "--scheme", "paillier", "--bits",
+                                       str(KEY_BITS), "--out", str(tmp_path / "k"),
+                                       "--seed", "1"])
+    assert result.exit_code == 2, result.output
+    assert "a worker process ended" in result.output
+
+
+def test_search_workers_are_reaped_on_keyboard_interrupt(cpus, monkeypatch):
+    import select
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    forks = cpus(2)
+    monkeypatch.setattr(select, "select", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        gen_prime(numtheory._FORK_BITS, RandomSource.crypto())
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_child_remains_after_keygen_encrypt_and_match(cpus, tmp_path):
+    base, cidrs, store = tmp_path / "pai", tmp_path / "list.txt", tmp_path / "store.bin"
+    cidrs.write_text("\n".join(LIST) + "\n")
+    commands = [
+        ["keygen", "--scheme", "paillier", "--bits", KEY_BITS, "--out", base,
+         "--seed", 3],
+        ["blacklist", "encrypt", "--key", f"{base}.pub", "--cidr-file", cidrs,
+         "--out", store],
+        ["match", "--keys", f"{base}.sec", "--store", store, "--ip", LOOKUPS["miss"]],
+    ]
+    for args in commands:
+        forks = cpus(2)
+        result = CliRunner().invoke(main, [str(a) for a in args])
+        assert result.exit_code in (0, 1), result.output
+        assert forks, args[0]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
