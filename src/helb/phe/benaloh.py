@@ -60,6 +60,23 @@ class BenalohKeyPair:
     def phi(self) -> int:
         return (self.p - 1) * (self.q - 1)
 
+    def violations(self) -> list[str]:
+        """Why p, q and x are not a decryption key for the public key."""
+        p, q, x = self.p, self.q, self.x
+        y, r, n = self.public.y, self.public.r, self.public.n
+        if p * q != n or min(p, q, r) < 2:
+            return ["p * q is not n, or r < 2"]
+        try:
+            _check_block(r, p, q)
+        except InvalidOptions as exc:
+            return [str(exc)]
+        # modulo q, y^(phi/r) is 1 by Fermat, since (p - 1) / r is whole;
+        # modulo p, its exponent reduces to (p - 1) / r * ((q - 1) mod r)
+        e = (p - 1) // r * ((q - 1) % r)
+        if not 1 < x < n or x % q != 1 or x % p != pow(y, e, p):
+            return ["x is not y^(phi/r) modulo n, or is 1"]
+        return []
+
 
 KEY_CLASSES = (BenalohPublicKey, BenalohKeyPair)
 

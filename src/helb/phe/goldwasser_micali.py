@@ -38,6 +38,15 @@ class GoldwasserMicaliKeyPair:
     p: int
     q: int
 
+    def violations(self) -> list[str]:
+        """Why p and q are not a decryption key for the public key."""
+        p, q, a = self.p, self.q, self.public.a
+        if p * q != self.public.n or min(p, q) < 3:
+            return ["p * q is not n"]
+        if jacobi(a, p) != -1 or jacobi(a, q) != -1:
+            return ["a is not a non-residue modulo both p and q"]
+        return []
+
 
 KEY_CLASSES = (GoldwasserMicaliPublicKey, GoldwasserMicaliKeyPair)
 

@@ -53,6 +53,15 @@ class NaccacheSternKeyPair:
     public: NaccacheSternPublicKey
     s: int
 
+    def violations(self) -> list[str]:
+        """Why s is not the secret exponent of the public key."""
+        p, v, s = self.public.p, self.public.v, self.s
+        # p is a safe prime, so an s coprime to p - 1 with v_0^s = 2 is the
+        # secret exponent modulo p - 1
+        if p < 3 or math.gcd(s, p - 1) != 1 or not v or pow(v[0], s, p) != 2:
+            return ["v_0^s is not 2 modulo p"]
+        return []
+
 
 KEY_CLASSES = (NaccacheSternPublicKey, NaccacheSternKeyPair)
 

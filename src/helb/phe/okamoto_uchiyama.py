@@ -53,6 +53,11 @@ class OkamotoUchiyamaKeyPair:
         p = self.p
         return mod_inv(_l(pow(self.public.g, p - 1, p * p), p), p)
 
+    def violations(self) -> list[str]:
+        """Why p and q are not the factors of the public key's n."""
+        p, q = self.p, self.q
+        return [] if p > 1 and p * p * q == self.public.n else ["p^2 * q is not n"]
+
 
 KEY_CLASSES = (OkamotoUchiyamaPublicKey, OkamotoUchiyamaKeyPair)
 

@@ -6,10 +6,13 @@ reciprocity, plain masking instead of encrypted matching, quadratic
 convolution instead of the Kronecker product.
 """
 
+import contextlib
 import hashlib
+import io
 import struct
+from typing import NamedTuple
 
-from helb import bfv
+from helb import bfv, cli
 from helb.ipmatch import CidrEntry, prefix_to_mask
 
 # Small lattice profiles for protocol-level tests.  Plaintext moduli are
@@ -106,3 +109,21 @@ def set_header_runs(path, runs) -> None:
     with open(path, "wb") as fh:
         fh.write(header + data[39 + 5 * data[38]:])
     reseal(path)
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str
+
+
+def run_cli(*args) -> CliResult:
+    """Run `helb` with `args` in this process, as `perfbench/traced_helb.py`
+    does: its exit status from `SystemExit`, and its stdout and stderr
+    together."""
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        try:
+            cli.main(args=[str(a) for a in args], prog_name="helb")
+        except SystemExit as exc:
+            return CliResult(exc.code, output.getvalue())
+    raise AssertionError("cli.main returned instead of raising SystemExit")

@@ -13,10 +13,8 @@ import sys
 import time
 
 import support
-from click.testing import CliRunner
 
 from helb import bench, bfv, ipmatch, phe
-from helb.cli import main as cli_main
 from helb.numtheory import RandomSource, is_probable_prime
 from helb.phe import SchemeId
 
@@ -267,10 +265,9 @@ def test_criterion_6_batch_packing_equivalence():
 
 @criterion(7, "benchmark table shape and scale-curve properties")
 def test_criterion_7_benchmark_structure():
-    runner = CliRunner()
-    result = runner.invoke(cli_main, ["bench", "--iterations", "1",
-                                      "--bits", "128", "--seed", "71",
-                                      "--format", "csv"])
+    result = support.run_cli("bench", "--iterations", "1",
+                             "--bits", "128", "--seed", "71",
+                             "--format", "csv")
     assert result.exit_code == 0, result.output
     data = [line.split(",") for line in result.output.splitlines()
             if line and not line.startswith("#")]
@@ -311,17 +308,16 @@ def test_criterion_8_non_reproducibility_statement():
     meta = bench.hardware_metadata()
     assert meta["platform"] and meta["python"] and meta["cpu_count"]
 
-    runner = CliRunner()
-    result = runner.invoke(cli_main, ["bench", "--schemes", "benaloh",
-                                      "--iterations", "1", "--bits", "128",
-                                      "--seed", "81"])
+    result = support.run_cli("bench", "--schemes", "benaloh",
+                             "--iterations", "1", "--bits", "128",
+                             "--seed", "81")
     assert result.exit_code == 0, result.output
     assert "# platform:" in result.output
     assert "# note:" in result.output
     assert "not comparable" in result.output
 
-    result = runner.invoke(cli_main, ["bench", "scale", "--counts", "2",
-                                      "--seed", "82"])
+    result = support.run_cli("bench", "scale", "--counts", "2",
+                             "--seed", "82")
     assert result.exit_code == 0, result.output
     assert "# platform:" in result.output
     assert "not comparable" in result.output

@@ -9,17 +9,12 @@ import sys
 
 import pytest
 import support
-from click.testing import CliRunner
 
-from helb import bfv, ipmatch, serial
-from helb.cli import main
+import helb
+from helb import bfv, cli, ipmatch, serial
 from helb.numtheory import RandomSource
 
-runner = CliRunner()
-
-
-def run(*args):
-    return runner.invoke(main, [str(a) for a in args])
+run = support.run_cli
 
 
 @pytest.fixture(scope="module")
@@ -548,24 +543,26 @@ class TestLatticeFlow:
         assert result.exit_code == 0, result.output
 
 
+def _python(*args, path=()):
+    """This interpreter run in a fresh process, with helb's sources and
+    `path` on its module search path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, *path, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
+
+
 def _modules_after_match(keys, store, ip):
     """Exit status of `helb match` in a fresh interpreter, and the helb
     modules it loaded."""
-    script = ("import json, sys\n"
-              "from helb import cli\n"
-              "try:\n"
-              "    cli.main(args=sys.argv[1:], prog_name='helb')\n"
-              "except SystemExit as exc:\n"
-              "    status = exc.code\n"
+    script = ("import json, sys, support\n"
+              "status, _ = support.run_cli(*sys.argv[1:])\n"
               "print(json.dumps([status, sorted(m for m in sys.modules\n"
               "                                 if m.startswith('helb'))]))\n")
-    src = os.path.dirname(os.path.dirname(serial.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", script, "match", "--keys", keys, "--store", store,
-         "--ip", ip, "--seed", "1"],
-        capture_output=True, text=True, env=env, check=True)
+    done = _python("-c", script, "match", "--keys", keys, "--store", store,
+                   "--ip", ip, "--seed", "1", path=[os.path.dirname(support.__file__)])
+    done.check_returncode()
     status, modules = json.loads(done.stdout.splitlines()[-1])
     return status, set(modules)
 
@@ -595,6 +592,38 @@ class TestImportFloor:
         result = run("bench", "--schemes", "bfv", "--iterations", 1, "--seed", 6)
         assert result.exit_code == 0, result.output
         assert "bfv" in result.output
+
+
+class TestEntryPoints:
+    def test_version_from_a_source_checkout(self):
+        done = _python("-m", "helb.cli", "--version")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"helb {helb.__version__}\n"
+
+    def test_main_ends_a_miss_in_system_exit_one(self, paillier_files,
+                                                 paillier_store):
+        # the calling convention of perfbench/traced_helb.py
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(args=["match", "--keys", paillier_files[1], "--store",
+                           paillier_store, "--ip", "4.4.4.4", "--seed", "1"],
+                     prog_name="helb")
+        assert exit_info.value.code == 1
+
+    def test_runtime_needs_only_the_standard_library(self):
+        # compared with the modules loaded before the import: the host's
+        # `site` may load third-party modules of its own
+        script = ("import importlib, json, pkgutil, sys\n"
+                  "before = set(sys.modules)\n"
+                  "import helb.bench, helb.cli, helb.phe\n"
+                  "for info in pkgutil.iter_modules(helb.phe.__path__):\n"
+                  "    importlib.import_module(f'helb.phe.{info.name}')\n"
+                  "print(json.dumps(sorted({m.split('.')[0]\n"
+                  "                         for m in set(sys.modules) - before})))\n")
+        done = _python("-c", script)
+        assert done.returncode == 0, done.stderr
+        loaded = set(json.loads(done.stdout))
+        assert "helb" in loaded
+        assert loaded - {"helb"} <= sys.stdlib_module_names
 
 
 class TestBench:

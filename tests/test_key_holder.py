@@ -15,11 +15,10 @@ import random
 
 import pytest
 import support
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helb import cli, ipmatch, numtheory, phe, serial
+from helb import ipmatch, numtheory, phe, serial
 from helb.errors import FormatError, NotInvertible
 from helb.numtheory import PrimePowerCrt, RandomSource
 from helb.phe import SchemeId, damgard_jurik, paillier
@@ -317,10 +316,8 @@ DEBUG_JSON_SHA256 = {
 
 @pytest.mark.parametrize("scheme", ["paillier", "damgard_jurik"])
 def test_seeded_debug_json_is_pinned(scheme, tmp_path):
-    runner = CliRunner()
-
     def run(*args):
-        result = runner.invoke(cli.main, [str(a) for a in args])
+        result = support.run_cli(*args)
         assert result.exit_code in (0, 1), result.output
         return result
 

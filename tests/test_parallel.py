@@ -14,10 +14,8 @@ import time
 
 import pytest
 import support
-from click.testing import CliRunner
 
 from helb import ipmatch, numtheory, phe, pool, serial
-from helb.cli import main
 from helb.errors import HelbError, NotInvertible
 from helb.ipmatch import build_store, match, parse_cidr, parse_ipv4, prefix_to_mask
 from helb.numtheory import RandomSource, gen_prime, gen_safe_prime, is_probable_prime
@@ -234,10 +232,8 @@ def test_workers_are_reaped_on_keyboard_interrupt(cpus):
 
 
 class TestCliOnTheParallelPath:
-    runner = CliRunner()
-
     def run(self, *args):
-        return self.runner.invoke(main, [str(a) for a in args])
+        return support.run_cli(*args)
 
     @pytest.fixture
     def files(self, tmp_path, cpus):
@@ -400,9 +396,8 @@ def test_search_worker_that_dies_is_an_error(cpus, monkeypatch, tmp_path):
     _kill_search_workers(monkeypatch)
     with pytest.raises(HelbError, match="a worker process ended"):
         gen_prime(numtheory._FORK_BITS, RandomSource.crypto())
-    result = CliRunner().invoke(main, ["keygen", "--scheme", "paillier", "--bits",
-                                       str(KEY_BITS), "--out", str(tmp_path / "k"),
-                                       "--seed", "1"])
+    result = support.run_cli("keygen", "--scheme", "paillier", "--bits", KEY_BITS,
+                             "--out", tmp_path / "k", "--seed", 1)
     assert result.exit_code == 2, result.output
     assert "a worker process ended" in result.output
 
@@ -434,7 +429,7 @@ def test_no_child_remains_after_keygen_encrypt_and_match(cpus, tmp_path):
     ]
     for args in commands:
         forks = cpus(2)
-        result = CliRunner().invoke(main, [str(a) for a in args])
+        result = support.run_cli(*args)
         assert result.exit_code in (0, 1), result.output
         assert forks, args[0]
         with pytest.raises(ChildProcessError):
