@@ -1,8 +1,9 @@
 """Benchmark harness: per-scheme timing rows and store-scale timing rows.
 
-Each scheme row times three phases of one IP match: key generation,
-encryption of the two operands (target and blacklisted network), and the
-homomorphic operation plus decryption or zero test.  The scale benchmark
+Each scheme row times three phases of one IP match on the real lookup
+path: key generation; encryption of both operands, which is the build of
+a one-network store plus the query encryption of one `ipmatch.match` of
+it; and that match's homomorphic operation plus zero test.  The scale benchmark
 times building an encrypted store of N random networks and one exhaustive
 search of it.
 
@@ -28,15 +29,7 @@ from .errors import InvalidOptions
 from .numtheory import RandomSource
 from .phe import SchemeId
 
-ALL_BENCH_SCHEMES = (
-    "bfv",
-    "paillier",
-    "damgard_jurik",
-    "okamoto_uchiyama",
-    "naccache_stern",
-    "benaloh",
-    "goldwasser_micali",
-)
+ALL_BENCH_SCHEMES = ipmatch.SCHEMES
 
 DEFAULT_SCALE_COUNTS = (50, 100, 200, 400, 800)
 
@@ -78,51 +71,23 @@ def hardware_metadata() -> dict[str, str]:
     }
 
 
-def _mask24(value: int) -> int:
-    return value & 0xFFFFFF00
-
-
-def _whole(ct: phe.PheCiphertext) -> phe.PheCiphertext:
-    return phe.PheCiphertext(ct.scheme, int(ct.payload))
-
-
 def _bench_iteration(scheme: str, bits: int, rng: RandomSource,
                      test_mode: bool, params: bfv.BfvParams):
-    """One timed (keygen_s, encrypt_s, op_decrypt_s) sample."""
-    target = _mask24(rng.getrandbits(32))
-    network = _mask24(rng.getrandbits(32))
-    if scheme == ipmatch.BFV_SCHEME:
-        t0 = time.perf_counter()
-        keys = bfv.keygen(params, rng)
-        t1 = time.perf_counter()
-        ct1 = bfv.encrypt(keys, bfv.encode([target], params), params, rng)
-        ct2 = bfv.encrypt(keys, bfv.encode([network], params), params, rng)
-        t2 = time.perf_counter()
-        diff = bfv.eval_sub(ct1, ct2)
-        pt = bfv.decrypt(keys, diff, params)
-        _ = not any(pt.coeffs)
-        t3 = time.perf_counter()
-        return t1 - t0, t2 - t1, t3 - t2
-    scheme_id = SchemeId(scheme)
+    """One timed (keygen_s, encrypt_s, op_decrypt_s) sample: a store of one
+    random /24 network, and a lookup of a random address in it."""
+    network = rng.getrandbits(32) & ipmatch.prefix_to_mask(24)
+    target = rng.getrandbits(32)
     t0 = time.perf_counter()
-    keys = phe.keygen(scheme_id, bits, rng, test_mode=test_mode)
-    t1 = time.perf_counter()
-    if scheme_id is SchemeId.GOLDWASSER_MICALI:
-        ct1 = phe.encrypt(keys, target, rng, width=32)
-        ct2 = phe.encrypt(keys, network, rng, width=32)
-        t2 = time.perf_counter()
-        diff = phe.xor_encrypted(keys, ct1, ct2)
-        _ = phe.is_zero(keys, diff)
+    if scheme == ipmatch.BFV_SCHEME:
+        keys = bfv.keygen(params, rng)
     else:
-        # whole ciphertexts, as a store holds: a key holder's Paillier or
-        # Damgard-Jurik encryption defers its residue mod q^(s+1) otherwise
-        ct1 = _whole(phe.encrypt(keys, target, rng))
-        ct2 = _whole(phe.encrypt(keys, network, rng))
-        t2 = time.perf_counter()
-        diff = phe.sub_encrypted(keys, ct1, ct2)
-        _ = phe.is_zero(keys, diff)
-    t3 = time.perf_counter()
-    return t1 - t0, t2 - t1, t3 - t2
+        keys = phe.keygen(SchemeId(scheme), bits, rng, test_mode=test_mode)
+    t1 = time.perf_counter()
+    store = ipmatch.build_store([ipmatch.CidrEntry(network, 24)], keys, rng)
+    t2 = time.perf_counter()
+    seconds = ipmatch.match(target, store, keys, rng).seconds
+    return (t1 - t0, t2 - t1 + seconds["encrypt"],
+            seconds["combine"] + seconds["zero_test"])
 
 
 def bench_schemes(schemes=None, *, iterations: int = 3, bits: int = 512,
@@ -136,11 +101,8 @@ def bench_schemes(schemes=None, *, iterations: int = 3, bits: int = 512,
         raise InvalidOptions("iterations must be >= 1")
     names = list(schemes) if schemes else list(ALL_BENCH_SCHEMES)
     for name in names:
-        if name != ipmatch.BFV_SCHEME:
-            try:
-                SchemeId(name)
-            except ValueError:
-                raise InvalidOptions(f"unknown scheme {name!r}") from None
+        if name not in ALL_BENCH_SCHEMES:
+            raise InvalidOptions(f"unknown scheme {name!r}")
     rng = RandomSource.seeded(seed) if seed is not None else RandomSource.crypto()
     test_mode = seed is not None
     params = bfv_profile or bfv.desk_params()

@@ -25,7 +25,6 @@ from .errors import HelbError, InvalidOptions
 from .numtheory import RandomSource
 from .phe import SchemeId
 
-_SCHEME_NAMES = [s.value for s in SchemeId] + [ipmatch.BFV_SCHEME]
 _PROFILES = sorted(bfv.PROFILES)
 
 
@@ -80,8 +79,7 @@ def match(args) -> int:
         payload = {
             "ip": args.ip,
             "scheme": store.scheme,
-            "protocol": ("xor" if store.scheme == SchemeId.GOLDWASSER_MICALI.value
-                         else "sub"),
+            "protocol": ipmatch.record_handler(keys, store.packed).op,
             "list_kind": args.list_kind,
             "matched": result.matched,
             "entry_id": result.entry_id,
@@ -160,7 +158,7 @@ def _parser(prog_name: str | None) -> argparse.ArgumentParser:
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
 
     p = _command(commands, "keygen", keygen)
-    p.add_argument("--scheme", choices=_SCHEME_NAMES, required=True)
+    p.add_argument("--scheme", choices=ipmatch.SCHEMES, required=True)
     p.add_argument("--bits", type=int, default=2048,
                    help="Modulus size for the partially homomorphic schemes.")
     p.add_argument("--out", required=True,

@@ -8,12 +8,16 @@ slot for a PHE or unpacked lattice record, up to ring_dim networks of any
 prefix lengths for a packed lattice record, longest prefix first.
 `match` encrypts the target masked for each slot's prefix once per slot
 layout, combines it with every stored record and zero-tests the filled
-slots; the first zero slot marks the longest matching network.  The
-store's scheme picks the combination: subtraction for the additive
+slots; the first zero slot marks the longest matching network.
+
+Everything in which the backends differ lives in one record handler per
+family, which `record_handler` picks from the key's scheme: how a record
+is sealed, its layout as file integers (`serial` writes and reads records
+through it), the query, the combination (subtraction for the additive
 schemes and the lattice backend, XOR of all `GM_WIDTH` bits for
-Goldwasser-Micali.  Without a seed, `match` and `build_store` spread
-their records over forked worker processes, one per usable CPU
-(`_spread`, on the workers of `pool.forked`).
+Goldwasser-Micali) and the zero test.  Without a seed, `match` and
+`build_store` spread their records over forked worker processes, one per
+usable CPU (`_spread`, on the workers of `pool.forked`).
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ from .numtheory import RandomSource
 from .phe import SchemeId
 
 BFV_SCHEME = bfv.BfvPublicKey.SCHEME
+# every backend's name: the lattice backend first, then the PHE schemes
+SCHEMES = (BFV_SCHEME, *(scheme.value for scheme in SchemeId))
 # Goldwasser-Micali encrypts an address bit by bit, at its default width
 GM_WIDTH = 32
-_GM = SchemeId.GOLDWASSER_MICALI.value
 _MAX_ADDR = 0xFFFFFFFF
 
 
@@ -145,36 +150,18 @@ class MatchResult:
     seconds: dict = field(default_factory=dict)
 
 
-# packed coefficients that carry no entry hold this plaintext value, which
-# no masked 32-bit address can collide with
-def _pad_value(params: bfv.BfvParams) -> int:
-    return params.plaintext_mod - 1
-
-
-def _require_bfv_fits_addresses(params: bfv.BfvParams) -> None:
-    if params.plaintext_mod <= _MAX_ADDR + 1:
-        raise MessageOutOfRange(
-            "plaintext modulus must exceed 2^32 so masked addresses and the "
-            "padding value are distinct residues")
-
-
 def build_store(entries, keys, rng: RandomSource, *,
                 packed: bool = False) -> EncryptedStore:
     """Mask, deduplicate, group and encrypt a CIDR list under `keys`."""
     if not entries:
         raise InvalidOptions("cannot build a store from an empty blacklist")
-    scheme = keys.SCHEME
-    if packed and scheme != BFV_SCHEME:
-        raise InvalidOptions("packed stores require the lattice backend")
+    handler = record_handler(keys, packed)
 
     seen = set()
     cleaned: dict[int, list[int]] = {}
     duplicates = 0
-    normalized = 0
     for entry in entries:
         masked = entry.network & prefix_to_mask(entry.prefix_len)
-        if masked != entry.network or entry.host_bits_cleared:
-            normalized += 1
         key = (masked, entry.prefix_len)
         if key in seen:
             duplicates += 1
@@ -182,39 +169,21 @@ def build_store(entries, keys, rng: RandomSource, *,
         seen.add(key)
         cleaned.setdefault(entry.prefix_len, []).append(masked)
 
-    # one ciphertext per `size` networks: ring_dim when packed, else one
-    pub = phe.public_part(keys)
-    if scheme == BFV_SCHEME:
-        params = keys.params
-        _require_bfv_fits_addresses(params)
-        size = params.ring_dim if packed else 1
-        pad = [_pad_value(params)]
-
-        # under the public key, so that a store is the same from either key file
-        def encrypt(chunk):
-            coeffs = chunk + pad * (size - len(chunk))
-            return bfv.encrypt(pub, bfv.encode(coeffs, params), params, rng)
-    else:
-        size = 1
-
-        def encrypt(chunk):
-            ct = phe.encrypt(keys, chunk[0], rng)
-            # a key pair's CrtElement crosses a worker's pipe as its integer
-            return ct if ct.width else phe.PheCiphertext(ct.scheme, int(ct.payload))
-
     # entry ids count networks prefix by prefix in first-appearance order
     values = [value for group in cleaned.values() for value in group]
-    records = slot_layout([(p, len(group)) for p, group in cleaned.items()], size)
+    counts = [(p, len(group)) for p, group in cleaned.items()]
+    records = slot_layout(counts, handler.slots)
     chunks = [[value for _, first_id, count in runs
                for value in values[first_id:first_id + count]] for runs in records]
     getattr(keys, "crt", None)  # built once here, not once per worker
     groups: dict[int, list] = {}
-    with _spread(encrypt, chunks, [1] * len(chunks), rng) as cts:
+    with _spread(lambda chunk: handler.seal(chunk, rng), chunks,
+                 [1] * len(chunks), rng) as cts:
         for runs, ct in zip(records, cts):
             groups.setdefault(runs[0][0], []).append((runs, ct))
 
-    meta = {"duplicates_removed": duplicates, "entries_normalized": normalized}
-    return EncryptedStore(scheme, groups, packed, meta, pub)
+    return EncryptedStore(keys.SCHEME, groups, packed,
+                          {"duplicates_removed": duplicates}, phe.public_part(keys))
 
 
 def slot_layout(counts, size: int) -> list[tuple[tuple[int, int, int], ...]]:
@@ -271,54 +240,127 @@ def _debug_decrypt(keys, diff) -> int | None:
         return None
 
 
-def _hooks(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
-           blind: bool, debug: bool):
-    """The three steps in which the backends differ.
+class _LatticeRecords:
+    """A BFV ciphertext of `slots` networks, in its plaintext coefficients;
+    a coefficient with no network holds plaintext_mod - 1, which no masked
+    32-bit address equals.  Its file values are the coefficients of c0,
+    then of c1."""
 
-    `encrypt(layout)` encrypts the target masked for each slot of a record
-    layout ((prefix length, count), ...).  `combine(target, ct)` subtracts
-    (or XORs) one stored ciphertext from it, blinded when asked.
-    `test(diff, fill)` zero-tests the first `fill` slots of the difference
-    and returns (first zero slot or None, decrypted difference of slot 0
-    or None).  A PHE ciphertext has the one slot 0.
-    """
-    if blind and store.scheme in (BFV_SCHEME, _GM):
-        raise InvalidOptions("blinding is only available for the additive schemes")
-    if store.scheme == BFV_SCHEME:
-        params = keys.params
+    op = "sub"
+    low = 0
 
-        def encrypt(layout):
-            values = []
-            for prefix_len, count in layout:
-                values += [ip & prefix_to_mask(prefix_len)] * count
-            return bfv.encrypt(keys, bfv.encode(values, params), params, rng)
-
-        def test(diff, fill):
-            coeffs = bfv.decrypt(keys, diff, params).coeffs
-            try:
-                return coeffs.index(0, 0, fill), coeffs[0]
-            except ValueError:
-                return None, coeffs[0]
-
-        return encrypt, bfv.eval_sub, test
-
-    def encrypt(layout):
-        (prefix_len, _), = layout
-        return phe.encrypt(keys, ip & prefix_to_mask(prefix_len), rng)
-
-    def combine(target, ct):
-        if store.scheme == _GM:
-            return phe.xor_encrypted(keys, target, ct)
-        diff = phe.sub_encrypted(keys, target, ct)
+    def __init__(self, keys, packed: bool, blind: bool, debug: bool):
         if blind:
-            diff = phe.blind(keys, diff, rng)
-        return diff
+            raise InvalidOptions("blinding is only available for the additive "
+                                 "PHE schemes")
+        self.keys, self.params = keys, keys.params
+        if self.params.plaintext_mod <= _MAX_ADDR + 1:
+            raise MessageOutOfRange(
+                "plaintext modulus must exceed 2^32 so masked addresses and the "
+                "padding value are distinct residues")
+        self.slots = self.params.ring_dim if packed else 1
+        self.width = 2 * self.params.ring_dim
+        self.modulus = self.params.ciphertext_mod
 
-    def test(diff, fill):
-        slot = 0 if phe.is_zero(keys, diff) else None
-        return slot, _debug_decrypt(keys, diff) if debug else None
+    def seal(self, values: list[int], rng: RandomSource):
+        # under the public key, so that a store is the same from either key file
+        coeffs = values + [self.params.plaintext_mod - 1] * (self.slots - len(values))
+        return bfv.encrypt(phe.public_part(self.keys),
+                           bfv.encode(coeffs, self.params), self.params, rng)
 
-    return encrypt, combine, test
+    def values(self, ct) -> tuple[int, ...]:
+        return ct.c0.coeffs + ct.c1.coeffs
+
+    def record(self, values: list[int]):
+        n = self.params.ring_dim
+        return bfv.BfvCiphertext(bfv.RingPoly(tuple(values[:n])),
+                                 bfv.RingPoly(tuple(values[n:])), self.params)
+
+    def query(self, ip: int, layout, rng: RandomSource):
+        values = []
+        for prefix_len, count in layout:
+            values += [ip & prefix_to_mask(prefix_len)] * count
+        return bfv.encrypt(self.keys, bfv.encode(values, self.params),
+                           self.params, rng)
+
+    def combine(self, target, ct, rng: RandomSource):
+        return bfv.eval_sub(target, ct)
+
+    def test(self, diff, fill: int):
+        coeffs = bfv.decrypt(self.keys, diff, self.params).coeffs
+        try:
+            return coeffs.index(0, 0, fill), coeffs[0]
+        except ValueError:
+            return None, coeffs[0]
+
+
+class _PheRecords:
+    """A PHE ciphertext of one network: its one group element, or
+    Goldwasser-Micali's `GM_WIDTH` per-bit ones, are its file values."""
+
+    slots = 1
+    low = 1
+
+    def __init__(self, keys, packed: bool, blind: bool, debug: bool):
+        if packed:
+            raise InvalidOptions("packed stores require the lattice backend")
+        self.scheme = phe.scheme_of(keys)
+        # a unit multiple keeps zero, and only zero, under one message modulus
+        if blind and phe.message_modulus(keys) is None:
+            raise InvalidOptions("blinding is only available for the additive "
+                                 "schemes with one message modulus, not "
+                                 f"{self.scheme.value}")
+        self.keys, self.blind, self.debug = keys, blind, debug
+        xor = self.scheme is SchemeId.GOLDWASSER_MICALI
+        self.op = "xor" if xor else "sub"
+        self.width = GM_WIDTH if xor else 1
+        self.modulus = phe.public_part(keys).cipher_modulus
+
+    def seal(self, values: list[int], rng: RandomSource):
+        ct = phe.encrypt(self.keys, values[0], rng)
+        # a key pair's CrtElement crosses a worker's pipe as its integer
+        return ct if ct.width else phe.PheCiphertext(ct.scheme, int(ct.payload))
+
+    def values(self, ct) -> tuple[int, ...]:
+        # int(): a key holder's ciphertext may still defer half of its residues
+        return ct.payload if ct.width is not None else (int(ct.payload),)
+
+    def record(self, values: list[int]):
+        return phe.PheCiphertext(self.scheme, values[0] if self.width == 1
+                                 else tuple(values))
+
+    def query(self, ip: int, layout, rng: RandomSource):
+        (prefix_len, _), = layout
+        return phe.encrypt(self.keys, ip & prefix_to_mask(prefix_len), rng)
+
+    def combine(self, target, ct, rng: RandomSource):
+        if self.op == "xor":
+            return phe.xor_encrypted(self.keys, target, ct)
+        diff = phe.sub_encrypted(self.keys, target, ct)
+        return phe.blind(self.keys, diff, rng) if self.blind else diff
+
+    def test(self, diff, fill: int):
+        slot = 0 if phe.is_zero(self.keys, diff) else None
+        return slot, _debug_decrypt(self.keys, diff) if self.debug else None
+
+
+def record_handler(keys, packed: bool = False, *, blind: bool = False,
+                   debug: bool = False):
+    """How the backend of `keys`, a key pair or a public key, handles the
+    records of a store, packed or not.
+
+    A record holds `slots` networks in `width` file values, each in
+    [`low`, `modulus`).  `seal(values, rng)` encrypts one under the public
+    key; `values(ct)` and `record(values)` turn it into its file values
+    and back.  A lookup encrypts `query(ip, layout, rng)` for a record
+    layout ((prefix length, count), ...), then for each record `combine`s
+    (`op`: "sub", blinded when asked, or "xor") and `test`s: (first zero
+    of the first `fill` slots or None, slot 0's difference or None).
+    Refuses `packed` or `blind`, before any encryption, where the backend
+    cannot do them.
+    """
+    family = _LatticeRecords if keys.SCHEME == BFV_SCHEME else _PheRecords
+    return family(keys, packed, blind, debug)
 
 
 def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
@@ -329,19 +371,20 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
     Scans prefix groups longest first and records in insertion order, cut
     into batches of consecutive records that share a slot layout; each
     batch encrypts one query, which for one-network records is once per
-    prefix group.  The first match wins, and `exhaustive` only keeps the scan
-    going to the end.  `blind` multiplies each difference by a fresh unit
-    before the zero test (additive schemes only).  `debug` reports each
-    record's decrypted difference by entry id; packed records, which hold
-    many entries, report none.  `seconds` holds the time spent in each
-    phase, summed over the batches scanned up to the answer: query
-    encryption, the homomorphic operation (with blinding) and the zero
-    test (with `debug`'s decryption).  Batches go to worker processes as
-    `_spread` decides, so `seconds` may exceed the wall time, while
-    `stats` still counts the sequential scan up to the answer.
+    prefix group, and the store's `record_handler` does each step.  The
+    first match wins, and `exhaustive` only keeps the scan going to
+    the end.  `blind` multiplies each difference by a fresh unit before
+    the zero test (additive schemes of one message modulus only).  `debug`
+    reports each record's decrypted difference by entry id; packed
+    records, which hold many entries, report none.  `seconds` holds the
+    time spent in each phase, summed over the batches scanned up to the
+    answer: query encryption, the homomorphic operation (with blinding)
+    and the zero test (with `debug`'s decryption).  Batches go to worker
+    processes as `_spread` decides, so `seconds` may exceed the wall
+    time, while `stats` still counts the sequential scan up to the answer.
     """
     _check_store_keys(store, keys)
-    encrypt, combine, test = _hooks(ip, store, keys, rng, blind=blind, debug=debug)
+    handler = record_handler(keys, store.packed, blind=blind, debug=debug)
     debug_entries = debug and not store.packed
 
     def scan(batch):
@@ -350,15 +393,15 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
         layout, records = batch
         fill = sum(count for _, count in layout)
         t0 = time.perf_counter()
-        target = encrypt(layout)
+        target = handler.query(ip, layout, rng)
         seconds = {"encrypt": time.perf_counter() - t0, "combine": 0.0,
                    "zero_test": 0.0}
         found, scanned, differences = None, 0, {}
         for runs, ct in records:
             t1 = time.perf_counter()
-            diff = combine(target, ct)
+            diff = handler.combine(target, ct, rng)
             t2 = time.perf_counter()
-            slot, difference = test(diff, fill)
+            slot, difference = handler.test(diff, fill)
             seconds["combine"] += t2 - t1
             seconds["zero_test"] += time.perf_counter() - t2
             scanned += 1
@@ -380,7 +423,7 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
     for cache in ("crt", "packed_secret"):  # built once here, not per worker
         getattr(keys, cache, None)
 
-    op = "xor_calls" if store.scheme == _GM else "sub_calls"
+    op = f"{handler.op}_calls"
     stats = {"encryptions": 0, op: 0, "zero_tests": 0}
     seconds = dict.fromkeys(("encrypt", "combine", "zero_test"), 0.0)
     differences = {} if debug_entries else None

@@ -15,16 +15,16 @@ Store files are binary: magic `HELB`, version byte 4, a scheme byte, the
 SHA-256 of the public-file text of the key the store was built under, a
 byte giving the number of prefix runs, then one (prefix byte, big-endian
 u32 network count) per prefix length, in entry-id order.  The records
-follow as bare ciphertexts: each value is exactly w big-endian bytes, w
-the byte length of (modulus - 1), and a record holds one value (PHE),
-`GM_WIDTH` values (Goldwasser-Micali) or the 2 * ring_dim coefficients of
-c0 and c1 (lattice).  The last 32 bytes are the SHA-256 of everything
-before them.  Nothing else is stored: `ipmatch.slot_layout` derives every
-record's slot runs from the header, for the writer and the reader alike,
-so the file cannot express a bad layout, and the header fixes the file's
-exact length, which the reader checks once before it derives anything.
-Reading a store needs its key, which the fingerprint must match, and
-every value is range-checked against it.
+follow as bare ciphertexts.  The backend's record handler
+(`ipmatch.record_handler`) owns their layout: a record is its `width`
+values, each exactly w big-endian bytes, w the byte length of
+(modulus - 1), and in [low, modulus).  The last 32 bytes are the SHA-256
+of everything before them.  Nothing else is stored: `ipmatch.slot_layout`
+derives every record's slot runs from the header, for the writer and the
+reader alike, so the file cannot express a bad layout, and the header
+fixes the file's exact length, which the reader checks once before it
+derives anything.  Reading a store needs its key, which the fingerprint
+must match, and every value is range-checked against it.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ except ImportError:
 
 from . import bfv, phe
 from .errors import FormatError, SchemeMismatch
-from .ipmatch import BFV_SCHEME, GM_WIDTH, EncryptedStore, slot_layout
-from .phe import PheCiphertext, SchemeId
+from .ipmatch import BFV_SCHEME, EncryptedStore, record_handler, slot_layout
+from .phe import SchemeId
 
 KEY_MAGIC = "HELB-KEY v1"
 STORE_MAGIC = b"HELB"
@@ -204,26 +204,8 @@ _RUN = struct.Struct(">BI")  # prefix length, network count
 _DIGEST_SIZE = 32
 
 
-def _record_shape(pub, packed: bool) -> tuple[int, int, int, int]:
-    """(slots, elements, low, modulus) of the records of a store built
-    under `pub`: each holds `slots` networks in `elements` ciphertext
-    values, every one in [low, modulus)."""
-    if pub.SCHEME == BFV_SCHEME:
-        n = pub.params.ring_dim
-        return n if packed else 1, 2 * n, 0, pub.params.ciphertext_mod
-    width = GM_WIDTH if pub.SCHEME == SchemeId.GOLDWASSER_MICALI else 1
-    return 1, width, 1, pub.cipher_modulus
-
-
 def _byte_width(modulus: int) -> int:
     return ((modulus - 1).bit_length() + 7) // 8
-
-
-def _ciphertext_values(ct) -> tuple[int, ...]:
-    if isinstance(ct, bfv.BfvCiphertext):
-        return ct.c0.coeffs + ct.c1.coeffs
-    # int(): a key holder's ciphertext may still defer half of its residues
-    return ct.payload if ct.width is not None else (int(ct.payload),)
 
 
 def write_store(store: EncryptedStore, path: str) -> None:
@@ -232,14 +214,15 @@ def write_store(store: EncryptedStore, path: str) -> None:
         raise FormatError("a store without its public key cannot be written")
     scheme_byte = _PACKED_SCHEME_BYTE if store.packed else _SCHEME_BYTES[store.scheme]
     counts = store.prefix_counts()
-    width = _byte_width(_record_shape(store.pub, store.packed)[3])
+    handler = record_handler(store.pub, store.packed)
+    nbytes = _byte_width(handler.modulus)
     parts = [STORE_MAGIC, bytes([STORE_VERSION, scheme_byte]),
              _fingerprint(store.pub), bytes([len(counts)])]
     parts += [_RUN.pack(*run) for run in counts.items()]
-    parts += [value.to_bytes(width, "big")
+    parts += [value.to_bytes(nbytes, "big")
               for prefix_len in sorted(store.groups, reverse=True)
               for _, ct in store.groups[prefix_len]
-              for value in _ciphertext_values(ct)]
+              for value in handler.values(ct)]
     data = b"".join(parts)
     with open(path, "wb") as fh:
         fh.write(data + sha256(data).digest())
@@ -252,10 +235,10 @@ def read_store(path: str, keys) -> EncryptedStore:
     `keys`, and FormatError for a malformed file: a SHA-256 that does not
     seal it, a header that gives no networks, a prefix length above 32,
     a repeated one or one of no networks, a length other than the header
-    implies, or a ciphertext value outside its group: a PHE element
-    outside [1, cipher_modulus), a lattice coefficient not below
-    ciphertext_mod.  Lattice ciphertexts are rebuilt with the parameters
-    of `keys`, and every record's runs by `slot_layout`.
+    implies, or a ciphertext value outside the range of the record
+    handler of `keys` (`ipmatch.record_handler`): a PHE element outside
+    [1, cipher_modulus), a lattice coefficient not below ciphertext_mod.
+    The handler rebuilds every record, and `slot_layout` its runs.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -293,29 +276,22 @@ def read_store(path: str, keys) -> EncryptedStore:
                               f"length {prefix_len}")
     if len({prefix_len for prefix_len, _ in counts}) != len(counts):
         raise FormatError(f"{path}: header repeats a prefix length")
-    size, elements, low, modulus = _record_shape(pub, packed)
-    width = _byte_width(modulus)
-    records = -(-sum(count for _, count in counts) // size)
-    expected = body + records * elements * width + _DIGEST_SIZE
+    handler = record_handler(pub, packed)
+    nbytes = _byte_width(handler.modulus)
+    records = -(-sum(count for _, count in counts) // handler.slots)
+    expected = body + records * handler.width * nbytes + _DIGEST_SIZE
     if len(data) != expected:
         raise FormatError(f"{path}: store file is {len(data)} bytes, its header "
                           f"implies {expected}")
 
     from_bytes = int.from_bytes
-    values = [from_bytes(data[pos:pos + width], "big")
-              for pos in range(body, len(data) - _DIGEST_SIZE, width)]
-    if min(values) < low or max(values) >= modulus:
+    values = [from_bytes(data[pos:pos + nbytes], "big")
+              for pos in range(body, len(data) - _DIGEST_SIZE, nbytes)]
+    if min(values) < handler.low or max(values) >= handler.modulus:
         raise FormatError(f"{path}: {scheme} ciphertext value outside "
-                          f"[{low}, {modulus:#x})")
+                          f"[{handler.low}, {handler.modulus:#x})")
     groups: dict[int, list] = {}
-    for i, runs in enumerate(slot_layout(counts, size)):
-        ct_values = values[i * elements:(i + 1) * elements]
-        if scheme == BFV_SCHEME:
-            n = pub.params.ring_dim
-            ct = bfv.BfvCiphertext(bfv.RingPoly(tuple(ct_values[:n])),
-                                   bfv.RingPoly(tuple(ct_values[n:])), pub.params)
-        else:
-            ct = PheCiphertext(SchemeId(scheme), ct_values[0] if elements == 1
-                               else tuple(ct_values))
+    for i, runs in enumerate(slot_layout(counts, handler.slots)):
+        ct = handler.record(values[i * handler.width:(i + 1) * handler.width])
         groups.setdefault(runs[0][0], []).append((runs, ct))
     return EncryptedStore(scheme, groups, packed, pub=pub)

@@ -319,6 +319,18 @@ class TestMatchSubtract:
             blinded = match(ip, store, paillier_keys, RNG(29), blind=True)
             assert plain.matched == blinded.matched == support.plain_member(ip, entries)
 
+    def test_blind_refused_before_any_encryption_without_one_message_modulus(
+            self, ns_keys, monkeypatch):
+        # Naccache-Stern's message space is a product of small primes
+        store = build_store([parse_cidr("1.2.3.0/24")], ns_keys, RNG(30))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("phe.encrypt called")
+
+        monkeypatch.setattr(phe, "encrypt", refuse)
+        with pytest.raises(InvalidOptions, match="additive"):
+            match(parse_ipv4("1.2.3.4"), store, ns_keys, RNG(31), blind=True)
+
     def test_wrong_keys_rejected(self, paillier_keys, dj_keys):
         store = build_store([parse_cidr("1.2.3.0/24")], paillier_keys, RNG(34))
         with pytest.raises(SchemeMismatch):
