@@ -13,6 +13,17 @@ Miller-Rabin refuses too, and the witnesses come from the operating
 system, not from the caller's stream.  So a seeded prime search returns
 the same prime as a plain Miller-Rabin loop over the same candidates,
 also when its rounds run in worker processes (`_search`).
+
+How many random rounds a number takes depends on where it comes from.
+`gen_prime` draws its candidates uniformly from the odd k-bit integers,
+and for such a draw Damgard, Landrock and Pomerance (Math. Comp. 61,
+1993; Handbook of Applied Cryptography, Fact 4.48) bound the chance that
+one passing t rounds is composite far below 4^-t: `random_candidate_rounds`
+gives the fewest rounds that bound it by 2^-128, 6 at 1024 bits.  Every
+other number, such as a BFV modulus read from a file, a safe prime's two
+halves or Benaloh's p = r*k + 1, takes `DEFAULT_MR_ROUNDS`, whose error
+is at most 4^-40 for any input.  The sieve only refuses composites, so it
+cannot raise the chance that a number that passes is composite.
 """
 
 from __future__ import annotations
@@ -27,6 +38,9 @@ from . import pool
 from .errors import DecryptionFailure, InvalidModulus, NotFound, NotInvertible
 
 DEFAULT_MR_ROUNDS = 40
+
+# `random_candidate_rounds` bounds the error of a generated prime by 2^-this.
+_RANDOM_CANDIDATE_ERROR_BITS = 128
 
 # Below this bound the fixed witness set is a deterministic primality test.
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
@@ -181,27 +195,51 @@ def _passes(job: tuple[tuple[int, ...], int]) -> bool:
 def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     """Miller-Rabin primality test, after the sieve of `_unsettled`.
 
-    Composites slip through with probability at most 4**-rounds; below
-    ~3.3e24 the fixed witness set makes the answer exact.
+    Composites slip through with probability at most 4**-rounds, whatever
+    n is, so the default suits numbers read from outside; below ~3.3e24
+    the fixed witness set makes the answer exact.
     """
     left = _unsettled(n)
     return left is not None and _passes((left, rounds))
 
 
+def random_candidate_rounds(bits: int) -> int:
+    """The Miller-Rabin rounds that leave a prime drawn by `gen_prime`, a
+    uniformly random odd `bits`-bit integer that passes them, composite
+    with probability at most 2^-128.
+
+    For 3 <= t <= k/9 and k >= 21, Damgard, Landrock and Pomerance bound
+    that probability after t rounds by k^(3/2) 2^t t^(-1/2) 4^(2-sqrt(tk))
+    (Math. Comp. 61, 1993; HAC Fact 4.48).  It is a bound over the random
+    draw: a chosen composite passes t rounds with probability up to 4^-t.  This is the smallest such t whose bound is at most
+    2^-128: 17 at 384 bits, 12 at 512, 6 at 1024 and 3 at 2048.  Where
+    none is, below 257 bits, it is `DEFAULT_MR_ROUNDS`.
+    """
+    for t in range(3, bits // 9 + 1):
+        log2_bound = (1.5 * math.log2(bits) + t - 0.5 * math.log2(t)
+                      + 2 * (2 - math.sqrt(t * bits)))
+        if log2_bound <= -_RANDOM_CANDIDATE_ERROR_BITS:
+            return t
+    return DEFAULT_MR_ROUNDS
+
+
 # The search forks workers for candidates of this many bits and more.  Per
-# prime, seeded `gen_prime` searches on a 2-vCPU host, in this process
-# against two workers (medians of 7 alternating runs of 20 seeds each):
-# 15 against 16 ms at 256 bits, 16 / 18 at 288, 24 / 22 at 320, 23 / 22
-# at 352, 31 / 30 at 384; then 61 / 49 ms at 512 and 374 / 245 ms at
-# 1024 bits (5 runs of 10 seeds).  The forks cost about 2 ms, and below
-# 384 bits the workers did not win every run.
+# prime, seeded `gen_prime` searches on a 2-vCPU host, with the rounds of
+# `random_candidate_rounds`, in this process against two workers (medians
+# of 7 alternating runs of 20 seeds each): 9.9 against 9.7 ms at 256 bits,
+# 9.5 / 10.3 at 288, 10.7 / 12.4 at 320, 13.2 / 11.6 at 352, 14.7 / 13.4
+# at 384 and 20.2 / 15.6 at 448; then 27.3 / 19.7 ms at 512 and
+# 171 / 106 ms at 1024 bits (5 runs of 10 seeds).  In 11 more runs the
+# workers won 10 at 384 bits but 2 at 352.  The forks cost about 2 ms.
 _FORK_BITS = 384
 
 
-def _search(sift, bits: int, rng: RandomSource, tries: int | None = None):
+def _search(sift, bits: int, rng: RandomSource, tries: int | None = None,
+            rounds: int = DEFAULT_MR_ROUNDS):
     """The value of the first candidate, in stream order, whose numbers all
-    pass `DEFAULT_MR_ROUNDS` Miller-Rabin rounds; None when `tries` draws
-    give none.
+    pass `rounds` Miller-Rabin rounds; None when `tries` draws give none.
+    Only `gen_prime`, whose candidates are uniformly random, passes fewer
+    rounds than `DEFAULT_MR_ROUNDS` (`random_candidate_rounds`).
 
     `sift()` draws one candidate from `rng` and returns None when the sieve
     refuses it, else (value, numbers), with the numbers left to test by
@@ -215,11 +253,12 @@ def _search(sift, bits: int, rng: RandomSource, tries: int | None = None):
     """
     count = pool.worker_count() if bits >= _FORK_BITS else 1
     if count < 2:
-        return _stream_search(sift, rng, tries, [_Inline()], lambda busy: busy)
+        return _stream_search(sift, rng, tries, rounds, [_Inline()],
+                              lambda busy: busy)
     import select  # only a process that forks needs it
 
     with pool.forked(_passes, [None] * count) as workers:
-        return _stream_search(sift, rng, tries, workers,
+        return _stream_search(sift, rng, tries, rounds, workers,
                               lambda busy: select.select(busy, [], [])[0])
 
 
@@ -253,13 +292,13 @@ class _Survivor:
                                               0 if proved else None, False)
 
 
-def _stream_search(sift, rng: RandomSource, tries: int | None, workers: list,
-                   ready):
+def _stream_search(sift, rng: RandomSource, tries: int | None, rounds: int,
+                   workers: list, ready):
     """The loop of `_search` over `workers`, each of which takes (numbers,
     rounds) jobs by `send` and hands back each verdict by `receive`;
     `ready(busy)` waits until some of the busy workers have a verdict in
     and returns those."""
-    rest_rounds = DEFAULT_MR_ROUNDS - 1
+    rest_rounds = rounds - 1
     chunks = [rest_rounds // len(workers) + (i < rest_rounds % len(workers))
               for i in range(len(workers))]
     survivors = collections.deque()  # in stream order
@@ -316,37 +355,43 @@ def _stream_search(sift, rng: RandomSource, tries: int | None, workers: list,
                 survivor.failed = survivor.failed or not passed
 
 
-def find_prime(draw, bits: int, rng: RandomSource,
-               tries: int | None = None) -> int | None:
+def find_prime(draw, bits: int, rng: RandomSource, tries: int | None = None,
+               rounds: int = DEFAULT_MR_ROUNDS) -> int | None:
     """The first prime among the candidates of about `bits` bits that
-    `draw()` takes from `rng`, in stream order (`_search`); `draw` returns
-    None for a candidate that it refuses itself.  None when `tries` draws
-    give no prime."""
+    `draw()` takes from `rng`, in stream order, each confirmed by `rounds`
+    Miller-Rabin rounds (`_search`); `draw` returns None for a candidate
+    that it refuses itself.  None when `tries` draws give no prime."""
     def sift():
         candidate = draw()
         left = None if candidate is None else _unsettled(candidate)
         return None if left is None else (candidate, left)
 
-    return _search(sift, bits, rng, tries)
+    return _search(sift, bits, rng, tries, rounds)
 
 
 def gen_prime(bits: int, rng: RandomSource) -> int:
     """Return an odd probable prime of exactly `bits` bits (top bit set).
 
-    The first candidate that passes the sieve and every Miller-Rabin
-    round: the sieve refuses only composites, and the witnesses do not
-    come from `rng`, so a seeded search returns the prime that a plain
-    Miller-Rabin loop over the same candidates would, and leaves `rng` as
-    that loop would.
+    The first candidate that passes the sieve and `random_candidate_rounds`
+    Miller-Rabin rounds, so it is composite with probability at most
+    2^-128 (4^-40 below 257 bits, where the rounds stay at
+    `DEFAULT_MR_ROUNDS`): the candidates are uniformly random odd integers
+    with the top bit set.  The sieve refuses only composites, and the
+    witnesses do not come from `rng`, so a seeded search returns the prime
+    that a plain Miller-Rabin loop over the same candidates would, and
+    leaves `rng` as that loop would.
     """
     if bits < 8:
         raise ValueError(f"prime size must be at least 8 bits, got {bits}")
     return find_prime(lambda: rng.getrandbits(bits) | (1 << (bits - 1)) | 1,
-                      bits, rng)
+                      bits, rng, rounds=random_candidate_rounds(bits))
 
 
 def gen_safe_prime(bits: int, rng: RandomSource) -> int:
-    """Return a prime p of exactly `bits` bits with (p-1)/2 also prime."""
+    """Return a prime p of exactly `bits` bits with (p-1)/2 also prime,
+    both confirmed by `DEFAULT_MR_ROUNDS` rounds: the bound of
+    `random_candidate_rounds` is for a uniform candidate tested on its
+    own, and neither half of a safe prime is one."""
     if bits < 9:
         raise ValueError(f"safe prime size must be at least 9 bits, got {bits}")
 

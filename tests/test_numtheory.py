@@ -1,10 +1,13 @@
+import collections
+import hashlib
 import math
+import pathlib
 import random
 
 import pytest
 import support
 
-from helb import numtheory
+from helb import numtheory, phe, pool, serial
 from helb.errors import InvalidModulus, NotFound, NotInvertible
 from helb.numtheory import (
     RandomSource,
@@ -77,14 +80,17 @@ def restated_miller_rabin(n, rounds=40):
 
 
 class CountingWitnesses:
-    """A stand-in for `numtheory._witness_rng` that counts its draws and
+    """A stand-in for `numtheory._witness_rng` that counts its draws, in
+    all and per tested number n (from the range [2, n - 1) asked for), and
     always gives `witness`."""
 
     def __init__(self, witness=2):
         self.witness, self.draws = witness, 0
+        self.per_number = collections.Counter()
 
     def randrange(self, start, stop):
         self.draws += 1
+        self.per_number[stop + 1] += 1
         return self.witness
 
 
@@ -149,6 +155,72 @@ class TestWitnessDraws:
         monkeypatch.setattr(numtheory, "_witness_rng", stub)
         assert is_probable_prime(2**61 - 1)
         assert stub.draws == 0
+
+
+def dlp_bound(k, t):
+    """The Damgard-Landrock-Pomerance bound (HAC Fact 4.48) on the chance
+    that a random odd k-bit integer passing t Miller-Rabin rounds is
+    composite, for 3 <= t <= k/9 and k >= 21."""
+    return k**1.5 * 2**t * t**-0.5 * 4 ** (2 - math.sqrt(t * k))
+
+
+class TestRoundsPerSearch:
+    @pytest.mark.parametrize("bits, rounds",
+                             [(384, 17), (512, 12), (683, 9), (1024, 6), (2048, 3)])
+    def test_fewest_rounds_that_bound_a_random_candidate_by_2_to_the_128(
+            self, bits, rounds):
+        t = numtheory.random_candidate_rounds(bits)
+        assert t == rounds and 3 <= t <= bits / 9
+        assert dlp_bound(bits, t) <= 2.0**-128
+        assert t - 1 < 3 or dlp_bound(bits, t - 1) > 2.0**-128
+
+    def test_no_size_below_257_bits_has_a_bound(self):
+        assert all(dlp_bound(256, t) > 2.0**-128 for t in range(3, 256 // 9 + 1))
+        assert numtheory.random_candidate_rounds(256) == numtheory.DEFAULT_MR_ROUNDS == 40
+
+    @pytest.fixture
+    def witnesses(self, monkeypatch):
+        """Counted witnesses, with every search in this process, where the
+        stand-in draws them."""
+        monkeypatch.setattr(pool, "worker_count", lambda: 1)
+        stub = CountingWitnesses()
+        monkeypatch.setattr(numtheory, "_witness_rng", stub)
+        return stub
+
+    @pytest.mark.parametrize("bits, rounds", [(320, 21), (384, 17), (512, 12),
+                                              (1024, 6)])
+    def test_a_generated_prime_draws_the_rounds_of_its_size(self, bits, rounds,
+                                                            witnesses):
+        p = gen_prime(bits, RandomSource.seeded(bits))
+        assert witnesses.per_number[p] == rounds
+
+    def test_a_callers_draw_keeps_the_default_rounds(self, witnesses):
+        rng = RandomSource.seeded(5)
+        p = numtheory.find_prime(lambda: rng.getrandbits(512) | (1 << 511) | 1,
+                                 512, rng)
+        assert witnesses.per_number[p] == 40
+
+    def test_a_number_from_outside_keeps_the_default_rounds(self, witnesses):
+        assert is_probable_prime(2**521 - 1)
+        assert witnesses.draws == 40
+
+    def test_both_halves_of_a_safe_prime_keep_the_default_rounds(self, witnesses):
+        p = gen_safe_prime(384, RandomSource.seeded(6))
+        assert witnesses.per_number[p] == witnesses.per_number[(p - 1) // 2] == 40
+
+
+# `same_keys` of BENCH_15.json, which the `paillier-2048` benchmark generates
+PAILLIER_2048_SEED_1 = (
+    "276db98254b1a6d06b71829a3856763f14b5d19384183dcb69ba2c973d36e55a",
+    "724316b8bfd3a696611a9954b10b1884dc30c80b6b96ed345b1f96fa00918d52")
+
+
+def test_seeded_2048_bit_paillier_keys_keep_their_digests(tmp_path):
+    keys = phe.keygen(phe.SchemeId.PAILLIER, 2048, RandomSource.seeded(1),
+                      test_mode=True)
+    paths = serial.write_key_files(keys, str(tmp_path / "key"))
+    assert tuple(hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+                 for path in paths) == PAILLIER_2048_SEED_1
 
 
 class TestIsProbablePrime:
