@@ -121,7 +121,12 @@ def bench_schemes(schemes=None, *, iterations: int = 3, bits: int = 512,
 def random_cidrs(count: int, rng: RandomSource, *,
                  prefix_len: int | None = 24) -> list[ipmatch.CidrEntry]:
     """`count` distinct random networks; fixed /24 by default, or random
-    prefix lengths when prefix_len is None."""
+    prefix lengths when prefix_len is None.  Raises InvalidOptions, before
+    any draw, when fewer than `count` such networks exist."""
+    networks = 2**33 - 1 if prefix_len is None else 2**prefix_len
+    if count > networks:
+        raise InvalidOptions(f"only {networks} distinct networks exist, "
+                             f"{count} were asked for")
     seen = set()
     out = []
     while len(out) < count:

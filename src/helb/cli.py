@@ -28,6 +28,19 @@ from .phe import SchemeId
 _PROFILES = sorted(bfv.PROFILES)
 
 
+def _seed(text: str) -> int:
+    """A `--seed` value, refused as a usage error (exit 2) unless it is an
+    integer in [0, 2^64), the seeds that `RandomSource.seeded` takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer from 0 to 2^64 - 1")
+    return seed
+
+
 def _rng(seed: int | None) -> RandomSource:
     return RandomSource.seeded(seed) if seed is not None else RandomSource.crypto()
 
@@ -171,7 +184,7 @@ def _parser(prog_name: str | None) -> argparse.ArgumentParser:
                    help="Damgard-Jurik exponent s (message space n^s).")
     p.add_argument("--ns-bits", type=int,
                    help="Naccache-Stern message width in bits.")
-    p.add_argument("--seed", type=int,
+    p.add_argument("--seed", type=_seed,
                    help="Deterministic test mode (never for production keys).")
 
     lists = commands.add_parser("blacklist", help="Blacklist store operations.")
@@ -183,7 +196,7 @@ def _parser(prog_name: str | None) -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--packed", action="store_true",
                    help="Pack entries into ring coefficients (bfv only).")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
 
     p = _command(commands, "match", match)
     p.add_argument("--keys", required=True,
@@ -201,7 +214,7 @@ def _parser(prog_name: str | None) -> argparse.ArgumentParser:
     p.add_argument("--list-kind", choices=["blacklist", "whitelist"],
                    default="blacklist",
                    help="Label only: whitelist membership uses the same mechanics.")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
 
     p = _command(commands, "bench", bench)
     p.add_argument("--schemes", default="all",
@@ -212,7 +225,7 @@ def _parser(prog_name: str | None) -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=_PROFILES, default="desk")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table",
                    help="json: one object with the host metadata and the rows.")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p = _command(p.add_subparsers(metavar="scale"), "scale", bench_scale)
     p.add_argument("--counts", default="50,100,200,400,800")
     p.add_argument("--packed", action="store_true",
@@ -221,7 +234,7 @@ def _parser(prog_name: str | None) -> argparse.ArgumentParser:
     p.add_argument("--random-prefixes", action="store_true",
                    help="Draw random prefix lengths instead of fixed /24.")
     p.add_argument("--format", choices=["table", "csv"], default="table")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     return parser
 
 

@@ -11,8 +11,9 @@ about half of the survivors for a fraction of one Miller-Rabin round.
 Both stages refuse only numbers with a small prime factor, which
 Miller-Rabin refuses too, and the witnesses come from the operating
 system, not from the caller's stream.  So a seeded prime search returns
-the same prime as a plain Miller-Rabin loop over the same candidates,
-also when its rounds run in worker processes (`_search`).
+the same prime, and leaves the stream where a plain Miller-Rabin loop
+over the same candidates would, also when its rounds run one at a time
+in forked workers (`_search`).
 
 How many random rounds a number takes depends on where it comes from.
 `gen_prime` draws its candidates uniformly from the odd k-bit integers,
@@ -28,7 +29,6 @@ cannot raise the chance that a number that passes is composite.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -211,9 +211,10 @@ def random_candidate_rounds(bits: int) -> int:
     For 3 <= t <= k/9 and k >= 21, Damgard, Landrock and Pomerance bound
     that probability after t rounds by k^(3/2) 2^t t^(-1/2) 4^(2-sqrt(tk))
     (Math. Comp. 61, 1993; HAC Fact 4.48).  It is a bound over the random
-    draw: a chosen composite passes t rounds with probability up to 4^-t.  This is the smallest such t whose bound is at most
-    2^-128: 17 at 384 bits, 12 at 512, 6 at 1024 and 3 at 2048.  Where
-    none is, below 257 bits, it is `DEFAULT_MR_ROUNDS`.
+    draw: a chosen composite passes t rounds with probability up to 4^-t.
+    This is the smallest such t whose bound is at most 2^-128: 17 at 384
+    bits, 12 at 512, 6 at 1024 and 3 at 2048.  Where none is, below 257
+    bits, it is `DEFAULT_MR_ROUNDS`.
     """
     for t in range(3, bits // 9 + 1):
         log2_bound = (1.5 * math.log2(bits) + t - 0.5 * math.log2(t)
@@ -226,11 +227,11 @@ def random_candidate_rounds(bits: int) -> int:
 # The search forks workers for candidates of this many bits and more.  Per
 # prime, seeded `gen_prime` searches on a 2-vCPU host, with the rounds of
 # `random_candidate_rounds`, in this process against two workers (medians
-# of 7 alternating runs of 20 seeds each): 9.9 against 9.7 ms at 256 bits,
-# 9.5 / 10.3 at 288, 10.7 / 12.4 at 320, 13.2 / 11.6 at 352, 14.7 / 13.4
-# at 384 and 20.2 / 15.6 at 448; then 27.3 / 19.7 ms at 512 and
-# 171 / 106 ms at 1024 bits (5 runs of 10 seeds).  In 11 more runs the
-# workers won 10 at 384 bits but 2 at 352.  The forks cost about 2 ms.
+# of 7 alternating runs of 20 seeds each): 15.0 against 34.4 ms at 320
+# bits, 9.9 / 11.5 at 352, 16.5 / 16.9 at 384 and 21.6 / 19.6 at 448;
+# then 36.0 / 27.8 ms at 512 and 222 / 129 ms at 1024 bits (5 runs of 10
+# seeds).  In 11 more runs at 384 bits the workers read 17.5 against
+# 18.1 ms and won 8.  The forks cost about 2 ms.
 _FORK_BITS = 384
 
 
@@ -243,116 +244,82 @@ def _search(sift, bits: int, rng: RandomSource, tries: int | None = None,
 
     `sift()` draws one candidate from `rng` and returns None when the sieve
     refuses it, else (value, numbers), with the numbers left to test by
-    random rounds (none when the sieve proved them prime).  From `bits` =
-    `_FORK_BITS` on, one forked worker per usable CPU runs the rounds: each
-    survivor's first round goes to a free worker, in stream order, and the
-    remaining rounds of the first survivor to pass, the lead, are split
-    over every worker.  The parent alone draws, so a seeded `rng` is
-    rewound to its state just after the winner was drawn, as if no
-    candidate after it had been; a crypto `rng` just drops them.
+    random rounds (none when the sieve proved them prime).  Below
+    `_FORK_BITS`, or on one usable CPU, the search is a plain loop in this
+    process, which leaves `rng` just past the winner.  Otherwise one
+    forked worker per usable CPU runs the rounds (`_forked_search`).
     """
     count = pool.worker_count() if bits >= _FORK_BITS else 1
+    draws = itertools.repeat(None) if tries is None else range(tries)
     if count < 2:
-        return _stream_search(sift, rng, tries, rounds, [_Inline()],
-                              lambda busy: busy)
-    import select  # only a process that forks needs it
-
+        for _ in draws:
+            sifted = sift()
+            if sifted is not None and _passes((sifted[1], rounds)):
+                return sifted[0]
+        return None
     with pool.forked(_passes, [None] * count) as workers:
-        return _stream_search(sift, rng, tries, rounds, workers,
-                              lambda busy: select.select(busy, [], [])[0])
-
-
-class _Inline:
-    """A worker stand-in that runs each job in this process when it is
-    sent, for a search that forks nothing."""
-
-    def __init__(self):
-        self._results = collections.deque()
-
-    def send(self, job) -> None:
-        self._results.append(_passes(job))
-
-    def receive(self, what: str) -> bool:
-        return self._results.popleft()
+        return _forked_search(sift, rng, draws, rounds, workers)
 
 
 class _Survivor:
     """A candidate that passed the sieve, with the state of the stream
-    just after it was drawn, and its test so far: `first` is None until
-    its first round is in, `rest` counts the jobs of its remaining rounds
-    not yet in (None until they are sent), and `failed` is set by any
-    round it failed."""
+    just after it was drawn, and the Miller-Rabin rounds of its test sent
+    to a worker and passed so far."""
 
-    __slots__ = ("value", "numbers", "state", "first", "rest", "failed")
+    __slots__ = ("value", "numbers", "state", "sent", "passed")
 
     def __init__(self, value: int, numbers: tuple[int, ...], state):
         self.value, self.numbers, self.state = value, numbers, state
-        proved = not numbers  # by the sieve: no round to run
-        self.first, self.rest, self.failed = (True if proved else None,
-                                              0 if proved else None, False)
+        self.sent = self.passed = 0
 
 
-def _stream_search(sift, rng: RandomSource, tries: int | None, rounds: int,
-                   workers: list, ready):
-    """The loop of `_search` over `workers`, each of which takes (numbers,
-    rounds) jobs by `send` and hands back each verdict by `receive`;
-    `ready(busy)` waits until some of the busy workers have a verdict in
-    and returns those."""
-    rest_rounds = rounds - 1
-    chunks = [rest_rounds // len(workers) + (i < rest_rounds % len(workers))
-              for i in range(len(workers))]
-    survivors = collections.deque()  # in stream order
-    held = {worker: collections.deque() for worker in workers}  # (survivor, job kind)
-    drawn, waiting = 0, None
+def _forked_search(sift, rng: RandomSource, draws, rounds: int, workers: list):
+    """`_search` on forked `workers`, each running one Miller-Rabin round,
+    a (numbers, 1) job, at a time.  A free worker takes the next round of
+    the first survivor, in stream order, that has passed a round and has
+    rounds left to send; while none has passed one, the first round of
+    the next survivor, which the parent sieves while every worker is busy.
+    The first survivor left that has passed all `rounds` wins.  A number
+    the sieve proved prime takes its rounds as empty jobs (none from
+    `_FORK_BITS` on).  The parent alone draws, so a seeded `rng` is rewound
+    to its state just after the winner was drawn, as if no candidate after
+    it had been; a crypto `rng` just drops them.
+    """
+    import select  # only a process that forks needs it
+
+    sifted = (sift() for _ in draws)
+    fresh = (_Survivor(*s, rng.getstate()) for s in sifted if s is not None)
+    survivors = []  # in stream order, none known to fail
+    running = {}  # worker: the survivor whose round it runs
+    ahead = None  # the next survivor, sieved before its first round is sent
+
     while True:
-        while survivors and (survivors[0].first is False or survivors[0].failed):
-            survivors.popleft()
-        lead = survivors[0] if survivors and survivors[0].first else None
-        if lead is not None and lead.rest is None:
-            lead.rest = 0
-            # the larger shares go to the workers that are free first
-            for worker, rounds in zip(sorted(workers, key=lambda w: len(held[w])),
-                                      chunks):
-                if rounds:
-                    worker.send((lead.numbers, rounds))
-                    held[worker].append((lead, "rest"))
-                    lead.rest += 1
-        if lead is not None and lead.rest == 0:
-            rng.setstate(lead.state)
-            return lead.value
-        # the next survivor is sieved while every worker is busy, and its
-        # first round goes to the next free worker; none is drawn while a
-        # survivor that passed its first round waits, since it will almost
-        # surely win
-        while not any(survivor.first for survivor in survivors):
-            if waiting is None:
-                if drawn == tries:
-                    break
-                drawn += 1
-                sifted = sift()
-                if sifted is not None:
-                    survivors.append(_Survivor(*sifted, rng.getstate()))
-                    waiting = survivors[-1] if sifted[1] else None
-                continue
-            free = [worker for worker, jobs in held.items() if not jobs]
-            if not free:
+        if survivors and survivors[0].passed == rounds:
+            rng.setstate(survivors[0].state)
+            return survivors[0].value
+        passing = [survivor for survivor in survivors if survivor.passed]
+        for worker in [worker for worker in workers if worker not in running]:
+            survivor = next((survivor for survivor in passing
+                             if survivor.sent < rounds), None)
+            if survivor is None and not passing:
+                survivor, ahead = ahead or next(fresh, None), None
+                if survivor is not None:
+                    survivors.append(survivor)
+            if survivor is None:
                 break
-            free[0].send((waiting.numbers, 1))
-            held[free[0]].append((waiting, "first"))
-            waiting = None
-        busy = [worker for worker, jobs in held.items() if jobs]
-        if not busy:
-            if not survivors:  # every draw is settled: `tries` gave no prime
-                return None
-            continue  # the sieve proved the last survivor prime
-        for worker in ready(busy):
-            survivor, kind = held[worker].popleft()
-            passed = worker.receive("a Miller-Rabin round")
-            if kind == "first":
-                survivor.first = passed
-            else:
-                survivor.rest -= 1
-                survivor.failed = survivor.failed or not passed
+            worker.send((survivor.numbers, 1))
+            survivor.sent += 1
+            running[worker] = survivor
+        if ahead is None and not passing:
+            ahead = next(fresh, None)
+        if not running:  # every draw is settled: `tries` gave no prime
+            return None
+        for worker in select.select(list(running), [], [])[0]:
+            survivor = running.pop(worker)
+            if worker.receive("a Miller-Rabin round"):
+                survivor.passed += 1
+            elif survivor in survivors:
+                survivors.remove(survivor)
 
 
 def find_prime(draw, bits: int, rng: RandomSource, tries: int | None = None,

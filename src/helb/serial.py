@@ -108,19 +108,22 @@ def _fingerprint(pub) -> bytes:
 
 
 def write_key_files(keys, base_path: str) -> tuple[str, str]:
-    """Write `<base>.pub` and `<base>.sec`; the secret file is chmod 0600."""
+    """Write `<base>.pub` and `<base>.sec`.  The secret file is created
+    with mode 0600, and one that exists is set to 0600 before any byte of
+    the secret is written."""
     if not hasattr(keys, "public"):
         raise FormatError("key files are written from a key pair")
     pub_path = base_path + ".pub"
     sec_path = base_path + ".sec"
     with open(pub_path, "w", encoding="utf-8") as fh:
         fh.write(_key_text(keys.public))
-    with open(sec_path, "w", encoding="utf-8") as fh:
+    fd = os.open(sec_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with open(fd, "w", encoding="utf-8") as fh:
+        try:  # the open keeps the mode of a file that exists
+            os.fchmod(fd, 0o600)
+        except (AttributeError, OSError):  # pragma: no cover - no POSIX modes
+            pass
         fh.write(_key_text(keys))
-    try:
-        os.chmod(sec_path, 0o600)
-    except OSError:  # pragma: no cover - platform without POSIX permissions
-        pass
     return pub_path, sec_path
 
 

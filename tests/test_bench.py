@@ -85,6 +85,16 @@ def test_random_cidrs_random_prefixes():
     assert len({e.prefix_len for e in entries}) > 5
 
 
+def test_random_cidrs_refuses_more_networks_than_exist():
+    rng = RandomSource.seeded(8)
+    with pytest.raises(InvalidOptions, match="only 256 distinct networks"):
+        bench.random_cidrs(257, rng, prefix_len=8)
+    with pytest.raises(InvalidOptions):
+        bench.random_cidrs(2**33, rng, prefix_len=None)
+    entries = bench.random_cidrs(256, rng, prefix_len=8)
+    assert sorted(e.network for e in entries) == [i << 24 for i in range(256)]
+
+
 @pytest.mark.parametrize("packed", [False, True])
 def test_scale_rows(packed):
     rows = bench.bench_scale([3, 6], params=support.SMALL_PARAMS,

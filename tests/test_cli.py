@@ -100,6 +100,24 @@ class TestKeygen:
         assert keys.public.r == 257
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", [
+    ["keygen", "--scheme", "paillier", "--bits", 256, "--out", "k"],
+    ["blacklist", "encrypt", "--key", "k.pub", "--cidr-file", "list.txt",
+     "--out", "store.bin"],
+    ["match", "--keys", "k.sec", "--store", "store.bin", "--ip", "1.2.3.4"],
+    ["bench"],
+    ["bench", "scale"],
+], ids=["keygen", "blacklist encrypt", "match", "bench", "bench scale"])
+def test_seed_outside_64_bits_is_a_usage_error(command, seed, tmp_path,
+                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = run(*command, "--seed", seed)
+    assert result.exit_code == 2, result.output
+    assert "argument --seed" in result.output
+    assert "internal error" not in result.output
+
+
 class TestBlacklistEncrypt:
     def test_reports_counts(self, paillier_files, cidr_file, tmp_path):
         pub, _ = paillier_files

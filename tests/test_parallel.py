@@ -317,14 +317,15 @@ def test_seeded_key_files_are_the_same_on_one_and_two_cpus(scheme, cpus, tmp_pat
     assert files[0] == files[1]
 
 
-def test_seeded_safe_prime_is_the_same_on_one_and_two_cpus(cpus):
+def test_seeded_safe_prime_is_the_same_on_one_two_and_three_cpus(cpus):
+    # three workers spread each 40-round test over more than two processes
     found = []
-    for count in (1, 2):
+    for count in (1, 2, 3):
         forks = cpus(count)
         rng = RandomSource.seeded(5)
         found.append((gen_safe_prime(numtheory._FORK_BITS, rng), rng.getrandbits(64)))
-        assert bool(forks) == (count == 2)
-    assert found[0] == found[1]
+        assert len(forks) == (count if count > 1 else 0)
+    assert found[0] == found[1] == found[2]
 
 
 def test_candidates_drawn_past_the_winner_do_not_shift_the_stream(cpus):
@@ -345,12 +346,13 @@ def test_candidates_drawn_past_the_winner_do_not_shift_the_stream(cpus):
     for seed in range(3):
         rng, plain_draws = counted(RandomSource.seeded(seed))
         want = [plain_loop(rng), plain_loop(rng), rng.getrandbits(64)]
-        forks = cpus(2)
-        rng, draws = counted(RandomSource.seeded(seed))
-        p, q = gen_prime(bits, rng), gen_prime(bits, rng)
-        assert [p, q, rng.getrandbits(64)] == want
-        assert len(forks) == 4
-        assert len(draws) > len(plain_draws)  # the parent drew ahead
+        for workers in (2, 3):
+            forks = cpus(workers)
+            rng, draws = counted(RandomSource.seeded(seed))
+            p, q = gen_prime(bits, rng), gen_prime(bits, rng)
+            assert [p, q, rng.getrandbits(64)] == want
+            assert len(forks) == 2 * workers
+            assert len(draws) > len(plain_draws)  # the parent drew ahead
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])

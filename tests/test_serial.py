@@ -51,6 +51,18 @@ def test_secret_file_has_restrictive_permissions(paillier_keys, tmp_path):
     assert mode == 0o600
 
 
+def test_existing_secret_file_is_made_private_on_its_descriptor(
+        paillier_keys, tmp_path, monkeypatch):
+    base = tmp_path / "key"
+    sec = tmp_path / "key.sec"
+    sec.write_text("old\n")
+    sec.chmod(0o644)
+    monkeypatch.setattr(os, "chmod", lambda *args, **kwargs: None)
+    serial.write_key_files(paillier_keys, str(base))
+    assert stat.S_IMODE(sec.stat().st_mode) == 0o600
+    assert serial.read_key_file(str(sec)) == paillier_keys
+
+
 def test_loaded_public_key_can_encrypt(paillier_keys, tmp_path):
     pub_path, sec_path = serial.write_key_files(paillier_keys, str(tmp_path / "key"))
     pub = serial.read_key_file(pub_path)
