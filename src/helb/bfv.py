@@ -1,12 +1,14 @@
 """Minimal BFV over Z_q[x]/(x^n + 1) at multiplicative depth 0.
 
-Plaintexts are polynomials mod t packed one value per coefficient;
-ciphertexts are (c0, c1) pairs mod q.  Only addition and subtraction are
-evaluated homomorphically, so no relinearization or modulus switching is
-needed.  Polynomial products (a*s in key generation and in the key
-holder's encryption, pk*u in public-key encryption, c1*s in decryption)
-are one exact libmpdec multiplication each, by Kronecker substitution, for
-any q.  A key pair packs its secret for that product once.
+Every ring element is a plain tuple of its n coefficients, lowest first,
+each in [0, modulus).  A plaintext holds one value mod t per coefficient;
+a ciphertext (c0, c1), the public key (pk0, pk1) and the secret are
+tuples mod q.  Only addition and subtraction are evaluated
+homomorphically, so no relinearization or modulus switching is needed.
+Polynomial products (a*s in key generation and in the key holder's
+encryption, pk*u in public-key encryption, c1*s in decryption) are one
+exact libmpdec multiplication each, by Kronecker substitution, for any q.
+A key pair packs its secret for that product once.
 
 In cryptographic mode, each sampler draws one byte block per polynomial;
 a seeded source keeps its stream of one draw per coefficient, so seeded
@@ -123,91 +125,69 @@ def param_violations(params: BfvParams) -> list[str]:
     return out
 
 
-def validate_params(params: BfvParams) -> bool:
-    return not param_violations(params)
-
-
 def _check_params(params: BfvParams) -> None:
     violations = param_violations(params)
     if violations:
         raise InvalidParams("; ".join(violations))
 
 
-@dataclass(frozen=True)
-class RingPoly:
-    """Degree-bounded polynomial; coefficients canonical in [0, modulus)."""
-
-    coeffs: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def centered(self, modulus: int) -> tuple[int, ...]:
-        """Coefficients mapped to (-modulus/2, modulus/2]."""
-        half = modulus // 2
-        return tuple(c - modulus if c > half else c for c in self.coeffs)
-
-
-def ring_zero(n: int) -> RingPoly:
-    return RingPoly((0,) * n)
+def _ring_violation(name: str, coeffs, params: BfvParams) -> list[str]:
+    """Why `coeffs` is not a ring element mod q, as a list of one message."""
+    n, q = params.ring_dim, params.ciphertext_mod
+    if len(coeffs) == n and min(coeffs) >= 0 and max(coeffs) < q:
+        return []
+    return [f"{name} is not {n} coefficients below ciphertext_mod"]
 
 
 @dataclass(frozen=True)
 class BfvPublicKey:
     SCHEME = "bfv"
-    FILE_FIELDS = ((None, "params", BfvParams), ("pk0", "pk0", RingPoly),
-                   ("pk1", "pk1", RingPoly))
+    FILE_FIELDS = ((None, "params", BfvParams), ("pk0", "pk0", tuple),
+                   ("pk1", "pk1", tuple))
 
     params: BfvParams
-    pk0: RingPoly
-    pk1: RingPoly
+    pk0: tuple[int, ...]
+    pk1: tuple[int, ...]
 
     def violations(self) -> list[str]:
         """Parameter violations, plus key polynomials that are not ring elements."""
-        out = param_violations(self.params)
-        n, q = self.params.ring_dim, self.params.ciphertext_mod
-        for name, attr, kind in self.FILE_FIELDS:
-            poly = getattr(self, attr)
-            if kind is RingPoly and (len(poly) != n or min(poly.coeffs) < 0
-                                     or max(poly.coeffs) >= q):
-                out.append(f"{name} is not {n} coefficients below ciphertext_mod")
-        return out
+        return (param_violations(self.params)
+                + _ring_violation("pk0", self.pk0, self.params)
+                + _ring_violation("pk1", self.pk1, self.params))
 
 
 @dataclass(frozen=True)
 class BfvKeyPair:
     SCHEME = "bfv"
-    FILE_FIELDS = BfvPublicKey.FILE_FIELDS + (("s", "secret", RingPoly),)
+    FILE_FIELDS = ((None, "public", BfvPublicKey), ("s", "secret", tuple))
 
-    params: BfvParams
-    secret: RingPoly
-    pk0: RingPoly
-    pk1: RingPoly
+    public: BfvPublicKey
+    secret: tuple[int, ...]
 
     @property
-    def public(self) -> BfvPublicKey:
-        return BfvPublicKey(self.params, self.pk0, self.pk1)
+    def params(self) -> BfvParams:
+        return self.public.params
 
     @functools.cached_property
     def packed_secret(self) -> "_Operand":
         """The secret as a ring-product operand, packed once at the slot
         width of its product with any polynomial mod q."""
         q = self.params.ciphertext_mod
-        return _Operand(self.secret.coeffs, q, q // 2)
+        return _Operand(self.secret, q, q // 2)
 
     def violations(self) -> list[str]:
-        """The public key's violations, plus a secret that does not fit it.
+        """A secret that is not a ring element, or does not fit the public key.
 
         pk0 + pk1*s is the key's noise, at most 6 sigma in each slot.  Only
         slot 0 is checked: changing any coefficient of s moves it by a
         multiple of a uniform pk1 coefficient.
         """
-        out = BfvPublicKey.violations(self)
+        out = _ring_violation("s", self.secret, self.params)
         if not out:
             q = self.params.ciphertext_mod
-            s, a = _centred(self.secret.coeffs, q), self.pk1.coeffs
+            s, a = _centred(self.secret, q), self.public.pk1
             # slot 0 of the negacyclic product: a_0 s_0 - sum a_j s_(n-j)
-            slot = (self.pk0.coeffs[0] + a[0] * s[0]
+            slot = (self.public.pk0[0] + a[0] * s[0]
                     - sum(map(operator.mul, a[1:], reversed(s[1:])))) % q
             if min(slot, q - slot) > int(6 * self.params.err_stddev):
                 out.append("s does not fit the public key: pk0 + pk1*s is "
@@ -217,8 +197,8 @@ class BfvKeyPair:
 
 @dataclass(frozen=True)
 class BfvCiphertext:
-    c0: RingPoly
-    c1: RingPoly
+    c0: tuple[int, ...]
+    c1: tuple[int, ...]
     params: BfvParams
 
 
@@ -393,27 +373,20 @@ def keygen(params: BfvParams, rng: RandomSource) -> BfvKeyPair:
     a = _sample_uniform(n, q, rng)
     e = _sample_gauss(n, params.err_stddev, q, rng)
     a_s = negacyclic_mul(a, secret, q)
-    pk0 = [(-(x + y)) % q for x, y in zip(a_s, e)]
-    return BfvKeyPair(params, RingPoly(tuple(secret)), RingPoly(tuple(pk0)),
-                      RingPoly(tuple(a)))
+    pk0 = tuple((-(x + y)) % q for x, y in zip(a_s, e))
+    return BfvKeyPair(BfvPublicKey(params, pk0, tuple(a)), tuple(secret))
 
 
-def encode(values, params: BfvParams) -> RingPoly:
+def encode(values, params: BfvParams) -> tuple[int, ...]:
     """Pack integers into plaintext coefficients (value i at coefficient i)."""
     n = params.ring_dim
     if len(values) > n:
         raise TooManyValues(f"{len(values)} values exceed ring dimension {n}")
     t = params.plaintext_mod
-    coeffs = [v % t for v in values]
-    coeffs.extend([0] * (n - len(coeffs)))
-    return RingPoly(tuple(coeffs))
+    return tuple(v % t for v in values) + (0,) * (n - len(values))
 
 
-def decode(pt: RingPoly) -> list[int]:
-    return list(pt.coeffs)
-
-
-def encrypt(keys: BfvKeyPair | BfvPublicKey, pt: RingPoly, params: BfvParams,
+def encrypt(keys: BfvKeyPair | BfvPublicKey, pt, params: BfvParams,
             rng: RandomSource) -> BfvCiphertext:
     """Encrypt a plaintext polynomial.
 
@@ -428,24 +401,25 @@ def encrypt(keys: BfvKeyPair | BfvPublicKey, pt: RingPoly, params: BfvParams,
     if len(pt) != n:
         raise ParamMismatch(f"plaintext has {len(pt)} coefficients, ring needs {n}")
     delta = params.delta
-    scaled = [delta * (c % t) % q for c in pt.coeffs]
+    scaled = [delta * (c % t) % q for c in pt]
     if isinstance(keys, BfvKeyPair):
         a = _sample_uniform(n, q, rng)
         e = _sample_gauss(n, params.err_stddev, q, rng)
         a_s = negacyclic_mul(a, keys.packed_secret, q)
-        c0 = [(y + z - x) % q for x, y, z in zip(a_s, e, scaled)]
-        return BfvCiphertext(RingPoly(tuple(c0)), RingPoly(tuple(a)), params)
+        c0 = tuple((y + z - x) % q for x, y, z in zip(a_s, e, scaled))
+        return BfvCiphertext(c0, tuple(a), params)
     u = _sample_ternary(n, q, rng)
     e1 = _sample_gauss(n, params.err_stddev, q, rng)
     e2 = _sample_gauss(n, params.err_stddev, q, rng)
-    pk0_u = negacyclic_mul(keys.pk0.coeffs, u, q)
-    pk1_u = negacyclic_mul(keys.pk1.coeffs, u, q)
-    c0 = [(x + y + z) % q for x, y, z in zip(pk0_u, e1, scaled)]
-    c1 = [(x + y) % q for x, y in zip(pk1_u, e2)]
-    return BfvCiphertext(RingPoly(tuple(c0)), RingPoly(tuple(c1)), params)
+    pk0_u = negacyclic_mul(keys.pk0, u, q)
+    pk1_u = negacyclic_mul(keys.pk1, u, q)
+    c0 = tuple((x + y + z) % q for x, y, z in zip(pk0_u, e1, scaled))
+    c1 = tuple((x + y) % q for x, y in zip(pk1_u, e2))
+    return BfvCiphertext(c0, c1, params)
 
 
-def decrypt(keys: BfvKeyPair, ct: BfvCiphertext, params: BfvParams) -> RingPoly:
+def decrypt(keys: BfvKeyPair, ct: BfvCiphertext,
+            params: BfvParams) -> tuple[int, ...]:
     """Recover the plaintext: round(t * (c0 + c1*s) / q) mod t, per coefficient.
 
     Rounding on the canonical representative and reducing mod t agrees with
@@ -454,19 +428,18 @@ def decrypt(keys: BfvKeyPair, ct: BfvCiphertext, params: BfvParams) -> RingPoly:
     if keys.params != params or ct.params != params:
         raise ParamMismatch("keys, ciphertext and parameters do not agree")
     q, t = params.ciphertext_mod, params.plaintext_mod
-    c1_s = negacyclic_mul(ct.c1.coeffs, keys.packed_secret, q)
+    c1_s = negacyclic_mul(ct.c1, keys.packed_secret, q)
     half = q // 2
-    out = [((c0 + x) % q * t + half) // q % t for c0, x in zip(ct.c0.coeffs, c1_s)]
-    return RingPoly(tuple(out))
+    return tuple(((c0 + x) % q * t + half) // q % t for c0, x in zip(ct.c0, c1_s))
 
 
 def _combine(ct1: BfvCiphertext, ct2: BfvCiphertext, op) -> BfvCiphertext:
     if ct1.params != ct2.params:
         raise ParamMismatch("ciphertexts come from different parameter sets")
     q = ct1.params.ciphertext_mod
-    c0 = tuple(op(a, b) % q for a, b in zip(ct1.c0.coeffs, ct2.c0.coeffs))
-    c1 = tuple(op(a, b) % q for a, b in zip(ct1.c1.coeffs, ct2.c1.coeffs))
-    return BfvCiphertext(RingPoly(c0), RingPoly(c1), ct1.params)
+    c0 = tuple(op(a, b) % q for a, b in zip(ct1.c0, ct2.c0))
+    c1 = tuple(op(a, b) % q for a, b in zip(ct1.c1, ct2.c1))
+    return BfvCiphertext(c0, c1, ct1.params)
 
 
 def eval_add(ct1: BfvCiphertext, ct2: BfvCiphertext) -> BfvCiphertext:
@@ -483,16 +456,16 @@ def eval_sub(ct1: BfvCiphertext, ct2: BfvCiphertext) -> BfvCiphertext:
 # noise accounting
 
 
-def measure_noise(keys: BfvKeyPair, ct: BfvCiphertext, expected_pt: RingPoly,
+def measure_noise(keys: BfvKeyPair, ct: BfvCiphertext, expected_pt,
                   params: BfvParams) -> int:
     """Largest centered residue of c0 + c1*s - delta*m; must stay below
     params.noise_threshold for decryption to be exact."""
     q, t = params.ciphertext_mod, params.plaintext_mod
     delta = params.delta
-    c1_s = negacyclic_mul(ct.c1.coeffs, keys.packed_secret, q)
+    c1_s = negacyclic_mul(ct.c1, keys.packed_secret, q)
     half = q // 2
     worst = 0
-    for c0, x, m in zip(ct.c0.coeffs, c1_s, expected_pt.coeffs):
+    for c0, x, m in zip(ct.c0, c1_s, expected_pt):
         v = (c0 + x - delta * (m % t)) % q
         if v > half:
             v = q - v

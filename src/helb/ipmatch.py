@@ -269,12 +269,11 @@ class _LatticeRecords:
                            bfv.encode(coeffs, self.params), self.params, rng)
 
     def values(self, ct) -> tuple[int, ...]:
-        return ct.c0.coeffs + ct.c1.coeffs
+        return ct.c0 + ct.c1
 
     def record(self, values: list[int]):
         n = self.params.ring_dim
-        return bfv.BfvCiphertext(bfv.RingPoly(tuple(values[:n])),
-                                 bfv.RingPoly(tuple(values[n:])), self.params)
+        return bfv.BfvCiphertext(tuple(values[:n]), tuple(values[n:]), self.params)
 
     def query(self, ip: int, layout, rng: RandomSource):
         values = []
@@ -287,7 +286,7 @@ class _LatticeRecords:
         return bfv.eval_sub(target, ct)
 
     def test(self, diff, fill: int):
-        coeffs = bfv.decrypt(self.keys, diff, self.params).coeffs
+        coeffs = bfv.decrypt(self.keys, diff, self.params)
         try:
             return coeffs.index(0, 0, fill), coeffs[0]
         except ValueError:

@@ -50,7 +50,9 @@ class DamgardJurikPublicKey:
 
     def violations(self) -> list[str]:
         # n^(s+1) is computed from a file's s: bound it before any use
-        return [] if 1 <= self.s <= MAX_S else [f"s is outside [1, {MAX_S}]"]
+        out = [] if 1 <= self.s <= MAX_S else [f"s is outside [1, {MAX_S}]"]
+        # decryption and the zero test read exponents of 1 + n
+        return out if self.g == self.n + 1 else out + ["g is not n + 1"]
 
 
 @dataclass(frozen=True)

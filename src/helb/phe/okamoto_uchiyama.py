@@ -54,9 +54,19 @@ class OkamotoUchiyamaKeyPair:
         return mod_inv(_l(pow(self.public.g, p - 1, p * p), p), p)
 
     def violations(self) -> list[str]:
-        """Why p and q are not the factors of the public key's n."""
-        p, q = self.p, self.q
-        return [] if p > 1 and p * p * q == self.public.n else ["p^2 * q is not n"]
+        """Why p and q are not the factors of the public key's n, or h is
+        not g^n modulo n: checked modulo p^2 and modulo q, with n reduced
+        by the orders p(p-1) and q-1 of their unit groups."""
+        p, q, pub = self.p, self.q, self.public
+        if not (p > 1 and q > 1 and p * p * q == pub.n):
+            return ["p^2 * q is not n"]
+        if math.gcd(pub.g, pub.n) != 1:
+            return ["g is not a unit modulo n"]
+        psq = p * p
+        if (pub.h % psq != pow(pub.g, pub.n % (psq - p), psq)
+                or pub.h % q != pow(pub.g, pub.n % (q - 1), q)):
+            return ["h is not g^n modulo n"]
+        return []
 
 
 KEY_CLASSES = (OkamotoUchiyamaPublicKey, OkamotoUchiyamaKeyPair)

@@ -4,9 +4,10 @@ Key files are line-oriented text: a `HELB-KEY v1` header, a `scheme =`
 line, then one `field = <value>` line per component.  Each key class
 names its scheme in `SCHEME` and its fields, in file order, in
 `FILE_FIELDS` as (file name, attribute, kind) triples.  The kind picks
-the encoding in `_CODECS` (ints as lowercase hex, tuples and ring
-polynomials as comma-separated hex, the lattice noise width as a decimal
-float); any other kind is a class whose own fields are written in place.
+the encoding in `_CODECS` (ints as lowercase hex, tuples, among them the
+lattice coefficient lists, as comma-separated hex, the lattice noise width
+as a decimal float); any other kind is a class whose own fields are
+written in place.
 A declared field that is not a constructor argument is derived, and must
 agree with the loaded key.  The public file carries the public fields
 only; the secret file repeats them and appends the private fields.
@@ -84,8 +85,6 @@ _CODECS = {
     int: (lambda value: format(value, "x"), lambda text: int(text, 16)),
     float: (repr, float),
     tuple: (_hex_list, _hex_tuple),
-    bfv.RingPoly: (lambda poly: _hex_list(poly.coeffs),
-                   lambda text: bfv.RingPoly(_hex_tuple(text))),
 }
 
 

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 import support
@@ -135,3 +137,54 @@ def test_metadata_records_the_usable_cpus():
     meta = bench.hardware_metadata()
     assert meta["usable_cpus"] == str(len(os.sched_getaffinity(0)))
     assert f"# usable_cpus: {meta['usable_cpus']}" in bench.format_metadata(meta)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark harness under perfbench/, which calls helb's layers directly
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+KERNEL_KEYS = {"bfv.ring_mul_ms", "bfv.keygen_ms", "bfv.encrypt_ms",
+               "bfv.eval_sub_ms", "bfv.decrypt_ms", "phe.keygen_ms",
+               "phe.encrypt_ms", "phe.sub_encrypted_ms", "phe.is_zero_ms",
+               "numtheory.gen_prime_ms"}
+
+
+def _perfbench(script, *args):
+    """Run a perfbench script as its own process, on this checkout's helb."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    return subprocess.run(
+        [sys.executable, os.path.join(REPO, "perfbench", script), *map(str, args)],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_perfbench_kernels_run_on_this_api():
+    done = _perfbench("kernels.py", "--seed", 1)
+    assert done.returncode == 0, done.stderr
+    timings = json.loads(done.stdout.splitlines()[-1])
+    assert set(timings) == KERNEL_KEYS
+    assert all(value > 0 for value in timings.values())
+
+
+def test_perfbench_trace_sees_store_and_match_counts(tmp_path):
+    base = tmp_path / "lat"
+    assert support.run_cli("keygen", "--scheme", "bfv", "--out", base,
+                           "--seed", 1).exit_code == 0
+    cidrs = tmp_path / "list.txt"
+    cidrs.write_text("10.0.0.0/8\n192.168.1.0/24\n")
+    store, build, lookup = (tmp_path / name
+                            for name in ("p.bin", "build.json", "lookup.json"))
+    done = _perfbench("traced_helb.py", build, "build", "blacklist", "encrypt",
+                      "--key", f"{base}.pub", "--cidr-file", cidrs,
+                      "--out", store, "--packed", "--seed", 2)
+    assert done.returncode == 0, done.stderr
+    done = _perfbench("traced_helb.py", lookup, "0", "match", "--keys",
+                      f"{base}.sec", "--store", store, "--ip", "10.1.2.3",
+                      "--json", "--seed", 3)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["matched"]
+    spans = {name: [span for span in json.loads(path.read_text())["spans"]
+                    if span["name"] == name]
+             for name, path in (("ipmatch.build_store", build),
+                                ("ipmatch.match", lookup))}
+    assert [span["ciphertexts"] for span in spans["ipmatch.build_store"]] == [1]
+    assert [span["stats"]["encryptions"] for span in spans["ipmatch.match"]] == [1]

@@ -26,29 +26,29 @@ TINY_NO_NTT = support.TINY_PARAMS_NO_NTT
 
 class TestParams:
     def test_shipped_profiles_are_valid(self):
-        assert bfv.validate_params(DESK)
-        assert bfv.validate_params(WIDE)
-        assert bfv.validate_params(SMALL)
-        assert bfv.validate_params(support.SCALE_PARAMS)
-        assert bfv.validate_params(TINY)
-        assert bfv.validate_params(TINY_NO_NTT)
+        assert not bfv.param_violations(DESK)
+        assert not bfv.param_violations(WIDE)
+        assert not bfv.param_violations(SMALL)
+        assert not bfv.param_violations(support.SCALE_PARAMS)
+        assert not bfv.param_violations(TINY)
+        assert not bfv.param_violations(TINY_NO_NTT)
 
     def test_wide_profile_reference_modulus(self):
         # divisibility checked by direct multiprecision remainder
         t = 35_184_372_744_193
         assert is_probable_prime(t)
         assert (t - 1) % (2 * 16384) == 0
-        assert bfv.validate_params(
+        assert not bfv.param_violations(
             bfv.BfvParams(16384, t, WIDE.ciphertext_mod, 3.2))
 
     def test_small_plaintext_modulus_65537(self):
         assert (65_537 - 1) % (2 * 4096) == 0
-        assert bfv.validate_params(
+        assert not bfv.param_violations(
             bfv.BfvParams(4096, 65_537, DESK.ciphertext_mod, 3.2))
 
     def test_rejects_composite_plaintext_modulus(self):
         params = bfv.BfvParams(4096, 65_536, DESK.ciphertext_mod, 3.2)
-        assert not bfv.validate_params(params)
+        assert bfv.param_violations(params)
         assert any("prime" in v for v in bfv.param_violations(params))
 
     def test_rejects_bad_congruence(self):
@@ -59,7 +59,7 @@ class TestParams:
 
     def test_rejects_non_power_of_two_ring(self):
         params = bfv.BfvParams(3000, DESK.plaintext_mod, DESK.ciphertext_mod, 3.2)
-        assert not bfv.validate_params(params)
+        assert bfv.param_violations(params)
 
     def test_rejects_small_modulus_ratio(self):
         params = bfv.BfvParams(16, 65_537, 65_537 * 3 + 1, 3.2)
@@ -68,7 +68,7 @@ class TestParams:
     def test_rejects_nonpositive_sigma(self):
         params = bfv.BfvParams(TINY.ring_dim, TINY.plaintext_mod,
                                TINY.ciphertext_mod, 0.0)
-        assert not bfv.validate_params(params)
+        assert bfv.param_violations(params)
 
     def test_fuzzed_bad_plaintext_moduli_rejected(self):
         rnd = random.Random("fuzz")
@@ -79,7 +79,7 @@ class TestParams:
             if (t - 1) % (2 * n) == 0 and is_probable_prime(t):
                 continue  # accidentally valid; skip
             params = bfv.BfvParams(n, t, DESK.ciphertext_mod, 3.2)
-            assert not bfv.validate_params(params)
+            assert bfv.param_violations(params)
             rejected += 1
         assert rejected > 250
 
@@ -183,7 +183,7 @@ class TestNegacyclicMul:
         # width and non-canonical ones by packing again
         keys = request.getfixturevalue(fixture)
         q, n = keys.params.ciphertext_mod, keys.params.ring_dim
-        secret = keys.secret.coeffs
+        secret = keys.secret
         assert keys.packed_secret is keys.packed_secret
         rnd = random.Random(f"packed{n}")
         operands = [_uniform(rnd, n, q), [q // 2] * n, [0] * n]
@@ -353,30 +353,30 @@ class TestCryptoSampling:
 
 
 # ---------------------------------------------------------------------------
-# encode / decode
+# encoding
 
 
 class TestEncode:
     def test_single_value(self):
         pt = bfv.encode([5], TINY)
-        assert pt.coeffs[0] == 5
-        assert all(c == 0 for c in pt.coeffs[1:])
+        assert pt[0] == 5
+        assert all(c == 0 for c in pt[1:])
 
     def test_empty_is_zero_polynomial(self):
-        assert bfv.encode([], TINY) == bfv.ring_zero(TINY.ring_dim)
+        assert bfv.encode([], TINY) == (0,) * TINY.ring_dim
 
     def test_round_trip_random_vectors(self):
         rnd = random.Random("enc")
         t, n = SMALL.plaintext_mod, SMALL.ring_dim
         for _ in range(50):
             values = [rnd.randrange(t) for _ in range(n)]
-            assert bfv.decode(bfv.encode(values, SMALL)) == values
+            assert list(bfv.encode(values, SMALL)) == values
 
     def test_encode_of_decode_is_identity(self):
         rnd = random.Random("dec")
         t, n = TINY.plaintext_mod, TINY.ring_dim
-        poly = bfv.RingPoly(tuple(rnd.randrange(t) for _ in range(n)))
-        assert bfv.encode(bfv.decode(poly), TINY) == poly
+        poly = tuple(rnd.randrange(t) for _ in range(n))
+        assert bfv.encode(poly, TINY) == poly
 
     def test_too_many_values(self):
         with pytest.raises(TooManyValues):
@@ -390,17 +390,16 @@ class TestEncode:
 class TestKeygen:
     def test_secret_is_ternary(self, bfv_small_keys):
         q = SMALL.ciphertext_mod
-        assert set(bfv_small_keys.secret.centered(q)) <= {-1, 0, 1}
+        assert set(bfv._centred(bfv_small_keys.secret, q)) <= {-1, 0, 1}
 
     def test_public_key_relation_is_small(self, bfv_small_keys):
         # pk0 + pk1*s should reduce to the sampled noise, within 6 sigma
         q = SMALL.ciphertext_mod
-        prod = bfv.negacyclic_mul(list(bfv_small_keys.pk1.coeffs),
-                                  list(bfv_small_keys.secret.coeffs), q)
-        residual = bfv.RingPoly(tuple(
-            (a + b) % q for a, b in zip(bfv_small_keys.pk0.coeffs, prod)))
+        pub = bfv_small_keys.public
+        prod = bfv.negacyclic_mul(pub.pk1, bfv_small_keys.secret, q)
+        residual = [(a + b) % q for a, b in zip(pub.pk0, prod)]
         bound = int(6 * SMALL.err_stddev)
-        assert max(abs(c) for c in residual.centered(q)) <= bound
+        assert max(abs(c) for c in bfv._centred(residual, q)) <= bound
 
     def test_seeded_keygen_reproducible(self):
         assert bfv.keygen(SMALL, RNG(4)) == bfv.keygen(SMALL, RNG(4))
@@ -408,7 +407,7 @@ class TestKeygen:
     def test_public_handle(self, bfv_small_keys):
         pub = bfv_small_keys.public
         assert pub.params == SMALL
-        assert pub.pk0 == bfv_small_keys.pk0
+        assert bfv_small_keys.params is pub.params
 
 
 def test_round_trip_random_vectors(bfv_small_keys):
@@ -461,7 +460,7 @@ class TestKeyHolderEncryption:
         # from release to release
         pt = bfv.encode([0x0A000000, 0xC0A80100, 0xFFFFFFFF], DESK)
         ct = bfv.encrypt(desk_keys.public, pt, DESK, RNG(33))
-        blob = b"".join(c.to_bytes(10, "big") for c in ct.c0.coeffs + ct.c1.coeffs)
+        blob = b"".join(c.to_bytes(10, "big") for c in ct.c0 + ct.c1)
         assert hashlib.sha256(blob).hexdigest() == \
                "54b8064712ee3c10eb5c5825970d7ad66fa284262d04933d8be94c337a236b9c"
 
@@ -482,7 +481,7 @@ def test_fresh_ciphertexts_differ(bfv_small_keys):
 
 
 def test_all_zero_round_trip(bfv_small_keys):
-    pt = bfv.ring_zero(SMALL.ring_dim)
+    pt = (0,) * SMALL.ring_dim
     ct = bfv.encrypt(bfv_small_keys, pt, SMALL, RNG(8))
     assert bfv.decrypt(bfv_small_keys, ct, SMALL) == pt
 
@@ -509,27 +508,27 @@ class TestEval:
         rng = RNG(11)
         ct = bfv.encrypt(bfv_small_keys, bfv.encode([77], SMALL), SMALL, rng)
         out = bfv.decrypt(bfv_small_keys, bfv.eval_sub(ct, ct), SMALL)
-        assert not any(out.coeffs)
+        assert not any(out)
 
     def test_sub_known_values(self, bfv_small_keys):
         rng = RNG(12)
         c7 = bfv.encrypt(bfv_small_keys, bfv.encode([7], SMALL), SMALL, rng)
         c3 = bfv.encrypt(bfv_small_keys, bfv.encode([3], SMALL), SMALL, rng)
-        assert bfv.decrypt(bfv_small_keys, bfv.eval_sub(c7, c3), SMALL).coeffs[0] == 4
+        assert bfv.decrypt(bfv_small_keys, bfv.eval_sub(c7, c3), SMALL)[0] == 4
         wrapped = bfv.decrypt(bfv_small_keys, bfv.eval_sub(c3, c7), SMALL)
-        assert wrapped.coeffs[0] == SMALL.plaintext_mod - 4
+        assert wrapped[0] == SMALL.plaintext_mod - 4
 
     def test_add_known_values(self, bfv_small_keys):
         rng = RNG(13)
         c2 = bfv.encrypt(bfv_small_keys, bfv.encode([2], SMALL), SMALL, rng)
         c3 = bfv.encrypt(bfv_small_keys, bfv.encode([3], SMALL), SMALL, rng)
-        assert bfv.decrypt(bfv_small_keys, bfv.eval_add(c2, c3), SMALL).coeffs[0] == 5
+        assert bfv.decrypt(bfv_small_keys, bfv.eval_add(c2, c3), SMALL)[0] == 5
 
     def test_add_identity_and_commutativity(self, bfv_small_keys):
         rng = RNG(14)
         m = bfv.encode([41, 5], SMALL)
         ct = bfv.encrypt(bfv_small_keys, m, SMALL, rng)
-        zero = bfv.encrypt(bfv_small_keys, bfv.ring_zero(SMALL.ring_dim), SMALL, rng)
+        zero = bfv.encrypt(bfv_small_keys, (0,) * SMALL.ring_dim, SMALL, rng)
         assert bfv.decrypt(bfv_small_keys, bfv.eval_add(ct, zero), SMALL) == m
         other = bfv.encrypt(bfv_small_keys, bfv.encode([1, 2, 3], SMALL), SMALL, rng)
         assert bfv.decrypt(bfv_small_keys, bfv.eval_add(ct, other), SMALL) == \
@@ -545,13 +544,13 @@ class TestEval:
             ct1 = bfv.encrypt(bfv_small_keys, bfv.encode(v1, SMALL), SMALL, rng)
             ct2 = bfv.encrypt(bfv_small_keys, bfv.encode(v2, SMALL), SMALL, rng)
             out = bfv.decrypt(bfv_small_keys, bfv.eval_sub(ct1, ct2), SMALL)
-            assert list(out.coeffs) == [(a - b) % t for a, b in zip(v1, v2)]
+            assert list(out) == [(a - b) % t for a, b in zip(v1, v2)]
 
     def test_param_mismatch_rejected(self, bfv_small_keys):
         rng = RNG(16)
         tiny_keys = bfv.keygen(TINY, rng)
-        ct_small = bfv.encrypt(bfv_small_keys, bfv.ring_zero(64), SMALL, rng)
-        ct_tiny = bfv.encrypt(tiny_keys, bfv.ring_zero(16), TINY, rng)
+        ct_small = bfv.encrypt(bfv_small_keys, (0,) * 64, SMALL, rng)
+        ct_tiny = bfv.encrypt(tiny_keys, (0,) * 16, TINY, rng)
         with pytest.raises(ParamMismatch):
             bfv.eval_sub(ct_small, ct_tiny)
 
@@ -581,9 +580,9 @@ class TestNoise:
             fresh_pt = bfv.encode([value], SMALL)
             acc = bfv.eval_add(acc, bfv.encrypt(bfv_small_keys, fresh_pt, SMALL, rng))
             total = (total + value) % t  # plaintext oracle for the running sum
-            expected_first = (pt.coeffs[0] + total - value) % t
+            expected_first = (pt[0] + total - value) % t
         # after 100 additions the noise must respect the additive budget
-        expected = bfv.encode([(pt.coeffs[0] + total) % t], SMALL)
+        expected = bfv.encode([(pt[0] + total) % t], SMALL)
         noise = bfv.measure_noise(bfv_small_keys, acc, expected, SMALL)
         assert noise <= bfv.additive_noise_budget(SMALL, 100)
         assert bfv.decrypt(bfv_small_keys, acc, SMALL) == expected
@@ -605,7 +604,7 @@ class TestNoise:
         expected = bfv.encode([total], DESK)
         assert bfv.measure_noise(desk_keys, acc, expected, DESK) <= \
                bfv.additive_noise_budget(DESK, 1000)
-        assert bfv.decrypt(desk_keys, acc, DESK).coeffs[0] == total
+        assert bfv.decrypt(desk_keys, acc, DESK)[0] == total
 
     def test_desk_profile_budget_supports_1000_adds(self):
         assert bfv.additive_noise_budget(DESK, 1000) < DESK.noise_threshold
@@ -621,4 +620,4 @@ def test_desk_profile_round_trip_and_sub(desk_keys):
     ct1 = bfv.encrypt(desk_keys, bfv.encode(values1, DESK), DESK, rng)
     ct2 = bfv.encrypt(desk_keys, bfv.encode(values2, DESK), DESK, rng)
     out = bfv.decrypt(desk_keys, bfv.eval_sub(ct1, ct2), DESK)
-    assert list(out.coeffs) == [(a - b) % t for a, b in zip(values1, values2)]
+    assert list(out) == [(a - b) % t for a, b in zip(values1, values2)]

@@ -74,7 +74,7 @@ class TestKeygen:
         result = run("keygen", "--scheme", "bfv", "--out", base, "--seed", 5)
         assert result.exit_code == 0, result.output
         keys = serial.read_key_file(str(base) + ".sec")
-        assert bfv.validate_params(keys.params)
+        assert not bfv.param_violations(keys.params)
 
     def test_unknown_scheme_is_usage_error(self, tmp_path):
         result = run("keygen", "--scheme", "rsa", "--out", tmp_path / "x")
@@ -479,9 +479,8 @@ class TestLatticeFlow:
                      cidrs, "--out", store, "--packed", "--seed", 4)
         assert result.exit_code == 0, result.output
         q = keys.params.ciphertext_mod
-        secret = ((keys.secret.coeffs[0] + 1) % q,) + keys.secret.coeffs[1:]
-        serial.write_key_files(
-            dataclasses.replace(keys, secret=bfv.RingPoly(secret)), base)
+        secret = ((keys.secret[0] + 1) % q,) + keys.secret[1:]
+        serial.write_key_files(dataclasses.replace(keys, secret=secret), base)
         result = run("match", "--keys", base + ".sec", "--store", store,
                      "--ip", "2.3.4.9", "--seed", 5)
         assert result.exit_code == 2, result.output
@@ -491,8 +490,8 @@ class TestLatticeFlow:
         # with sigma = 10^9 one subtraction can pass the decryption
         # threshold: a listed address would read NO-MATCH and exit 1
         keys = bfv.keygen(support.SMALL_PARAMS, RandomSource.seeded(46))
-        wide = dataclasses.replace(
-            keys, params=dataclasses.replace(keys.params, err_stddev=1e9))
+        wide = dataclasses.replace(keys, public=dataclasses.replace(
+            keys.public, params=dataclasses.replace(keys.params, err_stddev=1e9)))
         base = str(tmp_path / "wide")
         serial.write_key_files(wide, base)
         store = str(tmp_path / "p.bin")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import random
@@ -110,6 +111,26 @@ class TestKeyFileErrors:
             text.replace(f"n_bits = {bits:x}", f"n_bits = {bits + 1:x}"))
         with pytest.raises(FormatError, match="n_bits"):
             serial.read_key_file(pub_path)
+
+    @pytest.mark.parametrize("fixture, field, forge, message", [
+        # an n^s-th residue as g: every ciphertext would read as zero
+        ("dj_keys", "g", lambda pub: pow(2, pub.message_space, pub.cipher_modulus),
+         r"g is not n \+ 1"),
+        # h = g^(n+1): a listed address would read as not listed
+        ("ou_keys", "h", lambda pub: pow(pub.g, pub.n + 1, pub.n),
+         r"h is not g\^n"),
+    ], ids=["damgard_jurik", "okamoto_uchiyama"])
+    def test_forged_generator_is_refused(self, fixture, field, forge, message,
+                                         request, tmp_path):
+        keys = request.getfixturevalue(fixture)
+        public = dataclasses.replace(keys.public, **{field: forge(keys.public)})
+        pub_path, sec_path = serial.write_key_files(
+            dataclasses.replace(keys, public=public), str(tmp_path / "key"))
+        with pytest.raises(FormatError, match=message):
+            serial.read_key_file(sec_path)
+        if fixture == "dj_keys":  # the public key alone shows it
+            with pytest.raises(FormatError, match=message):
+                serial.read_key_file(pub_path)
 
     @pytest.mark.parametrize("field, value", [
         ("s", "1"),                  # one coefficient instead of ring_dim
@@ -328,8 +349,7 @@ class TestStoreFileErrors:
         pub = keys.public
         if fixture == "bfv_small_keys":
             q = keys.params.ciphertext_mod
-            bad = [bfv.BfvCiphertext(bfv.RingPoly((q,) + ct.c0.coeffs[1:]),
-                                     ct.c1, ct.params)]
+            bad = [bfv.BfvCiphertext((q,) + ct.c0[1:], ct.c1, ct.params)]
         else:
             modulus = {"paillier_keys": lambda: pub.n ** 2,
                        "dj_keys": lambda: pub.n ** (pub.s + 1),
