@@ -10,6 +10,6 @@ integers.
 __version__ = "0.1.0"
 
 from .numtheory import RandomSource
-from .phe import PheCiphertext, SchemeId
+from .phe import SchemeId
 
-__all__ = ["RandomSource", "SchemeId", "PheCiphertext", "__version__"]
+__all__ = ["RandomSource", "SchemeId", "__version__"]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -178,18 +177,17 @@ class BfvKeyPair:
     def violations(self) -> list[str]:
         """A secret that is not a ring element, or does not fit the public key.
 
-        pk0 + pk1*s is the key's noise, at most 6 sigma in each slot.  Only
-        slot 0 is checked: changing any coefficient of s moves it by a
-        multiple of a uniform pk1 coefficient.
+        pk0 + pk1*s is the key's noise, at most 6 sigma in every slot: a
+        public-key encryption's noise takes each of its slots, times u.
+        The product packs the secret that `decrypt` reuses.
         """
         out = _ring_violation("s", self.secret, self.params)
         if not out:
-            q = self.params.ciphertext_mod
-            s, a = _centred(self.secret, q), self.public.pk1
-            # slot 0 of the negacyclic product: a_0 s_0 - sum a_j s_(n-j)
-            slot = (self.public.pk0[0] + a[0] * s[0]
-                    - sum(map(operator.mul, a[1:], reversed(s[1:])))) % q
-            if min(slot, q - slot) > int(6 * self.params.err_stddev):
+            q, bound = self.params.ciphertext_mod, int(6 * self.params.err_stddev)
+            a_s = negacyclic_mul(self.public.pk1, self.packed_secret, q)
+            # small noise lies within `bound` of 0 or of q
+            if any(bound < (x + y) % q < q - bound
+                   for x, y in zip(self.public.pk0, a_s)):
                 out.append("s does not fit the public key: pk0 + pk1*s is "
                            "not small noise")
         return out

@@ -5,7 +5,9 @@ at parse time).  A store groups ciphertexts of masked network addresses by
 prefix length.  Every record is a ciphertext with its slot runs, which
 `slot_layout` derives from the network count of each prefix length: one
 slot for a PHE or unpacked lattice record, up to ring_dim networks of any
-prefix lengths for a packed lattice record, longest prefix first.
+prefix lengths for a packed lattice record, longest prefix first.  A PHE
+record is its bare group element, an int (a tuple of ints for
+Goldwasser-Micali), and a lattice record a `bfv.BfvCiphertext`.
 `match` encrypts the target masked for each slot's prefix once per slot
 layout, combines it with every stored record and zero-tests the filled
 slots; the first zero slot marks the longest matching network.
@@ -14,7 +16,7 @@ Everything in which the backends differ lives in one record handler per
 family, which `record_handler` picks from the key's scheme: how a record
 is sealed, its layout as file integers (`serial` writes and reads records
 through it), the query, the combination (subtraction for the additive
-schemes and the lattice backend, XOR of all `GM_WIDTH` bits for
+schemes and the lattice backend, XOR of all `phe.GM_WIDTH` bits for
 Goldwasser-Micali) and the zero test.  Without a seed, `match` and
 `build_store` spread their records over forked worker processes, one per
 usable CPU (`_spread`, on the workers of `pool.forked`).
@@ -43,8 +45,6 @@ from .phe import SchemeId
 BFV_SCHEME = bfv.BfvPublicKey.SCHEME
 # every backend's name: the lattice backend first, then the PHE schemes
 SCHEMES = (BFV_SCHEME, *(scheme.value for scheme in SchemeId))
-# Goldwasser-Micali encrypts an address bit by bit, at its default width
-GM_WIDTH = 32
 _MAX_ADDR = 0xFFFFFFFF
 
 
@@ -294,8 +294,11 @@ class _LatticeRecords:
 
 
 class _PheRecords:
-    """A PHE ciphertext of one network: its one group element, or
-    Goldwasser-Micali's `GM_WIDTH` per-bit ones, are its file values."""
+    """A PHE ciphertext of one network is its bare group element: an int,
+    its one file value, or Goldwasser-Micali's tuple of `phe.GM_WIDTH`
+    per-bit ints, its file values.  `seal` turns a key holder's Paillier
+    or Damgard-Jurik `CrtElement` into the int that the public key gives
+    for the same randomness."""
 
     slots = 1
     low = 1
@@ -312,21 +315,19 @@ class _PheRecords:
         self.keys, self.blind, self.debug = keys, blind, debug
         xor = self.scheme is SchemeId.GOLDWASSER_MICALI
         self.op = "xor" if xor else "sub"
-        self.width = GM_WIDTH if xor else 1
+        self.width = phe.GM_WIDTH if xor else 1
         self.modulus = phe.public_part(keys).cipher_modulus
 
     def seal(self, values: list[int], rng: RandomSource):
-        ct = phe.encrypt(self.keys, values[0], rng)
         # a key pair's CrtElement crosses a worker's pipe as its integer
-        return ct if ct.width else phe.PheCiphertext(ct.scheme, int(ct.payload))
+        return self.record(self.values(phe.encrypt(self.keys, values[0], rng)))
 
     def values(self, ct) -> tuple[int, ...]:
         # int(): a key holder's ciphertext may still defer half of its residues
-        return ct.payload if ct.width is not None else (int(ct.payload),)
+        return ct if isinstance(ct, tuple) else (int(ct),)
 
     def record(self, values: list[int]):
-        return phe.PheCiphertext(self.scheme, values[0] if self.width == 1
-                                 else tuple(values))
+        return values[0] if self.width == 1 else tuple(values)
 
     def query(self, ip: int, layout, rng: RandomSource):
         (prefix_len, _), = layout
@@ -349,10 +350,12 @@ def record_handler(keys, packed: bool = False, *, blind: bool = False,
     records of a store, packed or not.
 
     A record holds `slots` networks in `width` file values, each in
-    [`low`, `modulus`).  `seal(values, rng)` encrypts one under the public
-    key; `values(ct)` and `record(values)` turn it into its file values
-    and back.  A lookup encrypts `query(ip, layout, rng)` for a record
-    layout ((prefix length, count), ...), then for each record `combine`s
+    [`low`, `modulus`): a `bfv.BfvCiphertext`, or a PHE group element (an
+    int, or a tuple of ints for Goldwasser-Micali).  `seal(values, rng)`
+    encrypts one to what the public key gives; `values(ct)` and
+    `record(values)` turn it into its file values and back.  A lookup
+    encrypts `query(ip, layout, rng)` for a record layout
+    ((prefix length, count), ...), then for each record `combine`s
     (`op`: "sub", blinded when asked, or "xor") and `test`s: (first zero
     of the first `fill` slots or None, slot 0's difference or None).
     Refuses `packed` or `blind`, before any encryption, where the backend

@@ -1,23 +1,25 @@
-"""Partially homomorphic schemes behind one capability interface.
+"""Partially homomorphic schemes behind one interface.
 
 Five additive schemes (add, subtract, scalar multiply) and one bitwise-XOR
-scheme are dispatched by :class:`SchemeId`.  Keys are immutable dataclasses
-with a ``public`` part; each key class names its scheme in ``SCHEME`` and
-its key-file fields in ``FILE_FIELDS`` (see :mod:`helb.serial`).
-Ciphertexts are :class:`PheCiphertext` values whose payload is a single
-group element, or a tuple of per-bit elements for Goldwasser-Micali; each
-element is a unit modulo ``cipher_modulus`` of the public key.
+scheme, Goldwasser-Micali, are dispatched by :class:`SchemeId`.  Keys are
+immutable dataclasses with a ``public`` part; each key class names its
+scheme in ``SCHEME`` and its key-file fields in ``FILE_FIELDS`` (see
+:mod:`helb.serial`).  A ciphertext is its group element, a unit modulo
+``cipher_modulus`` of the public key: an ``int``, or for Goldwasser-Micali
+a tuple of per-bit ones, ``GM_WIDTH`` of them unless ``encrypt`` is given
+another width.  It carries no scheme tag, so the key decides the scheme:
+Goldwasser-Micali only XORs, the other schemes only add, subtract and
+scale, and any other operation raises ``CapabilityUnsupported``.
 
 The group law is written once, here: a sum, difference or scalar multiple
 of additive ciphertexts, and the XOR of Goldwasser-Micali ones (element by
 element), is a product, inverse or power modulo ``cipher_modulus``.  A
 scheme's module exports only ``KEY_CLASSES``, ``keygen``, ``encrypt``,
-``decrypt``, ``is_zero`` and ``message_modulus`` (Goldwasser-Micali also
-its ``DEFAULT_WIDTH``), and is imported on first use, so a process loads
-only the schemes whose keys it handles.
+``decrypt``, ``is_zero`` and ``message_modulus``, and is imported on first
+use, so a process loads only the schemes whose keys it handles.
 
-A key holder's Paillier or Damgard-Jurik ciphertext holds a
-:class:`~helb.numtheory.CrtElement`, which ``int()`` turns into that
+A key holder's Paillier or Damgard-Jurik ciphertext is a
+:class:`~helb.numtheory.CrtElement`, which ``int()`` turns into the same
 element; the group law hands it to its own ``combine``, ``invert`` and
 ``scale``, so its residue modulo q^(s+1) is computed only when read.  A
 stored record subtracted under such a key pair is inverted the same way,
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import enum
 import importlib
-from dataclasses import dataclass
 
 from ..errors import CapabilityUnsupported, InvalidOptions, SchemeMismatch, WidthMismatch
 from ..numtheory import CrtElement as _CrtElement, RandomSource, rand_coprime
@@ -47,19 +48,6 @@ class SchemeId(str, enum.Enum):
         return self.value
 
 
-ADDITIVE_CAPS = frozenset({"add", "sub", "scalar_mul"})
-XOR_CAPS = frozenset({"xor"})
-
-CAPABILITIES: dict[SchemeId, frozenset[str]] = {
-    SchemeId.PAILLIER: ADDITIVE_CAPS,
-    SchemeId.DAMGARD_JURIK: ADDITIVE_CAPS,
-    SchemeId.OKAMOTO_UCHIYAMA: ADDITIVE_CAPS,
-    SchemeId.BENALOH: ADDITIVE_CAPS,
-    SchemeId.NACCACHE_STERN: ADDITIVE_CAPS,
-    SchemeId.GOLDWASSER_MICALI: XOR_CAPS,
-}
-
-
 def _module(scheme: SchemeId):
     """The module of `scheme`, named after its value; imported on first use."""
     return importlib.import_module(f"{__name__}.{scheme.value}")
@@ -67,19 +55,8 @@ def _module(scheme: SchemeId):
 
 MIN_CRYPTO_BITS = 512
 MIN_TEST_BITS = 16
-
-
-@dataclass(frozen=True)
-class PheCiphertext:
-    scheme: SchemeId
-    payload: int | tuple[int, ...]
-
-    @property
-    def width(self) -> int | None:
-        """Bit width for bitwise payloads, None for single-element ones."""
-        if isinstance(self.payload, tuple):
-            return len(self.payload)
-        return None
+# the bits of a Goldwasser-Micali ciphertext, unless `encrypt` is given a width
+GM_WIDTH = 32
 
 
 def scheme_of(keys) -> SchemeId:
@@ -124,7 +101,7 @@ def keygen(scheme: SchemeId, security_bits: int, rng: RandomSource, *,
     return _module(scheme).keygen(security_bits, rng, **opts)
 
 
-def encrypt(keys, m: int, rng: RandomSource, *, width: int | None = None) -> PheCiphertext:
+def encrypt(keys, m: int, rng: RandomSource, *, width: int | None = None):
     """Encrypt `m` under the public part of `keys`.
 
     The scheme module gets `keys` as given: Paillier and Damgard-Jurik
@@ -133,40 +110,32 @@ def encrypt(keys, m: int, rng: RandomSource, *, width: int | None = None) -> Phe
     scheme = scheme_of(keys)
     mod = _module(scheme)
     if scheme is SchemeId.GOLDWASSER_MICALI:
-        if width is None:
-            width = mod.DEFAULT_WIDTH
-        payload = mod.encrypt(keys, m, rng, width)
-    else:
-        if width is not None:
-            raise InvalidOptions("width applies only to Goldwasser-Micali")
-        payload = mod.encrypt(keys, m, rng)
-    return PheCiphertext(scheme, payload)
+        return mod.encrypt(keys, m, rng, GM_WIDTH if width is None else width)
+    if width is not None:
+        raise InvalidOptions("width applies only to Goldwasser-Micali")
+    return mod.encrypt(keys, m, rng)
 
 
-def _require_pair(keys) -> None:
+def _holder(keys):
+    """The scheme module of a key pair; a public key alone cannot decrypt."""
+    mod = _module(scheme_of(keys))
     if not hasattr(keys, "public"):
         raise SchemeMismatch("this operation needs the full key pair, "
                              "not just the public key")
+    return mod
 
 
-def decrypt(keys, ct: PheCiphertext) -> int:
+def decrypt(keys, ct) -> int:
+    return _holder(keys).decrypt(keys, ct)
+
+
+def _modulus(keys, op: str) -> int:
+    """The cipher modulus of `keys`, whose scheme must support `op`:
+    Goldwasser-Micali only "xor", the additive schemes all but "xor"."""
     scheme = scheme_of(keys)
-    _require_pair(keys)
-    if scheme is not ct.scheme:
-        raise SchemeMismatch(f"{scheme} keys cannot decrypt a {ct.scheme} ciphertext")
-    return _module(scheme).decrypt(keys, ct.payload)
-
-
-def _require(scheme: SchemeId, cap: str) -> None:
-    if cap not in CAPABILITIES[scheme]:
-        raise CapabilityUnsupported(f"{scheme} does not support {cap}")
-
-
-def _check_pair(keys, ct1: PheCiphertext, ct2: PheCiphertext) -> SchemeId:
-    scheme = scheme_of(keys)
-    if ct1.scheme is not scheme or ct2.scheme is not scheme:
-        raise SchemeMismatch("ciphertexts do not match the key scheme")
-    return scheme
+    if (op == "xor") is not (scheme is SchemeId.GOLDWASSER_MICALI):
+        raise CapabilityUnsupported(f"{scheme} does not support {op}")
+    return public_part(keys).cipher_modulus
 
 
 def _mul(a, b, modulus: int):
@@ -177,65 +146,48 @@ def _mul(a, b, modulus: int):
     return a.combine(b) if isinstance(a, _CrtElement) else a * b % modulus
 
 
-def add_encrypted(keys, ct1: PheCiphertext, ct2: PheCiphertext) -> PheCiphertext:
+def add_encrypted(keys, ct1, ct2):
     """Ciphertext of m1 + m2 (mod the scheme's message modulus)."""
-    scheme = _check_pair(keys, ct1, ct2)
-    _require(scheme, "add")
-    modulus = public_part(keys).cipher_modulus
-    return PheCiphertext(scheme, _mul(ct1.payload, ct2.payload, modulus))
+    return _mul(ct1, ct2, _modulus(keys, "add"))
 
 
-def sub_encrypted(keys, ct1: PheCiphertext, ct2: PheCiphertext) -> PheCiphertext:
+def sub_encrypted(keys, ct1, ct2):
     """Ciphertext of m1 - m2, via the group inverse of ct2; raises
     NotInvertible when ct2 is not a unit modulo the cipher modulus.  A key
     pair with a `crt` inverts an integer ct2 modulo p^(s+1) only, and
     defers its residue mod q^(s+1)."""
-    scheme = _check_pair(keys, ct1, ct2)
-    _require(scheme, "sub")
-    modulus, b = public_part(keys).cipher_modulus, ct2.payload
-    if isinstance(b, _CrtElement):
-        b = b.invert()
+    modulus = _modulus(keys, "sub")
+    if isinstance(ct2, _CrtElement):
+        ct2 = ct2.invert()
     elif hasattr(keys, "crt"):
-        b = keys.crt.inverse(b)
+        ct2 = keys.crt.inverse(ct2)
     else:
-        b = _mod_inv(b, modulus)
-    return PheCiphertext(scheme, _mul(ct1.payload, b, modulus))
+        ct2 = _mod_inv(ct2, modulus)
+    return _mul(ct1, ct2, modulus)
 
 
-def scalar_mul(keys, ct: PheCiphertext, k: int) -> PheCiphertext:
+def scalar_mul(keys, ct, k: int):
     """Ciphertext of k * m."""
-    scheme = scheme_of(keys)
-    if ct.scheme is not scheme:
-        raise SchemeMismatch("ciphertext does not match the key scheme")
-    _require(scheme, "scalar_mul")
-    a = ct.payload
-    return PheCiphertext(scheme, a.scale(k) if isinstance(a, _CrtElement)
-                         else pow(a, k, public_part(keys).cipher_modulus))
+    modulus = _modulus(keys, "scalar_mul")
+    return ct.scale(k) if isinstance(ct, _CrtElement) else pow(ct, k, modulus)
 
 
-def xor_encrypted(keys, ct1: PheCiphertext, ct2: PheCiphertext) -> PheCiphertext:
+def xor_encrypted(keys, ct1: tuple[int, ...], ct2: tuple[int, ...]) -> tuple[int, ...]:
     """Bitwise XOR of two equal-width Goldwasser-Micali ciphertexts."""
-    scheme = _check_pair(keys, ct1, ct2)
-    _require(scheme, "xor")
-    if ct1.width != ct2.width:
-        raise WidthMismatch(f"widths differ: {ct1.width} vs {ct2.width}")
-    modulus = public_part(keys).cipher_modulus
-    return PheCiphertext(scheme, tuple(
-        a * b % modulus for a, b in zip(ct1.payload, ct2.payload)))
+    modulus = _modulus(keys, "xor")
+    if len(ct1) != len(ct2):
+        raise WidthMismatch(f"widths differ: {len(ct1)} vs {len(ct2)}")
+    return tuple(a * b % modulus for a, b in zip(ct1, ct2))
 
 
-def is_zero(keys, ct: PheCiphertext) -> bool:
+def is_zero(keys, ct) -> bool:
     """True iff the ciphertext decrypts to zero.
 
     Uses per-scheme shortcuts where full decryption would be wasteful or
     infeasible (Benaloh order test, Goldwasser-Micali residue test,
     Paillier and Damgard-Jurik residue tests modulo p^(s+1) and q^(s+1)).
     """
-    scheme = scheme_of(keys)
-    _require_pair(keys)
-    if ct.scheme is not scheme:
-        raise SchemeMismatch("ciphertext does not match the key scheme")
-    return _module(scheme).is_zero(keys, ct.payload)
+    return _holder(keys).is_zero(keys, ct)
 
 
 def message_modulus(keys) -> int | None:
@@ -243,26 +195,18 @@ def message_modulus(keys) -> int | None:
     return _module(scheme_of(keys)).message_modulus(keys)
 
 
-def blinding_factor(keys, rng: RandomSource) -> int:
-    """Fresh unit of the message space, suitable for :func:`blind`.
-
-    Only sound for schemes whose message space is a single modulus, since
-    multiplying by a unit must map zero, and only zero, to zero.
-    """
-    scheme = scheme_of(keys)
-    _require(scheme, "scalar_mul")
-    modulus = _module(scheme).message_modulus(keys)
-    if modulus is None:
-        raise CapabilityUnsupported(
-            f"{scheme} has no single message modulus; blinding would not "
-            "preserve the zero test")
-    return rand_coprime(modulus, rng)
-
-
-def blind(keys, ct: PheCiphertext, rng: RandomSource) -> PheCiphertext:
+def blind(keys, ct, rng: RandomSource):
     """Randomize a difference ciphertext before a zero test.
 
-    Multiplies the plaintext by a fresh unit, so a zero stays zero while a
-    non-zero difference decrypts to an unrelated value.
+    Multiplies the plaintext by a fresh unit of the message space, so a
+    zero stays zero while a non-zero difference decrypts to an unrelated
+    value.  Only sound for schemes whose message space is a single
+    modulus, since multiplying by a unit must map zero, and only zero, to
+    zero.
     """
-    return scalar_mul(keys, ct, blinding_factor(keys, rng))
+    modulus = message_modulus(keys)
+    if modulus is None:
+        raise CapabilityUnsupported(
+            f"{scheme_of(keys)} has no single message modulus; blinding would "
+            "not preserve the zero test")
+    return scalar_mul(keys, ct, rand_coprime(modulus, rng))

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from ..errors import DecryptionFailure, MessageOutOfRange
 from ..numtheory import RandomSource, gen_prime, jacobi, rand_coprime
 
-DEFAULT_WIDTH = 32
-
 
 @dataclass(frozen=True)
 class GoldwasserMicaliPublicKey:
@@ -68,8 +66,7 @@ def keygen(bits: int, rng: RandomSource, p: int | None = None,
     return GoldwasserMicaliKeyPair(GoldwasserMicaliPublicKey(n, a), p, q)
 
 
-def encrypt(keys, m: int, rng: RandomSource,
-            width: int = DEFAULT_WIDTH) -> tuple[int, ...]:
+def encrypt(keys, m: int, rng: RandomSource, width: int) -> tuple[int, ...]:
     pub = getattr(keys, "public", keys)
     if width < 1:
         raise MessageOutOfRange(f"width must be >= 1, got {width}")
@@ -92,15 +89,15 @@ def _decrypt_bit(keys: GoldwasserMicaliKeyPair, c: int) -> int:
     return 0 if sym == 1 else 1
 
 
-def decrypt(keys: GoldwasserMicaliKeyPair, payload: tuple[int, ...]) -> int:
+def decrypt(keys: GoldwasserMicaliKeyPair, ct: tuple[int, ...]) -> int:
     m = 0
-    for c in payload:
+    for c in ct:
         m = (m << 1) | _decrypt_bit(keys, c)
     return m
 
 
-def is_zero(keys: GoldwasserMicaliKeyPair, payload: tuple[int, ...]) -> bool:
-    return all(_decrypt_bit(keys, c) == 0 for c in payload)
+def is_zero(keys: GoldwasserMicaliKeyPair, ct: tuple[int, ...]) -> bool:
+    return all(_decrypt_bit(keys, c) == 0 for c in ct)
 
 
 def message_modulus(keys) -> None:

@@ -10,7 +10,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from ..errors import DecryptionFailure, InvalidOptions, MessageOutOfRange
+from ..errors import DecryptionFailure, InvalidOptions, MessageOutOfRange, NotInvertible
 from ..numtheory import RandomSource, gen_prime, mod_inv
 
 # 32-bit payloads need headroom below p regardless of key size.
@@ -54,14 +54,21 @@ class OkamotoUchiyamaKeyPair:
         return mod_inv(_l(pow(self.public.g, p - 1, p * p), p), p)
 
     def violations(self) -> list[str]:
-        """Why p and q are not the factors of the public key's n, or h is
-        not g^n modulo n: checked modulo p^2 and modulo q, with n reduced
-        by the orders p(p-1) and q-1 of their unit groups."""
+        """Why p and q are not the factors of the public key's n, g has no
+        `g_factor` (which this caches for decryption), or h is not g^n
+        modulo n: checked modulo p^2 and modulo q, with n reduced by the
+        orders p(p-1) and q-1 of their unit groups."""
         p, q, pub = self.p, self.q, self.public
         if not (p > 1 and q > 1 and p * p * q == pub.n):
             return ["p^2 * q is not n"]
         if math.gcd(pub.g, pub.n) != 1:
             return ["g is not a unit modulo n"]
+        try:
+            self.g_factor
+        except DecryptionFailure:  # Fermat's little theorem fails: p is composite
+            return ["g^(p-1) is not 1 modulo p"]
+        except NotInvertible:
+            return ["g^(p-1) is 1 modulo p^2"]
         psq = p * p
         if (pub.h % psq != pow(pub.g, pub.n % (psq - p), psq)
                 or pub.h % q != pow(pub.g, pub.n % (q - 1), q)):

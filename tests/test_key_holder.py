@@ -64,8 +64,8 @@ def _crafted(keys, rng_seed=0) -> list[int]:
     for delta in (0, 1, -1, 2**32, -(2**32)):
         diff = phe.sub_encrypted(keys, phe.encrypt(keys, base, rng),
                                  phe.encrypt(keys, base - delta, rng))
-        values.append(diff.payload)
-        values.append(phe.blind(keys, diff, rng).payload)
+        values.append(diff)
+        values.append(phe.blind(keys, diff, rng))
     return values
 
 
@@ -106,15 +106,13 @@ def test_record_subtraction_agrees_with_full_inverse(case):
     # n^(s+1) gives, or refuses it with the same exception
     module, keys = case
     modulus = keys.public.cipher_modulus
-    scheme = SchemeId(keys.SCHEME)
     query = phe.encrypt(keys, 2**32 + 7, RNG(5))
 
     def subtract(keys, record):
-        return int(phe.sub_encrypted(keys, query, phe.PheCiphertext(scheme, record))
-                   .payload)
+        return int(phe.sub_encrypted(keys, query, record))
 
     def full_inverse(keys, record):
-        return int(query.payload) * numtheory.mod_inv(record, modulus) % modulus
+        return int(query) * numtheory.mod_inv(record, modulus) % modulus
 
     crafted = [int(c) for c in _crafted(keys)]
 
@@ -198,10 +196,6 @@ def test_dj_s_out_of_range_is_refused_on_load(dj_keys, tmp_path):
 # ---------------------------------------------------------------------------
 # the deferred residue mod q^(s+1)
 
-def _ct(keys, payload) -> phe.PheCiphertext:
-    return phe.PheCiphertext(phe.scheme_of(keys), payload)
-
-
 def test_deferred_arithmetic_converts_to_the_eager_integer(case):
     """A key holder's encryption, and what the group law of `phe` makes
     of it, is the integer that the arithmetic modulo n^(s+1) gives."""
@@ -221,17 +215,14 @@ def test_deferred_arithmetic_converts_to_the_eager_integer(case):
         assert not isinstance(lazy1, int)
         assert int(lazy1) == eager1 and lazy1 == eager1
         assert hash(lazy1) == hash(eager1)
-        diff = phe.sub_encrypted(pub, _ct(keys, lazy1), _ct(keys, lazy2)).payload
+        diff = phe.sub_encrypted(pub, lazy1, lazy2)
         assert int(diff) == eager1 * pow(eager2, -1, modulus) % modulus
-        assert int(phe.add_encrypted(pub, _ct(keys, eager2), _ct(keys, lazy1)).payload) \
-            == eager1 * eager2 % modulus
-        assert int(phe.add_encrypted(pub, _ct(keys, lazy1), _ct(keys, eager2)).payload) \
-            == eager1 * eager2 % modulus
-        assert int(phe.sub_encrypted(pub, _ct(keys, eager2), _ct(keys, lazy1)).payload) \
+        assert int(phe.add_encrypted(pub, eager2, lazy1)) == eager1 * eager2 % modulus
+        assert int(phe.add_encrypted(pub, lazy1, eager2)) == eager1 * eager2 % modulus
+        assert int(phe.sub_encrypted(pub, eager2, lazy1)) \
             == eager2 * pow(eager1, -1, modulus) % modulus
-        assert int(phe.scalar_mul(pub, _ct(keys, lazy1), k).payload) \
-            == pow(eager1, k, modulus)
-        blinded = phe.scalar_mul(pub, _ct(keys, diff), k).payload
+        assert int(phe.scalar_mul(pub, lazy1, k)) == pow(eager1, k, modulus)
+        blinded = phe.scalar_mul(pub, diff, k)
         assert int(blinded) == pow(int(diff), k, modulus)
         assert module.is_zero(keys, blinded) == \
             (module.decrypt(keys, blinded) == 0) == module.is_zero(keys, int(blinded))
@@ -247,7 +238,7 @@ def test_non_unit_operand_leaves_the_deferral(case):
     pub = keys.public
     lazy = module.encrypt(keys, 7, RNG(1))
     for factor in (keys.crt.p, keys.crt.q):
-        product = phe.add_encrypted(pub, _ct(keys, lazy), _ct(keys, 3 * factor)).payload
+        product = phe.add_encrypted(pub, lazy, 3 * factor)
         assert isinstance(product, int)
         assert product == int(lazy) * 3 * factor % pub.cipher_modulus
         assert _outcome(module.is_zero, keys, product) == \

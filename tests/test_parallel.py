@@ -159,8 +159,8 @@ def _with_non_unit_record(keys, prefix_len: int):
     """A crypto-mode Paillier store whose first /`prefix_len` record shares
     the factor p with n."""
     store = build_store(ENTRIES, keys, CRYPTO())
-    runs, ct = store.groups[prefix_len][0]
-    store.groups[prefix_len][0] = (runs, phe.PheCiphertext(ct.scheme, 3 * keys.crt.p))
+    runs, _ = store.groups[prefix_len][0]
+    store.groups[prefix_len][0] = (runs, 3 * keys.crt.p)
     return store
 
 
@@ -265,8 +265,8 @@ class TestCliOnTheParallelPath:
         sec, path = files
         keys = serial.read_key_file(sec)
         store = serial.read_store(path, keys)
-        runs, ct = store.groups[20][0]
-        store.groups[20][0] = (runs, phe.PheCiphertext(ct.scheme, 3 * keys.crt.q))
+        runs, _ = store.groups[20][0]
+        store.groups[20][0] = (runs, 3 * keys.crt.q)
         serial.write_store(store, path)
         result = self.match(sec, path, LOOKUPS["miss"])
         assert result.exit_code == 2, result.output

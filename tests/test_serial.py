@@ -72,6 +72,23 @@ def test_loaded_public_key_can_encrypt(paillier_keys, tmp_path):
     assert phe.decrypt(full, ct) == 12345
 
 
+def _ou_low_order_g(keys):
+    """g^p, whose order modulo p^2 divides p - 1, so that decryption would
+    divide by zero; h = g^n to match."""
+    pub = keys.public
+    g = pow(pub.g, keys.p, pub.n)
+    return dataclasses.replace(pub, g=g, h=pow(g, pub.n, pub.n))
+
+
+def _bfv_pk0_shifted(keys):
+    """pk0 with q/3 added beyond slot 0, so that a listed address would
+    read as not listed."""
+    q = keys.params.ciphertext_mod
+    pk0 = list(keys.public.pk0)
+    pk0[5] = (pk0[5] + q // 3) % q
+    return dataclasses.replace(keys.public, pk0=tuple(pk0))
+
+
 class TestKeyFileErrors:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "k"
@@ -103,6 +120,15 @@ class TestKeyFileErrors:
         with pytest.raises(FormatError, match="UTF-8"):
             serial.read_key_file(str(path))
 
+    def test_okamoto_uchiyama_composite_p_is_refused(self, ou_keys, tmp_path):
+        # n = p^2 q holds, but Fermat's little theorem fails for g modulo p
+        p = 2**41 - 1  # 13367 * 164511353
+        keys = phe.keygen(phe.SchemeId.OKAMOTO_UCHIYAMA, 128, RNG(5), test_mode=True,
+                          p=p, q=ou_keys.q)
+        _, sec_path = serial.write_key_files(keys, str(tmp_path / "key"))
+        with pytest.raises(FormatError, match=r"g\^\(p-1\) is not 1 modulo p"):
+            serial.read_key_file(sec_path)
+
     def test_naccache_stern_n_bits_must_match_v(self, ns_keys, tmp_path):
         pub_path, _ = serial.write_key_files(ns_keys, str(tmp_path / "key"))
         text = open(pub_path).read()
@@ -112,25 +138,37 @@ class TestKeyFileErrors:
         with pytest.raises(FormatError, match="n_bits"):
             serial.read_key_file(pub_path)
 
-    @pytest.mark.parametrize("fixture, field, forge, message", [
+    @pytest.mark.parametrize("fixture, forge, message", [
         # an n^s-th residue as g: every ciphertext would read as zero
-        ("dj_keys", "g", lambda pub: pow(2, pub.message_space, pub.cipher_modulus),
+        ("dj_keys", lambda keys: dataclasses.replace(keys.public, g=pow(
+            2, keys.public.message_space, keys.public.cipher_modulus)),
          r"g is not n \+ 1"),
         # h = g^(n+1): a listed address would read as not listed
-        ("ou_keys", "h", lambda pub: pow(pub.g, pub.n + 1, pub.n),
+        ("ou_keys", lambda keys: dataclasses.replace(keys.public, h=pow(
+            keys.public.g, keys.public.n + 1, keys.public.n)),
          r"h is not g\^n"),
-    ], ids=["damgard_jurik", "okamoto_uchiyama"])
-    def test_forged_generator_is_refused(self, fixture, field, forge, message,
+        ("ou_keys", _ou_low_order_g, r"g\^\(p-1\) is 1 modulo p\^2"),
+        ("bfv_small_keys", _bfv_pk0_shifted, "not small noise"),
+    ], ids=["damgard_jurik", "okamoto_uchiyama", "okamoto_uchiyama_g_order",
+            "bfv_pk0_slot_5"])
+    def test_forged_generator_is_refused(self, fixture, forge, message,
                                          request, tmp_path):
+        # forged alike in both files, so the store built from the .pub
+        # carries the fingerprint of the .sec's public key
         keys = request.getfixturevalue(fixture)
-        public = dataclasses.replace(keys.public, **{field: forge(keys.public)})
         pub_path, sec_path = serial.write_key_files(
-            dataclasses.replace(keys, public=public), str(tmp_path / "key"))
-        with pytest.raises(FormatError, match=message):
-            serial.read_key_file(sec_path)
+            dataclasses.replace(keys, public=forge(keys)), str(tmp_path / "key"))
         if fixture == "dj_keys":  # the public key alone shows it
             with pytest.raises(FormatError, match=message):
                 serial.read_key_file(pub_path)
+        else:
+            pub = serial.read_key_file(pub_path)
+            store_path = str(tmp_path / "store.bin")
+            serial.write_store(ipmatch.build_store(
+                [ipmatch.parse_cidr("10.0.0.0/8")], pub, RNG(5)), store_path)
+            assert serial.read_store(store_path, pub).pub == pub
+        with pytest.raises(FormatError, match=message):
+            serial.read_key_file(sec_path)
 
     @pytest.mark.parametrize("field, value", [
         ("s", "1"),                  # one coefficient instead of ring_dim
@@ -303,7 +341,7 @@ class TestStoreFileErrors:
             serial.read_store(path, bfv_small_keys)
 
     def test_gm_entry_of_wrong_width(self, tmp_path, gm_keys):
-        ct = phe.PheCiphertext(phe.SchemeId.GOLDWASSER_MICALI, tuple(range(1, 32)))
+        ct = tuple(range(1, 32))
         store = ipmatch.EncryptedStore("goldwasser_micali",
                                        {24: [(((24, 0, 1),), ct)]},
                                        pub=gm_keys.public)
@@ -354,8 +392,7 @@ class TestStoreFileErrors:
             modulus = {"paillier_keys": lambda: pub.n ** 2,
                        "dj_keys": lambda: pub.n ** (pub.s + 1),
                        "ns_keys": lambda: pub.p}.get(fixture, lambda: pub.n)()
-            bad = [phe.PheCiphertext(ct.scheme, value if ct.width is None
-                                     else (value,) + ct.payload[1:])
+            bad = [(value,) + ct[1:] if isinstance(ct, tuple) else value
                    for value in (modulus, 0)]
         for bad_ct in bad:
             records[0] = (head, bad_ct)
@@ -417,7 +454,7 @@ def test_store_binary_layout(paillier_keys, tmp_path):
     assert data[39] == 24                           # prefix byte
     assert int.from_bytes(data[40:44], "big") == 1  # one network
     (_, ct), = store.groups[24]
-    assert data[44:44 + width] == int(ct.payload).to_bytes(width, "big")
+    assert data[44:44 + width] == int(ct).to_bytes(width, "big")
     assert data[-32:] == hashlib.sha256(data[:-32]).digest()
     assert len(data) == 44 + width + 32
 
