@@ -15,10 +15,11 @@ which is all the matching protocol needs.
 from __future__ import annotations
 
 import math
+import secrets
 from dataclasses import dataclass
 
 from ..errors import DecryptionFailure, InvalidOptions, MessageOutOfRange
-from ..numtheory import RandomSource, first_primes, gen_safe_prime, mod_inv
+from ..numtheory import RandomSource, first_primes, gen_safe_prime, jacobi, mod_inv
 
 # 33 bit positions cover 32-bit messages with a spare top bit.
 DEFAULT_MSG_BITS = 33
@@ -54,12 +55,28 @@ class NaccacheSternKeyPair:
     s: int
 
     def violations(self) -> list[str]:
-        """Why s is not the secret exponent of the public key."""
+        """Why s is not the secret exponent of the public key, or some v_i
+        not the s-th root of the i-th prime p_i modulo p."""
         p, v, s = self.public.p, self.public.v, self.s
         # p is a safe prime, so an s coprime to p - 1 with v_0^s = 2 is the
         # secret exponent modulo p - 1
-        if p < 3 or math.gcd(s, p - 1) != 1 or not v or pow(v[0], s, p) != 2:
+        if p < 3 or p % 2 == 0 or math.gcd(s, p - 1) != 1 or not v \
+                or pow(v[0], s, p) != 2:
             return ["v_0^s is not 2 modulo p"]
+        primes = first_primes(len(v))
+        # s is odd, so v_i^s has the Jacobi symbol of v_i: this settles the
+        # order-2 part of v_i^s / p_i, which the batch test below cannot see
+        if any(jacobi(vi, p) != jacobi(pi, p) for vi, pi in zip(v, primes)):
+            return ["v_i^s is not p_i modulo p"]
+        # small-exponent batch test (Bellare, Garay and Rabin): one s-th
+        # power instead of len(v); with fresh 64-bit exponents, a wrong v_i
+        # passes with probability about 2^-64 when (p - 1) / 2 is prime
+        lhs = rhs = 1
+        for vi, pi in zip(v, primes):
+            e = secrets.randbits(64)
+            lhs, rhs = lhs * pow(vi, e, p) % p, rhs * pow(pi, e, p) % p
+        if pow(lhs, s, p) != rhs:
+            return ["v_i^s is not p_i modulo p"]
         return []
 
 

@@ -149,8 +149,18 @@ class TestKeyFileErrors:
          r"h is not g\^n"),
         ("ou_keys", _ou_low_order_g, r"g\^\(p-1\) is 1 modulo p\^2"),
         ("bfv_small_keys", _bfv_pk0_shifted, "not small noise"),
+        # v_1 = v_0: an unlisted address would read as listed
+        ("ns_keys", lambda keys: dataclasses.replace(
+            keys.public, v=keys.public.v[:1] * 2 + keys.public.v[2:]),
+         r"v_i\^s is not p_i modulo p"),
+        # v_1 = -v_1, so v_1^s = -3: the batch test alone misses it for
+        # every even exponent, the Jacobi symbol of v_1 always shows it
+        ("ns_keys", lambda keys: dataclasses.replace(
+            keys.public, v=keys.public.v[:1] + (keys.public.p - keys.public.v[1],)
+            + keys.public.v[2:]),
+         r"v_i\^s is not p_i modulo p"),
     ], ids=["damgard_jurik", "okamoto_uchiyama", "okamoto_uchiyama_g_order",
-            "bfv_pk0_slot_5"])
+            "bfv_pk0_slot_5", "naccache_stern", "naccache_stern_negated"])
     def test_forged_generator_is_refused(self, fixture, forge, message,
                                          request, tmp_path):
         # forged alike in both files, so the store built from the .pub
