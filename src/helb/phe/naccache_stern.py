@@ -69,12 +69,17 @@ class NaccacheSternKeyPair:
         if any(jacobi(vi, p) != jacobi(pi, p) for vi, pi in zip(v, primes)):
             return ["v_i^s is not p_i modulo p"]
         # small-exponent batch test (Bellare, Garay and Rabin): one s-th
-        # power instead of len(v); with fresh 64-bit exponents, a wrong v_i
-        # passes with probability about 2^-64 when (p - 1) / 2 is prime
+        # power, (prod v_i^e_i)^s = prod p_i^e_i, instead of len(v); with
+        # fresh 64-bit e_i, a wrong v_i passes with probability about 2^-64
+        # when (p - 1) / 2 is prime.  Both products take one
+        # square-and-multiply pass over the bits of all e_i.
+        e = [secrets.randbits(64) for _ in v]
         lhs = rhs = 1
-        for vi, pi in zip(v, primes):
-            e = secrets.randbits(64)
-            lhs, rhs = lhs * pow(vi, e, p) % p, rhs * pow(pi, e, p) % p
+        for bit in range(63, -1, -1):
+            lhs, rhs = lhs * lhs % p, rhs * rhs % p
+            for vi, pi, ei in zip(v, primes, e):
+                if ei >> bit & 1:
+                    lhs, rhs = lhs * vi % p, rhs * pi % p
         if pow(lhs, s, p) != rhs:
             return ["v_i^s is not p_i modulo p"]
         return []
