@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helb import ipmatch, numtheory, phe, serial
-from helb.errors import FormatError, NotInvertible
+from helb.errors import DecryptionFailure, FormatError, NotInvertible
 from helb.numtheory import PrimePowerCrt, RandomSource
 from helb.phe import SchemeId, damgard_jurik, paillier
 
@@ -49,6 +49,21 @@ def _outcome(fn, keys, c):
 
 def _decrypts_to_zero(module):
     return lambda keys, c: module.decrypt(keys, c) == 0
+
+
+def _decrypt_by_formula(keys, c) -> int:
+    """Decryption as each scheme defines it: L(c^lam)*mu mod n for
+    Paillier, the exponent of 1 + n in c^d for Damgard-Jurik."""
+    pub, c = keys.public, int(c)
+    modulus = pub.cipher_modulus
+    if not 0 < c < modulus:
+        raise DecryptionFailure("ciphertext outside Z*_{n^(s+1)}")
+    if pub.SCHEME == "damgard_jurik":
+        return damgard_jurik._extract_exponent(pow(c, keys.d, modulus), pub.n, pub.s)
+    x = pow(c, keys.lam, modulus)
+    if (x - 1) % pub.n:
+        raise DecryptionFailure("value is not congruent to 1 modulo n")
+    return (x - 1) // pub.n * keys.mu % pub.n
 
 
 def _crafted(keys, rng_seed=0) -> list[int]:
@@ -91,6 +106,35 @@ def test_zero_test_agrees_with_decryption(case):
     for c in crafted:
         assert _outcome(module.is_zero, keys, c) == \
             _outcome(_decrypts_to_zero(module), keys, c)
+
+
+def test_decryption_agrees_with_the_scheme_formula(case):
+    # one decryption, extract(c^lam) * mu mod n^s, serves both formats
+    module, keys = case
+    crafted = _crafted(keys)
+
+    @EXAMPLES
+    @given(st.integers(-1, keys.public.cipher_modulus + 1) | st.sampled_from(crafted))
+    def check(c):
+        assert _outcome(module.decrypt, keys, c) == _outcome(_decrypt_by_formula, keys, c)
+
+    check()
+    for c in crafted:
+        assert _outcome(module.decrypt, keys, c) == _outcome(_decrypt_by_formula, keys, c)
+
+
+def test_paillier_key_with_another_g_decrypts_by_its_mu(paillier_keys):
+    # a Paillier key file may carry any g of order a multiple of n; its mu
+    # inverts L(g^lam), and decryption still returns the message
+    n, lam = paillier_keys.public.n, paillier_keys.lam
+    g = pow(n + 1, 12345, n * n) * pow(7, n, n * n) % (n * n)
+    mu = numtheory.mod_inv((pow(g, lam, n * n) - 1) // n, n)
+    keys = paillier.PaillierKeyPair(paillier.PaillierPublicKey(n, g), lam, mu)
+    assert keys.violations() == []
+    for seed, m in enumerate((0, 1, 2**32 - 1, n - 1)):
+        c = paillier.encrypt(keys.public, m, RNG(seed))
+        assert c == paillier.encrypt(keys, m, RNG(seed))
+        assert paillier.decrypt(keys, c) == _decrypt_by_formula(keys, c) == m
 
 
 def test_crafted_values_cover_both_verdicts_and_refusals(case):

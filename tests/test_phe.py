@@ -123,6 +123,18 @@ class TestKeygen:
     def test_dj_reduces_to_paillier_at_s1(self, dj_keys, paillier_keys):
         assert dj_keys.public.s == 1
         assert dj_keys.public.message_space == dj_keys.public.n
+        # seeded alike, the two keygens give one key in two formats, and
+        # encrypt a message to the same integer under either of them
+        for seed in range(1, 5):
+            pk = phe.keygen(SchemeId.PAILLIER, 256, RNG(seed), test_mode=True)
+            dj = phe.keygen(SchemeId.DAMGARD_JURIK, 256, RNG(seed), test_mode=True,
+                            s=1)
+            assert (pk.public.n, pk.public.g, pk.lam) == \
+                (dj.public.n, dj.public.g, dj.lam)
+            assert pk.lam * pk.mu == dj.d
+            ciphertexts = {int(phe.encrypt(keys, 2**32 + seed, RNG(100 + seed)))
+                           for keys in (pk, pk.public, dj, dj.public)}
+            assert len(ciphertexts) == 1
 
     def test_crypto_mode_floor(self):
         with pytest.raises(InvalidOptions):
