@@ -16,6 +16,7 @@ metadata alongside the rows.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -188,16 +189,20 @@ def format_bench_table(rows: list[BenchRow]) -> str:
     return "\n".join(lines)
 
 
-def format_bench_csv(rows: list[BenchRow]) -> str:
+def _format_csv(fields: tuple[str, ...], rows) -> str:
+    """`rows` as CSV under a header of `fields`: floats with six decimals,
+    other values as they are."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(_BENCH_FIELDS)
+    writer.writerow(fields)
     for row in rows:
-        writer.writerow([row.scheme, f"{row.keypair_ms:.6f}",
-                         f"{row.encrypt_ms:.6f}", f"{row.op_decrypt_ms:.6f}",
-                         f"{row.keypair_std:.6f}", f"{row.encrypt_std:.6f}",
-                         f"{row.op_decrypt_std:.6f}", row.iterations])
+        values = (getattr(row, field) for field in fields)
+        writer.writerow([f"{v:.6f}" if isinstance(v, float) else v for v in values])
     return buf.getvalue()
+
+
+format_bench_csv = functools.partial(_format_csv, _BENCH_FIELDS)
+format_scale_csv = functools.partial(_format_csv, _SCALE_FIELDS)
 
 
 def format_bench_json(rows: list[BenchRow], meta: dict[str, str]) -> str:
@@ -217,16 +222,6 @@ def format_scale_table(rows: list[ScaleRow]) -> str:
         lines.append(f"{row.n_addresses:>12} {row.encrypt_total_s:>16.4f} "
                      f"{row.search_total_s:>15.4f}")
     return "\n".join(lines)
-
-
-def format_scale_csv(rows: list[ScaleRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_SCALE_FIELDS)
-    for row in rows:
-        writer.writerow([row.n_addresses, f"{row.encrypt_total_s:.6f}",
-                         f"{row.search_total_s:.6f}"])
-    return buf.getvalue()
 
 
 def format_metadata(meta: dict[str, str]) -> str:
