@@ -16,7 +16,9 @@ of additive ciphertexts, and the XOR of Goldwasser-Micali ones (element by
 element), is a product, inverse or power modulo ``cipher_modulus``.  A
 scheme's module exports only ``KEY_CLASSES``, ``keygen``, ``encrypt``,
 ``decrypt``, ``is_zero`` and ``message_modulus``, and is imported on first
-use, so a process loads only the schemes whose keys it handles.
+use, so a process loads only the schemes whose keys it handles.  Paillier
+is Damgard-Jurik at s = 1: the Damgard-Jurik module keeps its key format
+and takes its operations from the Paillier module, which it loads.
 
 A key holder's Paillier or Damgard-Jurik ciphertext is a
 :class:`~helb.numtheory.CrtElement`, which ``int()`` turns into the same
