@@ -395,25 +395,34 @@ def encrypt(keys: BfvKeyPair | BfvPublicKey, pt, params: BfvParams,
     """
     if keys.params != params:
         raise ParamMismatch("key pair was generated under different parameters")
-    n, q, t = params.ring_dim, params.ciphertext_mod, params.plaintext_mod
-    if len(pt) != n:
-        raise ParamMismatch(f"plaintext has {len(pt)} coefficients, ring needs {n}")
-    delta = params.delta
-    scaled = [delta * (c % t) % q for c in pt]
+    n, q = params.ring_dim, params.ciphertext_mod
     if isinstance(keys, BfvKeyPair):
         a = _sample_uniform(n, q, rng)
         e = _sample_gauss(n, params.err_stddev, q, rng)
         a_s = negacyclic_mul(a, keys.packed_secret, q)
-        c0 = tuple((y + z - x) % q for x, y, z in zip(a_s, e, scaled))
-        return BfvCiphertext(c0, tuple(a), params)
+        c0 = tuple((y - x) % q for x, y in zip(a_s, e))
+        return add_plain(BfvCiphertext(c0, tuple(a), params), pt)
     u = _sample_ternary(n, q, rng)
     e1 = _sample_gauss(n, params.err_stddev, q, rng)
     e2 = _sample_gauss(n, params.err_stddev, q, rng)
     pk0_u = negacyclic_mul(keys.pk0, u, q)
     pk1_u = negacyclic_mul(keys.pk1, u, q)
-    c0 = tuple((x + y + z) % q for x, y, z in zip(pk0_u, e1, scaled))
+    c0 = tuple((x + y) % q for x, y in zip(pk0_u, e1))
     c1 = tuple((x + y) % q for x, y in zip(pk1_u, e2))
-    return BfvCiphertext(c0, c1, params)
+    return add_plain(BfvCiphertext(c0, c1, params), pt)
+
+
+def add_plain(ct: BfvCiphertext, pt) -> BfvCiphertext:
+    """ct plus the plaintext polynomial pt: delta*pt added to c0, c1 kept.
+    It adds no noise, and `encrypt` of pt is the encryption of zero from
+    the same draws plus pt."""
+    params = ct.params
+    n, q, t = params.ring_dim, params.ciphertext_mod, params.plaintext_mod
+    if len(pt) != n:
+        raise ParamMismatch(f"plaintext has {len(pt)} coefficients, ring needs {n}")
+    delta = params.delta
+    c0 = tuple((c + delta * (m % t)) % q for c, m in zip(ct.c0, pt))
+    return BfvCiphertext(c0, ct.c1, params)
 
 
 def decrypt(keys: BfvKeyPair, ct: BfvCiphertext,

@@ -8,18 +8,21 @@ slot for a PHE or unpacked lattice record, up to ring_dim networks of any
 prefix lengths for a packed lattice record, longest prefix first.  A PHE
 record is its bare group element, an int (a tuple of ints for
 Goldwasser-Micali), and a lattice record a `bfv.BfvCiphertext`.
-`match` encrypts the target masked for each slot's prefix once per slot
-layout, combines it with every stored record and zero-tests the filled
+`match` encrypts zero once per lookup, and derives from it the query of
+each slot layout, the target masked for each slot's prefix, by adding
+those masked values as a known plaintext through the group law; it
+combines the query with every stored record and zero-tests the filled
 slots; the first zero slot marks the longest matching network.
 
 Everything in which the backends differ lives in one record handler per
 family, which `record_handler` picks from the key's scheme: how a record
 is sealed, its layout as file integers (`serial` writes and reads records
-through it), the query, the combination (subtraction for the additive
-schemes and the lattice backend, XOR of all `phe.GM_WIDTH` bits for
-Goldwasser-Micali) and the zero test.  Without a seed, `match` and
-`build_store` spread their records over forked worker processes, one per
-usable CPU (`_spread`, on the workers of `pool.forked`).
+through it), the encryption of zero and the queries derived from it, the
+combination (subtraction for the additive schemes and the lattice
+backend, XOR of all `phe.GM_WIDTH` bits for Goldwasser-Micali) and the
+zero test.  Without a seed, `match` and `build_store` spread their
+records over forked worker processes, one per usable CPU (`_spread`, on
+the workers of `pool.forked`).
 """
 
 from __future__ import annotations
@@ -275,12 +278,14 @@ class _LatticeRecords:
         n = self.params.ring_dim
         return bfv.BfvCiphertext(tuple(values[:n]), tuple(values[n:]), self.params)
 
-    def query(self, ip: int, layout, rng: RandomSource):
+    def zero(self, rng: RandomSource):
+        return bfv.encrypt(self.keys, bfv.encode((), self.params), self.params, rng)
+
+    def query(self, zero, ip: int, layout):
         values = []
         for prefix_len, count in layout:
             values += [ip & prefix_to_mask(prefix_len)] * count
-        return bfv.encrypt(self.keys, bfv.encode(values, self.params),
-                           self.params, rng)
+        return bfv.add_plain(zero, bfv.encode(values, self.params))
 
     def combine(self, target, ct, rng: RandomSource):
         return bfv.eval_sub(target, ct)
@@ -329,9 +334,14 @@ class _PheRecords:
     def record(self, values: list[int]):
         return values[0] if self.width == 1 else tuple(values)
 
-    def query(self, ip: int, layout, rng: RandomSource):
+    def zero(self, rng: RandomSource):
+        return phe.encrypt(self.keys, 0, rng)
+
+    def query(self, zero, ip: int, layout):
         (prefix_len, _), = layout
-        return phe.encrypt(self.keys, ip & prefix_to_mask(prefix_len), rng)
+        shift = phe.xor_encrypted if self.op == "xor" else phe.add_encrypted
+        return shift(self.keys, zero,
+                     phe.encode(self.keys, ip & prefix_to_mask(prefix_len)))
 
     def combine(self, target, ct, rng: RandomSource):
         if self.op == "xor":
@@ -354,10 +364,13 @@ def record_handler(keys, packed: bool = False, *, blind: bool = False,
     int, or a tuple of ints for Goldwasser-Micali).  `seal(values, rng)`
     encrypts one to what the public key gives; `values(ct)` and
     `record(values)` turn it into its file values and back.  A lookup
-    encrypts `query(ip, layout, rng)` for a record layout
-    ((prefix length, count), ...), then for each record `combine`s
-    (`op`: "sub", blinded when asked, or "xor") and `test`s: (first zero
-    of the first `fill` slots or None, slot 0's difference or None).
+    encrypts `zero(rng)`, an encryption of 0 by the key holder, once, and
+    derives from it `query(zero, ip, layout)` for each record layout
+    ((prefix length, count), ...): the same ciphertext that encrypting the
+    layout's masked addresses would give with the zero's draws.  Then for
+    each record it `combine`s (`op`: "sub", blinded when asked, or "xor")
+    and `test`s: (first zero of the first `fill` slots or None, slot 0's
+    difference or None).
     Refuses `packed` or `blind`, before any encryption, where the backend
     cannot do them.
     """
@@ -371,19 +384,21 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
     """Test `ip` against `store` under the key pair `keys`.
 
     Scans prefix groups longest first and records in insertion order, cut
-    into batches of consecutive records that share a slot layout; each
-    batch encrypts one query, which for one-network records is once per
-    prefix group, and the store's `record_handler` does each step.  The
-    first match wins, and `exhaustive` only keeps the scan going to
-    the end.  `blind` multiplies each difference by a fresh unit before
-    the zero test (additive schemes of one message modulus only).  `debug`
-    reports each record's decrypted difference by entry id; packed
-    records, which hold many entries, report none.  `seconds` holds the
-    time spent in each phase, summed over the batches scanned up to the
-    answer: query encryption, the homomorphic operation (with blinding)
-    and the zero test (with `debug`'s decryption).  Batches go to worker
-    processes as `_spread` decides, so `seconds` may exceed the wall
-    time, while `stats` still counts the sequential scan up to the answer.
+    into batches of consecutive records that share a slot layout.  The
+    lookup encrypts zero once, before any worker starts, and each batch
+    derives its query from that ciphertext, so `stats["encryptions"]` is
+    1; the store's `record_handler` does each step.  The first match wins,
+    and `exhaustive` only keeps the scan going to the end.  `blind`
+    multiplies each difference by a fresh unit before the zero test
+    (additive schemes of one message modulus only).  `debug` reports each
+    record's decrypted difference by entry id; packed records, which hold
+    many entries, report none.  `seconds` holds the time spent in each
+    phase, summed over the batches scanned up to the answer: the query
+    (the encryption of zero, and each batch's derivation), the
+    homomorphic operation (with blinding) and the zero test (with
+    `debug`'s decryption).  Batches go to worker processes as `_spread`
+    decides, so `seconds` may exceed the wall time, while `stats` still
+    counts the sequential scan up to the answer.
     """
     _check_store_keys(store, keys)
     handler = record_handler(keys, store.packed, blind=blind, debug=debug)
@@ -395,7 +410,7 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
         layout, records = batch
         fill = sum(count for _, count in layout)
         t0 = time.perf_counter()
-        target = handler.query(ip, layout, rng)
+        target = handler.query(zero, ip, layout)
         seconds = {"encrypt": time.perf_counter() - t0, "combine": 0.0,
                    "zero_test": 0.0}
         found, scanned, differences = None, 0, {}
@@ -422,18 +437,20 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
             if not batches or batches[-1][0] != layout:
                 batches.append((layout, []))
             batches[-1][1].append(record)
-    for cache in ("crt", "packed_secret"):  # built once here, not per worker
-        getattr(keys, cache, None)
+    # once, before `_spread` forks: this also builds the key pair's `crt`
+    # or `packed_secret` for every worker
+    t0 = time.perf_counter()
+    zero = handler.zero(rng)
+    seconds = {"encrypt": time.perf_counter() - t0, "combine": 0.0,
+               "zero_test": 0.0}
 
     op = f"{handler.op}_calls"
-    stats = {"encryptions": 0, op: 0, "zero_tests": 0}
-    seconds = dict.fromkeys(("encrypt", "combine", "zero_test"), 0.0)
+    stats = {"encryptions": 1, op: 0, "zero_tests": 0}
     differences = {} if debug_entries else None
     matched_id = None
-    with _spread(scan, batches, [len(records) + 1 for _, records in batches],
+    with _spread(scan, batches, [len(records) for _, records in batches],
                  rng) as outcomes:
         for found, scanned, batch_seconds, batch_differences in outcomes:
-            stats["encryptions"] += 1
             stats[op] += scanned
             stats["zero_tests"] += scanned
             for phase, spent in batch_seconds.items():

@@ -14,10 +14,11 @@ scale, and any other operation raises ``CapabilityUnsupported``.
 The group law is written once, here: a sum, difference or scalar multiple
 of additive ciphertexts, and the XOR of Goldwasser-Micali ones (element by
 element), is a product, inverse or power modulo ``cipher_modulus``.  A
-scheme's module exports only ``KEY_CLASSES``, ``keygen``, ``encrypt``,
-``decrypt``, ``is_zero`` and ``message_modulus``, and is imported on first
-use, so a process loads only the schemes whose keys it handles.  Paillier
-is Damgard-Jurik at s = 1: the Damgard-Jurik module keeps its key format
+scheme's module exports only ``KEY_CLASSES``, ``keygen``, ``encode``,
+``encrypt``, ``decrypt``, ``is_zero`` and ``message_modulus``, and is
+imported on first use, so a process loads only the schemes whose keys it
+handles; its ``encrypt`` is ``encode`` times a randomizer.  Paillier is
+Damgard-Jurik at s = 1: the Damgard-Jurik module keeps its key format
 and takes its operations from the Paillier module, which it loads.
 
 A key holder's Paillier or Damgard-Jurik ciphertext is a
@@ -103,6 +104,28 @@ def keygen(scheme: SchemeId, security_bits: int, rng: RandomSource, *,
     return _module(scheme).keygen(security_bits, rng, **opts)
 
 
+def _width_args(scheme: SchemeId, width: int | None) -> tuple:
+    """The width argument of a Goldwasser-Micali message, GM_WIDTH unless
+    given; other schemes take none."""
+    if scheme is SchemeId.GOLDWASSER_MICALI:
+        return (GM_WIDTH if width is None else width,)
+    if width is not None:
+        raise InvalidOptions("width applies only to Goldwasser-Micali")
+    return ()
+
+
+def encode(keys, m: int, *, width: int | None = None):
+    """The factor of an encryption of `m` that draws no randomness, under
+    the public part of `keys`: g^m, y^m or the product of the v_i of m's
+    set bits, and for Goldwasser-Micali a or 1 per bit.  An encryption is
+    this factor times an encryption of 0 under the group law, so
+    `add_encrypted` (`xor_encrypted` for Goldwasser-Micali) of an
+    encryption of 0 and `encode(m)` is the ciphertext that `encrypt`
+    gives for m with the same draws."""
+    scheme = scheme_of(keys)
+    return _module(scheme).encode(public_part(keys), m, *_width_args(scheme, width))
+
+
 def encrypt(keys, m: int, rng: RandomSource, *, width: int | None = None):
     """Encrypt `m` under the public part of `keys`.
 
@@ -110,12 +133,7 @@ def encrypt(keys, m: int, rng: RandomSource, *, width: int | None = None):
     encrypt by CRT under a key pair, to a `CrtElement` of the same value.
     """
     scheme = scheme_of(keys)
-    mod = _module(scheme)
-    if scheme is SchemeId.GOLDWASSER_MICALI:
-        return mod.encrypt(keys, m, rng, GM_WIDTH if width is None else width)
-    if width is not None:
-        raise InvalidOptions("width applies only to Goldwasser-Micali")
-    return mod.encrypt(keys, m, rng)
+    return _module(scheme).encrypt(keys, m, rng, *_width_args(scheme, width))
 
 
 def _holder(keys):

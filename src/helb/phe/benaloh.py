@@ -128,12 +128,18 @@ def keygen(bits: int, rng: RandomSource, r: int = DEFAULT_BLOCK_SIZE,
     raise InvalidOptions("could not find a generator y with y^(phi/r) != 1")
 
 
-def encrypt(keys, m: int, rng: RandomSource) -> int:
-    pub = getattr(keys, "public", keys)
+def encode(pub: BenalohPublicKey, m: int) -> int:
+    """y^m mod n, the factor of an encryption of m that draws no randomness."""
     if not 0 <= m < pub.r:
         raise MessageOutOfRange(f"message must lie in [0, r), got {m}")
+    return pow(pub.y, m, pub.n)
+
+
+def encrypt(keys, m: int, rng: RandomSource) -> int:
+    pub = getattr(keys, "public", keys)
+    ym = encode(pub, m)
     u = rand_coprime(pub.n, rng)
-    return pow(pub.y, m, pub.n) * pow(u, pub.r, pub.n) % pub.n
+    return ym * pow(u, pub.r, pub.n) % pub.n
 
 
 def decrypt(keys: BenalohKeyPair, c: int) -> int:
@@ -153,8 +159,12 @@ def decrypt(keys: BenalohKeyPair, c: int) -> int:
 
 
 def is_zero(keys: BenalohKeyPair, c: int) -> bool:
-    # c^(phi/r) = x^m, and x has order r, so the power is 1 iff m = 0 mod r
-    return pow(c, keys.phi // keys.public.r, keys.public.n) == 1
+    """Whether c^(phi/r) is 1 modulo n, that is c = y^m u^r with m = 0 mod r,
+    tested modulo p.  Modulo q that power is 1 for every c prime to q,
+    since r divides p - 1; modulo p it is c^((p-1)/r) raised to q - 1,
+    which is prime to r, so it is 1 exactly when c^((p-1)/r) is."""
+    p = keys.p
+    return c % keys.q != 0 and pow(c, (p - 1) // keys.public.r, p) == 1
 
 
 def message_modulus(keys) -> int:

@@ -2,7 +2,7 @@
 
 Ciphertexts live in Z*_{n^(s+1)}, and s = 1 is Paillier.  This module
 holds only the key format, (n, g, s) public and (lambda, d) private with
-d = 1 mod n^s and d = 0 mod lam, and key generation.  Encryption,
+d = 1 mod n^s and d = 0 mod lam, and key generation.  Encoding, encryption,
 decryption and the zero test are the arithmetic modulo n^(s+1) of
 :mod:`helb.phe.paillier`, so a Damgard-Jurik key loads both modules.
 Decryption raises a ciphertext to lam and multiplies the extracted
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from ..errors import InvalidModulus, InvalidOptions
 from ..numtheory import PrimePowerCrt, RandomSource
-from .paillier import (_extract_exponent, _generate, decrypt, encrypt, is_zero,
-                       message_modulus)
+from .paillier import (_extract_exponent, _generate, decrypt, encode, encrypt,
+                       is_zero, message_modulus)
 
 MAX_S = 4
 

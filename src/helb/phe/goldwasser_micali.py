@@ -66,19 +66,23 @@ def keygen(bits: int, rng: RandomSource, p: int | None = None,
     return GoldwasserMicaliKeyPair(GoldwasserMicaliPublicKey(n, a), p, q)
 
 
-def encrypt(keys, m: int, rng: RandomSource, width: int) -> tuple[int, ...]:
-    pub = getattr(keys, "public", keys)
+def encode(pub: GoldwasserMicaliPublicKey, m: int, width: int) -> tuple[int, ...]:
+    """The factors of an encryption of m that draw no randomness, most
+    significant bit first: a for a 1-bit, 1 for a 0-bit."""
     if width < 1:
         raise MessageOutOfRange(f"width must be >= 1, got {width}")
     if not 0 <= m < (1 << width):
         raise MessageOutOfRange(f"message must fit in {width} bits, got {m}")
+    return tuple(pub.a if (m >> i) & 1 else 1 for i in reversed(range(width)))
+
+
+def encrypt(keys, m: int, rng: RandomSource, width: int) -> tuple[int, ...]:
+    """encode(m) times a fresh square per bit."""
+    pub = getattr(keys, "public", keys)
     out = []
-    for i in reversed(range(width)):
+    for e in encode(pub, m, width):
         r = rand_coprime(pub.n, rng)
-        c = r * r % pub.n
-        if (m >> i) & 1:
-            c = c * pub.a % pub.n
-        out.append(c)
+        out.append(r * r % pub.n * e % pub.n)
     return tuple(out)
 
 

@@ -112,8 +112,8 @@ def keygen(bits: int, rng: RandomSource, n_bits: int = DEFAULT_MSG_BITS,
     return NaccacheSternKeyPair(NaccacheSternPublicKey(p, v), s)
 
 
-def encrypt(keys, m: int, rng: RandomSource) -> int:
-    pub = getattr(keys, "public", keys)
+def encode(pub: NaccacheSternPublicKey, m: int) -> int:
+    """The product of the v_i of the set bits of m, modulo p."""
     if not 0 <= m < pub.message_space:
         raise MessageOutOfRange(
             f"message must lie in [0, 2^{pub.n_bits}), got {m}")
@@ -122,6 +122,11 @@ def encrypt(keys, m: int, rng: RandomSource) -> int:
         if (m >> i) & 1:
             c = c * vi % pub.p
     return c
+
+
+def encrypt(keys, m: int, rng: RandomSource) -> int:
+    """encode(m): this formulation draws no randomness."""
+    return encode(getattr(keys, "public", keys), m)
 
 
 def decrypt(keys: NaccacheSternKeyPair, c: int) -> int:

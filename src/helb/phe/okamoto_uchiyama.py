@@ -106,13 +106,19 @@ def keygen(bits: int, rng: RandomSource, p: int | None = None,
         OkamotoUchiyamaPublicKey(n, g, h, msg_bits), p, q)
 
 
-def encrypt(keys, m: int, rng: RandomSource) -> int:
-    pub = getattr(keys, "public", keys)
+def encode(pub: OkamotoUchiyamaPublicKey, m: int) -> int:
+    """g^m mod n, the factor of an encryption of m that draws no randomness."""
     if not 0 <= m < pub.message_space:
         raise MessageOutOfRange(
             f"message must lie in [0, 2^{pub.msg_bits}), got {m}")
+    return pow(pub.g, m, pub.n)
+
+
+def encrypt(keys, m: int, rng: RandomSource) -> int:
+    pub = getattr(keys, "public", keys)
+    gm = encode(pub, m)
     r = rng.randrange(1, pub.n)
-    return pow(pub.g, m, pub.n) * pow(pub.h, r, pub.n) % pub.n
+    return gm * pow(pub.h, r, pub.n) % pub.n
 
 
 def _l(x: int, p: int) -> int:

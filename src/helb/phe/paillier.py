@@ -104,21 +104,27 @@ def keygen(bits: int, rng: RandomSource, p: int | None = None,
     return PaillierKeyPair(PaillierPublicKey(n, n + 1), lam, mu)
 
 
-def encrypt(keys, m: int, rng: RandomSource):
-    """Encrypt under a public key, or by CRT under a key pair: the same
-    ciphertext for the same draw of r, which under a key pair is a
-    `CrtElement` that computes its residue mod q^(s+1) only when read."""
-    pub = getattr(keys, "public", keys)
+def encode(pub, m: int) -> int:
+    """g^m mod n^(s+1), the factor of an encryption of m that draws no
+    randomness."""
     if not 0 <= m < pub.message_space:
         raise MessageOutOfRange(f"message must lie in [0, n^{pub.s}), got {m}")
     nx = pub.cipher_modulus
     if pub.s == 1 and pub.g == pub.n + 1:
-        gm = (1 + m * pub.n) % nx
-    else:
-        gm = pow(pub.g, m, nx)
+        return (1 + m * pub.n) % nx
+    return pow(pub.g, m, nx)
+
+
+def encrypt(keys, m: int, rng: RandomSource):
+    """encode(m) * r^(n^s) under a public key, or by CRT under a key pair:
+    the same ciphertext for the same draw of r, which under a key pair is
+    a `CrtElement` that computes its residue mod q^(s+1) only when read."""
+    pub = getattr(keys, "public", keys)
+    gm = encode(pub, m)
     r = rand_coprime(pub.n, rng)
     if hasattr(keys, "public"):
         return keys.crt.nth_power(r).combine(gm)
+    nx = pub.cipher_modulus
     return gm * pow(r, pub.message_space, nx) % nx
 
 

@@ -25,7 +25,9 @@ derives every record's slot runs from the header, for the writer and the
 reader alike, so the file cannot express a bad layout, and the header
 fixes the file's exact length, which the reader checks once before it
 derives anything.  Reading a store needs its key, which the fingerprint
-must match, and every value is range-checked against it.
+must match, and every value is range-checked against it; a key that
+`read_key_file` loaded brings the digest of its file's public lines,
+which spares rendering the key when the file is as written.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import struct
+import weakref
 
 try:  # as `random` does: hashlib loads OpenSSL, 3.5 MB more resident memory
     from _sha256 import sha256
@@ -104,6 +107,25 @@ def _key_text(key) -> str:
 def _fingerprint(pub) -> bytes:
     """SHA-256 of the public-file text of `pub`."""
     return sha256(_key_text(pub).encode("utf-8")).digest()
+
+
+# public key -> SHA-256 of the public lines of the file `read_key_file`
+# loaded it from: `_fingerprint(pub)` whenever the file is as written
+_TEXT_FINGERPRINTS = weakref.WeakKeyDictionary()
+
+
+def _line_count(cls) -> int:
+    """Lines of the fields of `cls` in a key file."""
+    return sum(1 if kind in _CODECS else _line_count(kind)
+               for _, _, kind in cls.FILE_FIELDS)
+
+
+def _head_digest(data: bytes, lines: int) -> bytes:
+    """SHA-256 of the first `lines` lines of `data`, their ends included."""
+    end = 0
+    for _ in range(lines):
+        end = data.find(b"\n", end) + 1 or len(data)
+    return sha256(memoryview(data)[:end]).digest()
 
 
 def write_key_files(keys, base_path: str) -> tuple[str, str]:
@@ -183,18 +205,25 @@ def _build(cls, fields: dict[str, str], path: str):
 def read_key_file(path: str):
     """Load a key file; returns a key pair, or a public key object when the
     private fields are absent."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            scheme, fields = _parse_key_text(fh.read())
+        scheme, fields = _parse_key_text(data.decode("utf-8"))
     except UnicodeDecodeError:
         raise FormatError(f"{path}: key file is not UTF-8 text") from None
     if scheme not in _SCHEME_BYTES:
         raise FormatError(f"{path}: unknown scheme {scheme!r}")
     pub_cls, pair_cls = _key_classes(scheme)
+    # a secret file repeats the public lines first, after the header; the
+    # file is let go before the key is built, which keeps the peak memory
+    digest = _head_digest(data, 2 + _line_count(pub_cls))
+    del data
     # a pair's own (not nested) fields include all its private ones
     private = all(name in fields for name, _, kind in pair_cls.FILE_FIELDS
                   if kind in _CODECS)
-    return _build(pair_cls if private else pub_cls, fields, path)
+    key = _build(pair_cls if private else pub_cls, fields, path)
+    _TEXT_FINGERPRINTS[phe.public_part(key)] = digest
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +292,9 @@ def read_store(path: str, keys) -> EncryptedStore:
         raise SchemeMismatch(f"{path}: store was built for {scheme}, keys are "
                              f"{keys.SCHEME}")
     pub = phe.public_part(keys)
-    if data[6:38] != _fingerprint(pub):
+    # the digest of the key file's own lines spares rendering the key; a
+    # file not in the written form falls back to the rendering
+    if data[6:38] != _TEXT_FINGERPRINTS.get(pub) and data[6:38] != _fingerprint(pub):
         raise SchemeMismatch(f"{path}: store was built under a different public key")
 
     body = _HEADER_SIZE + _RUN.size * data[_HEADER_SIZE - 1]

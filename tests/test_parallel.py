@@ -15,7 +15,7 @@ import time
 import pytest
 import support
 
-from helb import ipmatch, numtheory, phe, pool, serial
+from helb import bfv, ipmatch, numtheory, phe, pool, serial
 from helb.errors import HelbError, NotInvertible
 from helb.ipmatch import build_store, match, parse_cidr, parse_ipv4, prefix_to_mask
 from helb.numtheory import RandomSource, gen_prime, gen_safe_prime, is_probable_prime
@@ -113,8 +113,49 @@ def test_seconds_sum_the_phases_of_every_batch(paillier_keys, cpus):
     cpus(2)
     store = build_store(ENTRIES, paillier_keys, CRYPTO())
     result = match(parse_ipv4(LOOKUPS["miss"]), store, paillier_keys, CRYPTO())
-    assert result.stats == {"encryptions": 5, "sub_calls": 10, "zero_tests": 10}
+    assert result.stats == {"encryptions": 1, "sub_calls": 10, "zero_tests": 10}
     assert all(spent > 0 for spent in result.seconds.values())
+
+
+@pytest.fixture
+def encryptions(monkeypatch):
+    """A list of the encryptions made in this process from then on; one
+    made in a forked worker fails there, and the lookup raises it here."""
+    calls, parent = [], os.getpid()
+
+    def spy(module):
+        encrypt = module.encrypt
+
+        def counting(*args, **kwargs):
+            assert os.getpid() == parent, "a worker process encrypted"
+            calls.append(args[1] if module is phe else "lattice")
+            return encrypt(*args, **kwargs)
+
+        monkeypatch.setattr(module, "encrypt", counting)
+
+    spy(phe)
+    spy(bfv)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", SCHEMES + ["packed"])
+def test_every_lookup_makes_one_encryption(fixture, request, cpus, encryptions):
+    packed = fixture == "packed"
+    keys = request.getfixturevalue("bfv_small_keys" if packed else fixture)
+    cpus(1)
+    store = build_store(ENTRIES, keys, CRYPTO(), packed=packed)
+    for workers in (1, 2):
+        for name, text in LOOKUPS.items():
+            for exhaustive in (False, True):
+                ip = parse_ipv4(text)
+                cpus(workers)
+                encryptions.clear()
+                result = match(ip, store, keys, CRYPTO(), exhaustive=exhaustive)
+                assert result.entry_id == oracle(ip, ENTRIES)
+                # of zero: the queries of all prefix groups derive from it
+                assert len(encryptions) == result.stats["encryptions"] == 1, \
+                    (name, workers)
+                assert encryptions[0] in (0, "lattice")
 
 
 def test_seeded_match_and_build_never_fork(paillier_keys, no_fork):

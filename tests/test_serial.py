@@ -270,6 +270,40 @@ def test_store_read_with_other_key_is_rejected(scheme, paillier_keys,
     assert serial.read_store(path, keys.public).groups == store.groups
 
 
+@pytest.mark.parametrize("fixture", ["paillier_keys", "dj_keys", "ou_keys",
+                                     "benaloh_wide_keys", "ns_keys", "gm_keys",
+                                     "bfv_small_keys"])
+@pytest.mark.parametrize("key_file", [".pub", ".sec"])
+def test_store_fingerprint_is_read_from_the_key_file_text(fixture, key_file,
+                                                          request, tmp_path,
+                                                          monkeypatch):
+    keys = request.getfixturevalue(fixture)
+    serial.write_key_files(keys, str(tmp_path / "key"))
+    key_path = tmp_path / f"key{key_file}"
+    _, store = _random_store(keys, 13, count=5)
+    path = str(tmp_path / "store.bin")
+    serial.write_store(store, path)
+    data = bytearray(open(path, "rb").read())
+    data[6] ^= 1
+    data[-32:] = hashlib.sha256(data[:-32]).digest()
+    other = tmp_path / "other.bin"
+    other.write_bytes(bytes(data))
+    with monkeypatch.context() as patched:
+        # a key file as written gives the fingerprint without rendering the key
+        patched.setattr(serial, "_fingerprint", None)
+        loaded = serial.read_key_file(str(key_path))
+        assert serial.read_store(path, loaded).groups == store.groups
+        # another fingerprint is not that digest: the rendering decides
+        with pytest.raises(TypeError):
+            serial.read_store(str(other), loaded)
+    with pytest.raises(SchemeMismatch, match="different public key"):
+        serial.read_store(str(other), loaded)
+    # a key file in another form gives another digest, and the rendering decides
+    key_path.write_text(key_path.read_text().replace(" = ", "=", 1) + "\n")
+    loaded = serial.read_key_file(str(key_path))
+    assert serial.read_store(path, loaded).groups == store.groups
+
+
 class TestStoreFileErrors:
     def test_bad_magic(self, tmp_path, paillier_keys):
         path = tmp_path / "s.bin"
