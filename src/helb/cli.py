@@ -73,10 +73,9 @@ def blacklist_encrypt(args) -> int:
     entries = ipmatch.load_cidr_file(args.cidr_file)
     store = ipmatch.build_store(entries, keys, _rng(args.seed), packed=args.packed)
     serial.write_store(store, args.out)
-    dupes = store.meta.get("duplicates_removed", 0)
     print(f"wrote {args.out}: {store.entry_count} entries "
-          f"({dupes} duplicates removed)")
-    for prefix_len, count in sorted(store.prefix_counts().items(), reverse=True):
+          f"({store.duplicates_removed} duplicates removed)")
+    for prefix_len, count in sorted(store.counts, reverse=True):
         print(f"  /{prefix_len}: {count} entries")
     return 0
 
@@ -91,7 +90,7 @@ def match(args) -> int:
     if args.json:
         payload = {
             "ip": args.ip,
-            "scheme": store.scheme,
+            "scheme": store.pub.SCHEME,
             "protocol": ipmatch.record_handler(keys, store.packed).op,
             "list_kind": args.list_kind,
             "matched": result.matched,

@@ -1,9 +1,9 @@
 """IPv4/CIDR handling, encrypted blacklist stores, and the match engine.
 
 Addresses are plain 32-bit integers (big-endian octet packing, validated
-at parse time).  A store groups ciphertexts of masked network addresses by
-prefix length.  Every record is a ciphertext with its slot runs, which
-`slot_layout` derives from the network count of each prefix length: one
+at parse time).  A store holds the network count of each prefix length
+and its records, ciphertexts of masked network addresses in scan order.
+`slot_layout` derives every record's slot runs from those counts: one
 slot for a PHE or unpacked lattice record, up to ring_dim networks of any
 prefix lengths for a packed lattice record, longest prefix first.  A PHE
 record is its bare group element, an int (a tuple of ints for
@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from . import bfv, phe, pool
 from .errors import (
     DecryptionFailure,
+    FormatError,
     HelbError,
     InvalidAddress,
     InvalidOptions,
@@ -97,51 +98,55 @@ def parse_cidr(text: str) -> CidrEntry:
 
 def load_cidr_file(path) -> list[CidrEntry]:
     """Read one CIDR per line; '#' starts a comment, blank lines are skipped."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: CIDR file is not UTF-8 text") from None
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                entries.append(parse_cidr(line))
-            except HelbError as exc:
-                raise type(exc)(f"{path}: line {lineno}: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            entries.append(parse_cidr(line))
+        except HelbError as exc:
+            raise type(exc)(f"{path}: line {lineno}: {exc}") from None
     return entries
 
 
 @dataclass
 class EncryptedStore:
-    """Encrypted blacklist grouped by prefix length.
-
-    Every record is (runs, ciphertext).  `runs` lays out the ciphertext's
-    slots as (prefix length, first entry id, count) triples, as
-    `slot_layout` cuts them, and a record sits in the group of its first
-    slot's prefix.  A PHE or unpacked lattice record holds one network,
-    `((prefix length, entry id, 1),)`; a packed one up to ring_dim networks
-    in its coefficients.  Prefix lengths and group sizes are public.  `pub` is
-    the public key the store was built under; a store file carries only
-    its fingerprint (stores and keys travel in separate files).
+    """An encrypted blacklist, as its store file holds it: the public key
+    `pub` it was built under (the file carries only its fingerprint), the
+    header's (prefix length, network count) pairs `counts` in entry-id
+    order, and the `records`, bare ciphertexts in scan order.  `layout()`
+    derives each record's slot runs from `counts`: up to ring_dim networks
+    in a packed lattice record, one in any other.  `duplicates_removed`
+    reports the build, and is neither stored nor compared.
     """
 
-    scheme: str
-    groups: dict[int, list]
+    pub: object
+    counts: list[tuple[int, int]]
+    records: list
     packed: bool = False
-    meta: dict = field(default_factory=dict)
-    pub: object | None = None
-
-    def prefix_counts(self) -> dict[int, int]:
-        """Number of networks per prefix length, in entry-id order."""
-        counts: dict[int, int] = {}
-        runs = [run for records in self.groups.values()
-                for record_runs, _ in records for run in record_runs]
-        for prefix_len, _, count in sorted(runs, key=lambda run: run[1]):
-            counts[prefix_len] = counts.get(prefix_len, 0) + count
-        return counts
+    duplicates_removed: int = field(default=0, compare=False)
 
     @property
     def entry_count(self) -> int:
-        return sum(self.prefix_counts().values())
+        return sum(count for _, count in self.counts)
+
+    def layout(self) -> list[tuple[tuple[int, int, int], ...]]:
+        """The (prefix length, first entry id, count) runs of each record."""
+        return slot_layout(self.counts, record_handler(self.pub, self.packed).slots)
+
+    @property
+    def groups(self) -> dict[int, list]:
+        """A read-only view of `records`: {first slot's prefix length: [ct]}."""
+        groups: dict[int, list] = {}
+        for runs, ct in zip(self.layout(), self.records):
+            groups.setdefault(runs[0][0], []).append(ct)
+        return groups
 
 
 @dataclass
@@ -175,18 +180,15 @@ def build_store(entries, keys, rng: RandomSource, *,
     # entry ids count networks prefix by prefix in first-appearance order
     values = [value for group in cleaned.values() for value in group]
     counts = [(p, len(group)) for p, group in cleaned.items()]
-    records = slot_layout(counts, handler.slots)
     chunks = [[value for _, first_id, count in runs
-               for value in values[first_id:first_id + count]] for runs in records]
+               for value in values[first_id:first_id + count]]
+              for runs in slot_layout(counts, handler.slots)]
     getattr(keys, "crt", None)  # built once here, not once per worker
-    groups: dict[int, list] = {}
     with _spread(lambda chunk: handler.seal(chunk, rng), chunks,
                  [1] * len(chunks), rng) as cts:
-        for runs, ct in zip(records, cts):
-            groups.setdefault(runs[0][0], []).append((runs, ct))
-
-    return EncryptedStore(keys.SCHEME, groups, packed,
-                          {"duplicates_removed": duplicates}, phe.public_part(keys))
+        records = list(cts)
+    return EncryptedStore(phe.public_part(keys), counts, records, packed,
+                          duplicates)
 
 
 def slot_layout(counts, size: int) -> list[tuple[tuple[int, int, int], ...]]:
@@ -226,9 +228,9 @@ def _entry_id(runs, slot: int) -> int:
 
 
 def _check_store_keys(store: EncryptedStore, keys) -> None:
-    if keys.SCHEME != store.scheme:
+    if keys.SCHEME != store.pub.SCHEME:
         raise SchemeMismatch(
-            f"store was built for {store.scheme}, keys are {keys.SCHEME}")
+            f"store was built for {store.pub.SCHEME}, keys are {keys.SCHEME}")
     if not hasattr(keys, "public"):
         raise SchemeMismatch("matching needs the full key pair, not just the "
                              "public key")
@@ -383,7 +385,7 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
           debug: bool = False) -> MatchResult:
     """Test `ip` against `store` under the key pair `keys`.
 
-    Scans prefix groups longest first and records in insertion order, cut
+    Scans the records in store order, longest prefix first, cut
     into batches of consecutive records that share a slot layout.  The
     lookup encrypts zero once, before any worker starts, and each batch
     derives its query from that ciphertext, so `stats["encryptions"]` is
@@ -430,13 +432,12 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
                     break
         return found, scanned, seconds, differences
 
-    batches = []  # (slot layout, records)
-    for prefix_len in sorted(store.groups, reverse=True):
-        for record in store.groups[prefix_len]:
-            layout = tuple((p, count) for p, _, count in record[0])
-            if not batches or batches[-1][0] != layout:
-                batches.append((layout, []))
-            batches[-1][1].append(record)
+    batches = []  # (slot layout, (runs, ct) of each record)
+    for runs, ct in zip(store.layout(), store.records):
+        layout = tuple((p, count) for p, _, count in runs)
+        if not batches or batches[-1][0] != layout:
+            batches.append((layout, []))
+        batches[-1][1].append((runs, ct))
     # once, before `_spread` forks: this also builds the key pair's `crt`
     # or `packed_secret` for every worker
     t0 = time.perf_counter()

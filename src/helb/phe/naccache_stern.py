@@ -143,9 +143,11 @@ def decrypt(keys: NaccacheSternKeyPair, c: int) -> int:
 
 
 def is_zero(keys: NaccacheSternKeyPair, c: int) -> bool:
-    # c^s = prod p_i^(e_i) with |e_i| <= 1 after one subtraction; both sides
-    # of the implied fraction stay below p, so the power is 1 iff all e_i = 0
-    return pow(c, keys.s, keys.public.p) == 1
+    # s is coprime to p - 1, so for a prime p, x -> x^s permutes Z*_p and
+    # c^s = 1, the decryption of zero, exactly when c = 1: no secret is needed
+    if not 0 < c < keys.public.p:
+        raise DecryptionFailure("ciphertext outside Z*_p")
+    return c == 1
 
 
 def message_modulus(keys) -> None:

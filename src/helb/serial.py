@@ -20,11 +20,11 @@ follow as bare ciphertexts.  The backend's record handler
 (`ipmatch.record_handler`) owns their layout: a record is its `width`
 values, each exactly w big-endian bytes, w the byte length of
 (modulus - 1), and in [low, modulus).  The last 32 bytes are the SHA-256
-of everything before them.  Nothing else is stored: `ipmatch.slot_layout`
-derives every record's slot runs from the header, for the writer and the
-reader alike, so the file cannot express a bad layout, and the header
-fixes the file's exact length, which the reader checks once before it
-derives anything.  Reading a store needs its key, which the fingerprint
+of everything before them.  Nothing else is stored, in the file or in
+the `ipmatch.EncryptedStore` read from it: `EncryptedStore.layout()`
+derives every record's slot runs from the header's counts, so the file
+cannot express a bad layout.  The header also fixes the file's exact
+length, which the reader checks before it reads any record.  Reading a store needs its key, which the fingerprint
 must match, and every value is range-checked against it; a key that
 `read_key_file` loaded brings the digest of its file's public lines,
 which spares rendering the key when the file is as written.
@@ -47,7 +47,7 @@ except ImportError:
 
 from . import bfv, phe
 from .errors import FormatError, SchemeMismatch
-from .ipmatch import BFV_SCHEME, EncryptedStore, record_handler, slot_layout
+from .ipmatch import BFV_SCHEME, EncryptedStore, record_handler
 from .phe import SchemeId
 
 KEY_MAGIC = "HELB-KEY v1"
@@ -153,20 +153,17 @@ def _parse_key_text(text: str):
     if not lines or lines[0] != KEY_MAGIC:
         raise FormatError(f"missing key file header {KEY_MAGIC!r}")
     fields: dict[str, str] = {}
-    scheme = None
     for line in lines[1:]:
         if not line.strip():
             continue
         name, sep, value = line.partition("=")
         if not sep:
             raise FormatError(f"malformed key file line: {line!r}")
-        name, value = name.strip(), value.strip()
-        if name == "scheme":
-            scheme = value
-        elif name in fields:
+        name = name.strip()
+        if name in fields:
             raise FormatError(f"duplicate key field {name!r}")
-        else:
-            fields[name] = value
+        fields[name] = value.strip()
+    scheme = fields.pop("scheme", None)
     if scheme is None:
         raise FormatError("key file does not declare a scheme")
     return scheme, fields
@@ -241,19 +238,15 @@ def _byte_width(modulus: int) -> int:
 
 def write_store(store: EncryptedStore, path: str) -> None:
     """Write `store` in record-scan order, sealed by its SHA-256."""
-    if store.pub is None:
-        raise FormatError("a store without its public key cannot be written")
-    scheme_byte = _PACKED_SCHEME_BYTE if store.packed else _SCHEME_BYTES[store.scheme]
-    counts = store.prefix_counts()
+    scheme_byte = (_PACKED_SCHEME_BYTE if store.packed
+                   else _SCHEME_BYTES[store.pub.SCHEME])
     handler = record_handler(store.pub, store.packed)
     nbytes = _byte_width(handler.modulus)
     parts = [STORE_MAGIC, bytes([STORE_VERSION, scheme_byte]),
-             _fingerprint(store.pub), bytes([len(counts)])]
-    parts += [_RUN.pack(*run) for run in counts.items()]
+             _fingerprint(store.pub), bytes([len(store.counts)])]
+    parts += [_RUN.pack(*run) for run in store.counts]
     parts += [value.to_bytes(nbytes, "big")
-              for prefix_len in sorted(store.groups, reverse=True)
-              for _, ct in store.groups[prefix_len]
-              for value in handler.values(ct)]
+              for ct in store.records for value in handler.values(ct)]
     data = b"".join(parts)
     with open(path, "wb") as fh:
         fh.write(data + sha256(data).digest())
@@ -269,7 +262,8 @@ def read_store(path: str, keys) -> EncryptedStore:
     implies, or a ciphertext value outside the range of the record
     handler of `keys` (`ipmatch.record_handler`): a PHE element outside
     [1, cipher_modulus), a lattice coefficient not below ciphertext_mod.
-    The handler rebuilds every record, and `slot_layout` its runs.
+    The handler rebuilds every record; `EncryptedStore.layout()` derives
+    their slot runs from the header.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -323,8 +317,6 @@ def read_store(path: str, keys) -> EncryptedStore:
     if min(values) < handler.low or max(values) >= handler.modulus:
         raise FormatError(f"{path}: {scheme} ciphertext value outside "
                           f"[{handler.low}, {handler.modulus:#x})")
-    groups: dict[int, list] = {}
-    for i, runs in enumerate(slot_layout(counts, handler.slots)):
-        ct = handler.record(values[i * handler.width:(i + 1) * handler.width])
-        groups.setdefault(runs[0][0], []).append((runs, ct))
-    return EncryptedStore(scheme, groups, packed, pub=pub)
+    return EncryptedStore(pub, counts, [
+        handler.record(values[pos:pos + handler.width])
+        for pos in range(0, len(values), handler.width)], packed)

@@ -148,6 +148,17 @@ class TestBlacklistEncrypt:
         assert result.exit_code == 2
         assert "line 2" in result.output
 
+    def test_cidr_file_not_utf8_exits_two(self, paillier_files, tmp_path):
+        pub, _ = paillier_files
+        lst = tmp_path / "bad.txt"
+        lst.write_bytes(b"2.3.4.0/24\n\xff\xfe\n")
+        result = run("blacklist", "encrypt", "--key", pub, "--cidr-file", lst,
+                     "--out", tmp_path / "s.bin")
+        assert result.exit_code == 2, result.output
+        assert f"{lst}: CIDR file is not UTF-8 text" in result.output
+        assert "internal error" not in result.output
+        assert not (tmp_path / "s.bin").exists()
+
     @pytest.mark.parametrize("scheme", [
         "paillier", "damgard_jurik", "okamoto_uchiyama", "benaloh",
         "naccache_stern", "goldwasser_micali"])
@@ -360,10 +371,9 @@ class TestMatch:
         assert result.exit_code == 0, result.output
         keys = serial.read_key_file(sec)
         store = serial.read_store(path, keys)
-        records = store.groups[24]  # 2.3.4.0/24 is scanned first
-        runs, ct = records[0]
+        ct = store.records[0]  # 2.3.4.0/24 is scanned first
         bad = 3 * getattr(getattr(keys, "crt", keys), factor)
-        records[0] = (runs, (bad,) * len(ct) if isinstance(ct, tuple) else bad)
+        store.records[0] = (bad,) * len(ct) if isinstance(ct, tuple) else bad
         serial.write_store(store, path)
         for ip in ("2.3.4.77", "4.4.4.4"):
             result = run("match", "--keys", sec, "--store", path, "--ip", ip,

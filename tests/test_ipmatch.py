@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -130,24 +131,30 @@ class TestLoadCidrFile:
 class TestBuildStore:
     def test_single_entry_single_group(self, paillier_keys):
         store = build_store([parse_cidr("2.3.4.0/24")], paillier_keys, RNG(1))
-        assert set(store.groups) == {24}
-        assert len(store.groups[24]) == 1
+        assert store.counts == [(24, 1)]
+        assert len(store.records) == 1
         assert store.entry_count == 1
 
     def test_grouping_by_prefix(self, paillier_keys):
         entries = [parse_cidr("2.3.4.0/24"), parse_cidr("9.9.9.0/24"),
                    parse_cidr("10.0.0.0/16")]
         store = build_store(entries, paillier_keys, RNG(2))
-        assert sorted(store.groups) == [16, 24]
-        assert len(store.groups[24]) == 2
-        assert len(store.groups[16]) == 1
+        assert store.counts == [(24, 2), (16, 1)]
+        assert store.layout() == [((24, 0, 1),), ((24, 1, 1),), ((16, 2, 1),)]
+        assert len(store.records) == 3
 
     def test_duplicates_removed(self, paillier_keys):
         entries = [parse_cidr("2.3.4.0/24"), parse_cidr("2.3.4.7/24"),
                    parse_cidr("2.3.4.0/16")]
         store = build_store(entries, paillier_keys, RNG(3))
         assert store.entry_count == 2
-        assert store.meta["duplicates_removed"] == 1
+        assert store.duplicates_removed == 1
+        # a build report, not a part of the store
+        assert store == build_store(entries[::2], paillier_keys, RNG(3))
+
+    def test_store_holds_what_its_file_holds(self):
+        assert [f.name for f in dataclasses.fields(ipmatch.EncryptedStore)] == [
+            "pub", "counts", "records", "packed", "duplicates_removed"]
 
     def test_empty_list_rejected(self, paillier_keys):
         with pytest.raises(InvalidOptions):
@@ -158,11 +165,10 @@ class TestBuildStore:
         rnd = random.Random("store")
         entries = support.random_entries(rnd, 30)
         store = build_store(entries, paillier_keys, RNG(5))
-        for prefix_len, group in store.groups.items():
-            mask = prefix_to_mask(prefix_len)
-            for _, ct in group:
-                value = phe.decrypt(paillier_keys, ct)
-                assert value & mask == value
+        for runs, ct in zip(store.layout(), store.records):
+            mask = prefix_to_mask(runs[0][0])
+            value = phe.decrypt(paillier_keys, ct)
+            assert value & mask == value
 
     def test_packed_needs_bfv(self, paillier_keys):
         with pytest.raises(InvalidOptions):
@@ -179,28 +185,29 @@ class TestBuildStore:
         entries = support.random_entries(rnd, 150, prefixes=(24,))
         entries = list({(e.network, e.prefix_len): e for e in entries}.values())
         store = build_store(entries, bfv_small_keys, RNG(9), packed=True)
-        packs = [record for group in store.groups.values() for record in group]
+        packs = store.layout()
         n = SMALL.ring_dim
         expected_packs = (len(entries) + n - 1) // n
-        assert len(packs) == expected_packs
+        assert len(packs) == len(store.records) == expected_packs
         assert store.entry_count == len(entries)
-        assert packs[0][0] == ((24, 0, n),)  # first pack is full
+        assert packs[0] == ((24, 0, n),)  # first pack is full
 
     def test_packs_mix_prefixes_longest_first(self, bfv_small_keys):
         rnd = random.Random("mix")
         entries = support.random_entries(rnd, 150)
         entries = list({(e.network, e.prefix_len): e for e in entries}.values())
         store = build_store(entries, bfv_small_keys, RNG(9), packed=True)
-        packs = [record for p in sorted(store.groups, reverse=True)
-                 for record in store.groups[p]]
+        packs = store.layout()
         n = SMALL.ring_dim
-        assert len(packs) == (len(entries) + n - 1) // n
+        assert len(packs) == len(store.records) == (len(entries) + n - 1) // n
         assert store.entry_count == len(entries)
-        assert sum(count for _, _, count in packs[0][0]) == n
-        # each pack sits in the group of its first slot's prefix
-        assert all(runs[0][0] == p for p, group in store.groups.items()
-                   for runs, _ in group)
-        slots = [(p, first + i) for runs, _ in packs for p, first, count in runs
+        assert sum(count for _, _, count in packs[0]) == n
+        # the groups view files each pack under its first slot's prefix
+        groups = {}
+        for runs, ct in zip(packs, store.records):
+            groups.setdefault(runs[0][0], []).append(ct)
+        assert store.groups == groups
+        slots = [(p, first + i) for runs in packs for p, first, count in runs
                  for i in range(count)]
         # ids still count the networks group by group in first-appearance order
         by_prefix = {}
@@ -262,7 +269,7 @@ class TestMatchSubtract:
         store = build_store(entries, paillier_keys, RNG(19))
         result = match(parse_ipv4("2.3.4.9"), store, paillier_keys, RNG(20))
         # both groups contain the address; the /24 entry must win
-        group24_ids = [runs[0][1] for runs, _ in store.groups[24]]
+        group24_ids = [runs[0][1] for runs in store.layout() if runs[0][0] == 24]
         assert result.entry_id in group24_ids
 
     def test_exhaustive_scans_all(self, paillier_keys):
@@ -298,8 +305,7 @@ class TestMatchSubtract:
         if packed:  # a packed record holds many entries and reports none
             assert hit.differences is miss.differences is None
             return
-        scanned = {runs[0][1] for group in store.groups.values()
-                   for runs, _ in group}
+        scanned = {runs[0][1] for runs in store.layout()}
         assert set(hit.differences) == set(miss.differences) == scanned == {0, 1, 2}
         assert [i for i, d in hit.differences.items() if d == 0] == [0]
         assert 0 not in miss.differences.values()
@@ -377,7 +383,7 @@ def test_bfv_subtract_agrees_with_plain_oracle(bfv_small_keys):
 class TestMatchXor:
     def test_store_width_is_the_encryption_width(self, gm_keys):
         store = build_store([parse_cidr("2.3.4.0/24")], gm_keys, RNG(41))
-        (_, record), = store.groups[24]
+        record, = store.records
         assert len(record) == ipmatch.record_handler(gm_keys).width
 
     def test_equal_masked_pair(self, gm_keys):
@@ -396,7 +402,7 @@ class TestMatchXor:
         gm_store = build_store(entries, gm_keys, RNG(48))
         pa_store = build_store(entries, paillier_keys, RNG(49))
         rng = RNG(50)
-        records = sum(len(g) for g in gm_store.groups.values())
+        records = len(gm_store.records)
         for _ in range(25):
             ip = support.biased_address(rnd, entries)
             via_xor = match(ip, gm_store, gm_keys, rng)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from helb import ipmatch, numtheory, phe, serial
 from helb.errors import DecryptionFailure, FormatError, NotInvertible
 from helb.numtheory import PrimePowerCrt, RandomSource
-from helb.phe import SchemeId, benaloh, damgard_jurik, paillier
+from helb.phe import SchemeId, benaloh, damgard_jurik, naccache_stern, paillier
 
 RNG = RandomSource.seeded
 EXAMPLES = settings(max_examples=300, deadline=None, derandomize=True,
@@ -283,6 +283,45 @@ def test_benaloh_zero_test_agrees_with_the_order_test(fixture, request):
     verdicts = [benaloh.is_zero(keys, c) for c in crafted]
     assert verdicts == [_zero_by_order(keys, c) for c in crafted]
     assert {True, False} == set(verdicts)
+
+
+# ---------------------------------------------------------------------------
+# Naccache-Stern's zero test, with no exponentiation
+
+
+def _zero_by_power(keys, c) -> bool:
+    """The zero test by decryption's power: c^s = 1 modulo p."""
+    return pow(c, keys.s, keys.public.p) == 1
+
+
+@pytest.fixture(scope="module")
+def ns_512_keys():
+    return phe.keygen(SchemeId.NACCACHE_STERN, 512, RNG(7), test_mode=True)
+
+
+@pytest.mark.parametrize("kind", ["random", "differences"])
+def test_naccache_stern_zero_test_agrees_with_the_power_test(kind, ns_512_keys):
+    keys = ns_512_keys
+    p, rnd = keys.public.p, random.Random(kind)
+    if kind == "random":
+        values = [1, 2, p - 1] + [rnd.randrange(1, p) for _ in range(2000)]
+    else:  # of equal messages, of messages one bit apart, and of unrelated ones
+        rng, values = RNG(8), []
+        for _ in range(700):
+            m = rnd.getrandbits(32)
+            for other in (m, m ^ 1 << rnd.randrange(32), rnd.getrandbits(32)):
+                values.append(phe.sub_encrypted(keys, phe.encrypt(keys, m, rng),
+                                                phe.encrypt(keys, other, rng)))
+    verdicts = [naccache_stern.is_zero(keys, c) for c in values]
+    assert verdicts == [_zero_by_power(keys, c) for c in values]
+    assert {True, False} == set(verdicts)
+
+
+def test_naccache_stern_zero_test_refuses_values_outside_the_group(ns_keys):
+    p = ns_keys.public.p
+    for c in (-1, 0, p, p + 1):
+        with pytest.raises(DecryptionFailure, match="outside"):
+            naccache_stern.is_zero(ns_keys, c)
 
 
 # ---------------------------------------------------------------------------

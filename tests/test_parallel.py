@@ -90,7 +90,7 @@ def test_parallel_lookups_equal_the_sequential_scan(fixture, request, cpus):
     store = build_store(ENTRIES, keys, CRYPTO())
     # blinding needs one message modulus, which the lattice backend,
     # Naccache-Stern and Goldwasser-Micali lack
-    additive = (store.scheme != ipmatch.BFV_SCHEME
+    additive = (store.pub.SCHEME != ipmatch.BFV_SCHEME
                 and phe.message_modulus(keys) is not None)
     modes = [{}, {"exhaustive": True}, {"debug": True},
              {"debug": True, "exhaustive": True}]
@@ -167,7 +167,7 @@ def test_seeded_match_and_build_never_fork(paillier_keys, no_fork):
 
 def test_one_record_store_never_forks(bfv_small_keys, no_fork):
     store = build_store(ENTRIES, bfv_small_keys, CRYPTO(), packed=True)
-    assert sum(len(records) for records in store.groups.values()) == 1
+    assert len(store.records) == 1
     result = match(parse_ipv4(LOOKUPS["middle"]), store, bfv_small_keys, CRYPTO())
     assert result.entry_id == 5
 
@@ -200,8 +200,8 @@ def _with_non_unit_record(keys, prefix_len: int):
     """A crypto-mode Paillier store whose first /`prefix_len` record shares
     the factor p with n."""
     store = build_store(ENTRIES, keys, CRYPTO())
-    runs, _ = store.groups[prefix_len][0]
-    store.groups[prefix_len][0] = (runs, 3 * keys.crt.p)
+    first = next(i for i, runs in enumerate(store.layout()) if runs[0][0] == prefix_len)
+    store.records[first] = 3 * keys.crt.p
     return store
 
 
@@ -306,8 +306,8 @@ class TestCliOnTheParallelPath:
         sec, path = files
         keys = serial.read_key_file(sec)
         store = serial.read_store(path, keys)
-        runs, _ = store.groups[20][0]
-        store.groups[20][0] = (runs, 3 * keys.crt.q)
+        assert store.layout()[4] == ((20, 4, 1),)
+        store.records[4] = 3 * keys.crt.q
         serial.write_store(store, path)
         result = self.match(sec, path, LOOKUPS["miss"])
         assert result.exit_code == 2, result.output

@@ -86,11 +86,10 @@ def _lattice_layouts(keys, packed: bool):
                for p in (32, 24, 24, 16, 8) for _ in range(30)]
     store = build_store(entries, keys, RNG(12), packed=packed)
     ip = rnd.getrandbits(32)
-    for prefix_len in sorted(store.groups, reverse=True):
-        for runs, _ in store.groups[prefix_len]:
-            layout = tuple((p, count) for p, _, count in runs)
-            yield ip, layout, [ip & prefix_to_mask(p)
-                               for p, count in layout for _ in range(count)]
+    for runs in store.layout():
+        layout = tuple((p, count) for p, _, count in runs)
+        yield ip, layout, [ip & prefix_to_mask(p)
+                           for p, count in layout for _ in range(count)]
 
 
 @pytest.mark.parametrize("packed", [False, True], ids=["unpacked", "packed"])

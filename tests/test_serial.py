@@ -120,6 +120,15 @@ class TestKeyFileErrors:
         with pytest.raises(FormatError, match="UTF-8"):
             serial.read_key_file(str(path))
 
+    @pytest.mark.parametrize("line", ["scheme = bfv", "scheme = paillier"],
+                             ids=["other", "same"])
+    def test_repeated_scheme_line(self, line, paillier_keys, tmp_path):
+        pub_path, _ = serial.write_key_files(paillier_keys, str(tmp_path / "key"))
+        with open(pub_path, "a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(FormatError, match="duplicate key field 'scheme'"):
+            serial.read_key_file(pub_path)
+
     def test_okamoto_uchiyama_composite_p_is_refused(self, ou_keys, tmp_path):
         # n = p^2 q holds, but Fermat's little theorem fails for g modulo p
         p = 2**41 - 1  # 13367 * 164511353
@@ -220,9 +229,7 @@ def test_phe_store_round_trip_byte_identical(fixture, request, tmp_path):
     path = str(tmp_path / "store.bin")
     serial.write_store(store, path)
     loaded = serial.read_store(path, keys)
-    assert loaded.scheme == store.scheme
-    assert loaded.groups == store.groups
-    assert loaded.pub == store.pub
+    assert loaded == store
     path2 = str(tmp_path / "store2.bin")
     serial.write_store(loaded, path2)
     assert open(path, "rb").read() == open(path2, "rb").read()
@@ -234,8 +241,8 @@ def test_bfv_store_round_trip(bfv_small_keys, tmp_path, packed):
     path = str(tmp_path / "store.bin")
     serial.write_store(store, path)
     loaded = serial.read_store(path, bfv_small_keys)
+    assert loaded == store
     assert loaded.packed == packed
-    assert loaded.groups == store.groups
     path2 = str(tmp_path / "store2.bin")
     serial.write_store(loaded, path2)
     assert open(path, "rb").read() == open(path2, "rb").read()
@@ -267,7 +274,7 @@ def test_store_read_with_other_key_is_rejected(scheme, paillier_keys,
     serial.write_store(store, path)
     with pytest.raises(SchemeMismatch, match="different public key"):
         serial.read_store(path, other)
-    assert serial.read_store(path, keys.public).groups == store.groups
+    assert serial.read_store(path, keys.public) == store
 
 
 @pytest.mark.parametrize("fixture", ["paillier_keys", "dj_keys", "ou_keys",
@@ -292,7 +299,7 @@ def test_store_fingerprint_is_read_from_the_key_file_text(fixture, key_file,
         # a key file as written gives the fingerprint without rendering the key
         patched.setattr(serial, "_fingerprint", None)
         loaded = serial.read_key_file(str(key_path))
-        assert serial.read_store(path, loaded).groups == store.groups
+        assert serial.read_store(path, loaded) == store
         # another fingerprint is not that digest: the rendering decides
         with pytest.raises(TypeError):
             serial.read_store(str(other), loaded)
@@ -301,7 +308,7 @@ def test_store_fingerprint_is_read_from_the_key_file_text(fixture, key_file,
     # a key file in another form gives another digest, and the rendering decides
     key_path.write_text(key_path.read_text().replace(" = ", "=", 1) + "\n")
     loaded = serial.read_key_file(str(key_path))
-    assert serial.read_store(path, loaded).groups == store.groups
+    assert serial.read_store(path, loaded) == store
 
 
 class TestStoreFileErrors:
@@ -386,9 +393,7 @@ class TestStoreFileErrors:
 
     def test_gm_entry_of_wrong_width(self, tmp_path, gm_keys):
         ct = tuple(range(1, 32))
-        store = ipmatch.EncryptedStore("goldwasser_micali",
-                                       {24: [(((24, 0, 1),), ct)]},
-                                       pub=gm_keys.public)
+        store = ipmatch.EncryptedStore(gm_keys.public, [(24, 1)], [ct])
         path = str(tmp_path / "s.bin")
         serial.write_store(store, path)
         with pytest.raises(FormatError, match="header implies"):
@@ -414,11 +419,6 @@ class TestStoreFileErrors:
         with pytest.raises(FormatError, match="version 3; rebuild"):
             serial.read_store(path, paillier_keys)
 
-    def test_store_without_public_key_is_not_written(self, tmp_path):
-        store = ipmatch.EncryptedStore("paillier", {24: []})
-        with pytest.raises(FormatError, match="public key"):
-            serial.write_store(store, str(tmp_path / "s.bin"))
-
     @pytest.mark.parametrize("fixture, packed", [
         ("paillier_keys", False), ("dj_keys", False), ("ou_keys", False),
         ("benaloh_wide_keys", False), ("ns_keys", False), ("gm_keys", False),
@@ -426,8 +426,7 @@ class TestStoreFileErrors:
     def test_value_outside_its_group(self, fixture, packed, request, tmp_path):
         keys = request.getfixturevalue(fixture)
         _, store = _random_store(keys, 21, count=3, packed=packed)
-        records = next(iter(store.groups.values()))
-        head, ct = records[0]
+        ct = store.records[0]
         pub = keys.public
         if fixture == "bfv_small_keys":
             q = keys.params.ciphertext_mod
@@ -439,7 +438,7 @@ class TestStoreFileErrors:
             bad = [(value,) + ct[1:] if isinstance(ct, tuple) else value
                    for value in (modulus, 0)]
         for bad_ct in bad:
-            records[0] = (head, bad_ct)
+            store.records[0] = bad_ct
             path = str(tmp_path / "s.bin")
             serial.write_store(store, path)
             with pytest.raises(FormatError, match="value outside"):
@@ -497,7 +496,7 @@ def test_store_binary_layout(paillier_keys, tmp_path):
     assert data[38] == 1                            # one prefix run
     assert data[39] == 24                           # prefix byte
     assert int.from_bytes(data[40:44], "big") == 1  # one network
-    (_, ct), = store.groups[24]
+    ct, = store.records
     assert data[44:44 + width] == int(ct).to_bytes(width, "big")
     assert data[-32:] == hashlib.sha256(data[:-32]).digest()
     assert len(data) == 44 + width + 32
@@ -515,6 +514,5 @@ def test_entry_ids_are_derived_in_file_order(bfv_small_keys, tmp_path):
     path = str(tmp_path / "s.bin")
     serial.write_store(store, path)
     loaded = serial.read_store(path, bfv_small_keys)
-    runs = [r[0] for g in loaded.groups.values() for r in g]
-    assert runs == [r[0] for g in store.groups.values() for r in g]
-    assert runs == [((24, 0, 64),), ((24, 64, 6), (16, 70, 3))]
+    assert loaded == store
+    assert loaded.layout() == [((24, 0, 64),), ((24, 64, 6), (16, 70, 3))]
