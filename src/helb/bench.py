@@ -23,12 +23,12 @@ import os
 import platform
 import statistics
 import time
-from dataclasses import dataclass
 
 from . import bfv, ipmatch, phe, pool
 from .errors import InvalidOptions
 from .numtheory import RandomSource
 from .phe import SchemeId
+from .value import Value
 
 ALL_BENCH_SCHEMES = ipmatch.SCHEMES
 
@@ -42,8 +42,7 @@ NON_COMPARABLE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(Value, frozen=True):
     scheme: str
     keypair_ms: float
     encrypt_ms: float
@@ -54,8 +53,7 @@ class BenchRow:
     op_decrypt_std: float
 
 
-@dataclass(frozen=True)
-class ScaleRow:
+class ScaleRow(Value, frozen=True):
     n_addresses: int
     encrypt_total_s: float
     search_total_s: float

@@ -8,7 +8,8 @@ homomorphically, so no relinearization or modulus switching is needed.
 Polynomial products (a*s in key generation and in the key holder's
 encryption, pk*u in public-key encryption, c1*s in decryption) are one
 exact libmpdec multiplication each, by Kronecker substitution, for any q.
-A key pair packs its secret for that product once.
+A key pair packs its secret for that product once, and a public-key
+encryption packs its u once for both of its products.
 
 In cryptographic mode, each sampler draws one byte block per polynomial;
 a seeded source keeps its stream of one draw per coefficient, so seeded
@@ -21,7 +22,6 @@ import functools
 import math
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -35,6 +35,7 @@ from decimal import (
 
 from .errors import InvalidParams, ParamMismatch, TooManyValues
 from .numtheory import RandomSource, is_probable_prime
+from .value import Value
 
 # Enforced floor on q/t: plenty of rounding headroom at depth 0.
 MIN_MOD_RATIO = 1 << 20
@@ -60,8 +61,7 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
 _CDT_MAX_TAIL = 64
 
 
-@dataclass(frozen=True)
-class BfvParams:
+class BfvParams(Value, frozen=True):
     FILE_FIELDS = (("ring_dim", "ring_dim", int),
                    ("plaintext_mod", "plaintext_mod", int),
                    ("ciphertext_mod", "ciphertext_mod", int),
@@ -138,8 +138,7 @@ def _ring_violation(name: str, coeffs, params: BfvParams) -> list[str]:
     return [f"{name} is not {n} coefficients below ciphertext_mod"]
 
 
-@dataclass(frozen=True)
-class BfvPublicKey:
+class BfvPublicKey(Value, frozen=True):
     SCHEME = "bfv"
     FILE_FIELDS = ((None, "params", BfvParams), ("pk0", "pk0", tuple),
                    ("pk1", "pk1", tuple))
@@ -155,8 +154,7 @@ class BfvPublicKey:
                 + _ring_violation("pk1", self.pk1, self.params))
 
 
-@dataclass(frozen=True)
-class BfvKeyPair:
+class BfvKeyPair(Value, frozen=True):
     SCHEME = "bfv"
     FILE_FIELDS = ((None, "public", BfvPublicKey), ("s", "secret", tuple))
 
@@ -193,8 +191,7 @@ class BfvKeyPair:
         return out
 
 
-@dataclass(frozen=True)
-class BfvCiphertext:
+class BfvCiphertext(Value, frozen=True):
     c0: tuple[int, ...]
     c1: tuple[int, ...]
     params: BfvParams
@@ -227,9 +224,10 @@ def _centred(coeffs, q: int) -> list[int]:
 
 @functools.lru_cache(maxsize=8)
 def _slot_offsets(n: int, digits: int) -> tuple[Decimal, Decimal]:
-    """Half of 10^digits in each of n slots, and in each of 2n slots."""
-    slot = str(5 * 10 ** (digits - 1))
-    return Decimal(slot * n), Decimal(slot * (2 * n))
+    """Half of 10^digits in each of n slots, and in each of 2n slots: the
+    n-slot value shifted up by n slots, plus itself."""
+    slots_n = Decimal(str(5 * 10 ** (digits - 1)) * n)
+    return slots_n, _EXACT.add(slots_n.scaleb(n * digits, _EXACT), slots_n)
 
 
 def _pack(centred: list[int], digits: int) -> Decimal:
@@ -402,7 +400,8 @@ def encrypt(keys: BfvKeyPair | BfvPublicKey, pt, params: BfvParams,
         a_s = negacyclic_mul(a, keys.packed_secret, q)
         c0 = tuple((y - x) % q for x, y in zip(a_s, e))
         return add_plain(BfvCiphertext(c0, tuple(a), params), pt)
-    u = _sample_ternary(n, q, rng)
+    # u is packed once, at the slot width of its product with any key polynomial
+    u = _Operand(_sample_ternary(n, q, rng), q, q // 2)
     e1 = _sample_gauss(n, params.err_stddev, q, rng)
     e2 = _sample_gauss(n, params.err_stddev, q, rng)
     pk0_u = negacyclic_mul(keys.pk0, u, q)

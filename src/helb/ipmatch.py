@@ -28,9 +28,7 @@ the workers of `pool.forked`).
 from __future__ import annotations
 
 import contextlib
-import ipaddress
 import time
-from dataclasses import dataclass, field
 
 from . import bfv, phe, pool
 from .errors import (
@@ -45,25 +43,32 @@ from .errors import (
 )
 from .numtheory import RandomSource
 from .phe import SchemeId
+from .value import Factory, Value
 
 BFV_SCHEME = bfv.BfvPublicKey.SCHEME
 # every backend's name: the lattice backend first, then the PHE schemes
 SCHEMES = (BFV_SCHEME, *(scheme.value for scheme in SchemeId))
 _MAX_ADDR = 0xFFFFFFFF
 
+# the text of each octet value as `ipaddress.IPv4Address` reads it: ASCII
+# decimal digits up to 255, without a leading zero
+_OCTETS = {str(value): value for value in range(256)}
+
 
 def parse_ipv4(text: str) -> int:
-    """Dotted-quad string to a 32-bit integer, first octet most significant."""
+    """Dotted-quad string to a 32-bit integer, first octet most significant.
+    Reads exactly the strings that `ipaddress.IPv4Address` reads."""
     try:
-        return int(ipaddress.IPv4Address(text))
-    except ipaddress.AddressValueError as exc:
-        raise InvalidAddress(f"invalid IPv4 address {text!r}: {exc}") from None
+        a, b, c, d = text.split(".")
+        return _OCTETS[a] << 24 | _OCTETS[b] << 16 | _OCTETS[c] << 8 | _OCTETS[d]
+    except (KeyError, ValueError):
+        raise InvalidAddress(f"invalid IPv4 address {text!r}") from None
 
 
 def format_ipv4(value: int) -> str:
     if not 0 <= value <= _MAX_ADDR:
         raise InvalidAddress(f"address value out of range: {value}")
-    return str(ipaddress.IPv4Address(value))
+    return f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}.{value & 255}"
 
 
 def prefix_to_mask(prefix_len: int) -> int:
@@ -73,13 +78,12 @@ def prefix_to_mask(prefix_len: int) -> int:
     return (_MAX_ADDR << (32 - prefix_len)) & _MAX_ADDR
 
 
-@dataclass(frozen=True)
-class CidrEntry:
+class CidrEntry(Value, frozen=True, uncompared=("host_bits_cleared",)):
     """A network in CIDR form, normalized so host bits are clear."""
 
     network: int
     prefix_len: int
-    host_bits_cleared: bool = field(default=False, compare=False)
+    host_bits_cleared: bool = False
 
 
 def parse_cidr(text: str) -> CidrEntry:
@@ -115,8 +119,7 @@ def load_cidr_file(path) -> list[CidrEntry]:
     return entries
 
 
-@dataclass
-class EncryptedStore:
+class EncryptedStore(Value, uncompared=("duplicates_removed",)):
     """An encrypted blacklist, as its store file holds it: the public key
     `pub` it was built under (the file carries only its fingerprint), the
     header's (prefix length, network count) pairs `counts` in entry-id
@@ -130,7 +133,7 @@ class EncryptedStore:
     counts: list[tuple[int, int]]
     records: list
     packed: bool = False
-    duplicates_removed: int = field(default=0, compare=False)
+    duplicates_removed: int = 0
 
     @property
     def entry_count(self) -> int:
@@ -149,13 +152,12 @@ class EncryptedStore:
         return groups
 
 
-@dataclass
-class MatchResult:
+class MatchResult(Value):
     matched: bool
     entry_id: int | None = None
     differences: dict[int, int | None] | None = None
-    stats: dict = field(default_factory=dict)
-    seconds: dict = field(default_factory=dict)
+    stats: dict = Factory(dict)
+    seconds: dict = Factory(dict)
 
 
 def build_store(entries, keys, rng: RandomSource, *,

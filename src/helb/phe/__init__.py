@@ -2,7 +2,7 @@
 
 Five additive schemes (add, subtract, scalar multiply) and one bitwise-XOR
 scheme, Goldwasser-Micali, are dispatched by :class:`SchemeId`.  Keys are
-immutable dataclasses with a ``public`` part; each key class names its
+frozen :class:`~helb.value.Value` objects with a ``public`` part; each key class names its
 scheme in ``SCHEME`` and its key-file fields in ``FILE_FIELDS`` (see
 :mod:`helb.serial`).  A ciphertext is its group element, a unit modulo
 ``cipher_modulus`` of the public key: an ``int``, or for Goldwasser-Micali

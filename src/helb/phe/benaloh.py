@@ -10,7 +10,6 @@ that configuration only the zero test is available.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..errors import DecryptionFailure, InvalidOptions, MessageOutOfRange, NotFound
 from ..numtheory import (
@@ -21,6 +20,7 @@ from ..numtheory import (
     is_probable_prime,
     rand_coprime,
 )
+from ..value import Value
 
 # Smallest prime above 2^33: differences of 32-bit messages cannot wrap.
 DEFAULT_BLOCK_SIZE = 8589934609
@@ -31,8 +31,7 @@ FULL_DECRYPT_LIMIT = 1 << 20
 _KEYGEN_TRIES = 200_000
 
 
-@dataclass(frozen=True)
-class BenalohPublicKey:
+class BenalohPublicKey(Value, frozen=True):
     SCHEME = "benaloh"
     FILE_FIELDS = (("y", "y", int), ("r", "r", int), ("n", "n", int))
 
@@ -45,8 +44,7 @@ class BenalohPublicKey:
         return self.n
 
 
-@dataclass(frozen=True)
-class BenalohKeyPair:
+class BenalohKeyPair(Value, frozen=True):
     SCHEME = "benaloh"
     FILE_FIELDS = ((None, "public", BenalohPublicKey), ("p", "p", int), ("q", "q", int),
                    ("x", "x", int))

@@ -13,18 +13,17 @@ raising it to d, an exponent about s*|n| bits longer.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from ..errors import InvalidModulus, InvalidOptions
 from ..numtheory import PrimePowerCrt, RandomSource
+from ..value import Value
 from .paillier import (_extract_exponent, _generate, decrypt, encode, encrypt,
                        is_zero, message_modulus)
 
 MAX_S = 4
 
 
-@dataclass(frozen=True)
-class DamgardJurikPublicKey:
+class DamgardJurikPublicKey(Value, frozen=True):
     SCHEME = "damgard_jurik"
     FILE_FIELDS = (("n", "n", int), ("g", "g", int), ("s", "s", int))
 
@@ -47,8 +46,7 @@ class DamgardJurikPublicKey:
         return out if self.g == self.n + 1 else out + ["g is not n + 1"]
 
 
-@dataclass(frozen=True)
-class DamgardJurikKeyPair:
+class DamgardJurikKeyPair(Value, frozen=True):
     SCHEME = "damgard_jurik"
     FILE_FIELDS = ((None, "public", DamgardJurikPublicKey), ("lambda", "lam", int),
                    ("d", "d", int))

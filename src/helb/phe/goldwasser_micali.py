@@ -7,14 +7,13 @@ message is carried as one ciphertext per bit, most significant first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from ..errors import DecryptionFailure, MessageOutOfRange
 from ..numtheory import RandomSource, gen_prime, jacobi, rand_coprime
+from ..value import Value
 
 
-@dataclass(frozen=True)
-class GoldwasserMicaliPublicKey:
+class GoldwasserMicaliPublicKey(Value, frozen=True):
     SCHEME = "goldwasser_micali"
     FILE_FIELDS = (("n", "n", int), ("a", "a", int))
 
@@ -26,8 +25,7 @@ class GoldwasserMicaliPublicKey:
         return self.n
 
 
-@dataclass(frozen=True)
-class GoldwasserMicaliKeyPair:
+class GoldwasserMicaliKeyPair(Value, frozen=True):
     SCHEME = "goldwasser_micali"
     FILE_FIELDS = ((None, "public", GoldwasserMicaliPublicKey), ("p", "p", int),
                    ("q", "q", int))

@@ -16,17 +16,16 @@ from __future__ import annotations
 
 import math
 import secrets
-from dataclasses import dataclass
 
 from ..errors import DecryptionFailure, InvalidOptions, MessageOutOfRange
 from ..numtheory import RandomSource, first_primes, gen_safe_prime, jacobi, mod_inv
+from ..value import Value
 
 # 33 bit positions cover 32-bit messages with a spare top bit.
 DEFAULT_MSG_BITS = 33
 
 
-@dataclass(frozen=True)
-class NaccacheSternPublicKey:
+class NaccacheSternPublicKey(Value, frozen=True):
     SCHEME = "naccache_stern"
     FILE_FIELDS = (("p", "p", int), ("v", "v", tuple), ("n_bits", "n_bits", int))
 
@@ -46,8 +45,7 @@ class NaccacheSternPublicKey:
         return self.p
 
 
-@dataclass(frozen=True)
-class NaccacheSternKeyPair:
+class NaccacheSternKeyPair(Value, frozen=True):
     SCHEME = "naccache_stern"
     FILE_FIELDS = ((None, "public", NaccacheSternPublicKey), ("s", "s", int))
 

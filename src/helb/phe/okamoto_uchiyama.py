@@ -8,17 +8,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from ..errors import DecryptionFailure, InvalidOptions, MessageOutOfRange, NotInvertible
 from ..numtheory import RandomSource, gen_prime, mod_inv
+from ..value import Value
 
 # 32-bit payloads need headroom below p regardless of key size.
 MIN_P_BITS = 40
 
 
-@dataclass(frozen=True)
-class OkamotoUchiyamaPublicKey:
+class OkamotoUchiyamaPublicKey(Value, frozen=True):
     SCHEME = "okamoto_uchiyama"
     FILE_FIELDS = (("n", "n", int), ("g", "g", int), ("h", "h", int),
                    ("k", "msg_bits", int))
@@ -37,8 +36,7 @@ class OkamotoUchiyamaPublicKey:
         return self.n
 
 
-@dataclass(frozen=True)
-class OkamotoUchiyamaKeyPair:
+class OkamotoUchiyamaKeyPair(Value, frozen=True):
     SCHEME = "okamoto_uchiyama"
     FILE_FIELDS = ((None, "public", OkamotoUchiyamaPublicKey), ("p", "p", int),
                    ("q", "q", int))

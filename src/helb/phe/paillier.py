@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from ..errors import DecryptionFailure, InvalidModulus, MessageOutOfRange
 from ..numtheory import (
@@ -27,10 +26,10 @@ from ..numtheory import (
     mod_inv,
     rand_coprime,
 )
+from ..value import Value
 
 
-@dataclass(frozen=True)
-class PaillierPublicKey:
+class PaillierPublicKey(Value, frozen=True):
     SCHEME = "paillier"
     FILE_FIELDS = (("n", "n", int), ("g", "g", int))
     s = 1
@@ -47,8 +46,7 @@ class PaillierPublicKey:
         return self.n * self.n
 
 
-@dataclass(frozen=True)
-class PaillierKeyPair:
+class PaillierKeyPair(Value, frozen=True):
     SCHEME = "paillier"
     FILE_FIELDS = ((None, "public", PaillierPublicKey), ("lambda", "lam", int),
                    ("mu", "mu", int))

@@ -32,7 +32,6 @@ which spares rendering the key when the file is as written.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import struct
 import weakref
@@ -148,31 +147,30 @@ def write_key_files(keys, base_path: str) -> tuple[str, str]:
     return pub_path, sec_path
 
 
-def _parse_key_text(text: str):
+def _parse_key_text(text: str, path: str):
     lines = text.splitlines()
     if not lines or lines[0] != KEY_MAGIC:
-        raise FormatError(f"missing key file header {KEY_MAGIC!r}")
+        raise FormatError(f"{path}: missing key file header {KEY_MAGIC!r}")
     fields: dict[str, str] = {}
     for line in lines[1:]:
         if not line.strip():
             continue
         name, sep, value = line.partition("=")
         if not sep:
-            raise FormatError(f"malformed key file line: {line!r}")
+            raise FormatError(f"{path}: malformed key file line: {line!r}")
         name = name.strip()
         if name in fields:
-            raise FormatError(f"duplicate key field {name!r}")
+            raise FormatError(f"{path}: duplicate key field {name!r}")
         fields[name] = value.strip()
     scheme = fields.pop("scheme", None)
     if scheme is None:
-        raise FormatError("key file does not declare a scheme")
+        raise FormatError(f"{path}: key file does not declare a scheme")
     return scheme, fields
 
 
 def _build(cls, fields: dict[str, str], path: str):
     """An instance of `cls` from its declared fields, checked for consistency
     by its derived fields and its `violations()` method, if it has one."""
-    init = {f.name for f in dataclasses.fields(cls)}
     kwargs, derived = {}, []
     for name, attr, kind in cls.FILE_FIELDS:
         if kind not in _CODECS:
@@ -185,7 +183,7 @@ def _build(cls, fields: dict[str, str], path: str):
         except ValueError:
             raise FormatError(
                 f"{path}: malformed {name}: {fields[name][:40]!r}") from None
-        if attr in init:
+        if attr in cls.FIELDS:
             kwargs[attr] = value
         else:
             derived.append((name, attr, value))
@@ -205,7 +203,7 @@ def read_key_file(path: str):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        scheme, fields = _parse_key_text(data.decode("utf-8"))
+        scheme, fields = _parse_key_text(data.decode("utf-8"), path)
     except UnicodeDecodeError:
         raise FormatError(f"{path}: key file is not UTF-8 text") from None
     if scheme not in _SCHEME_BYTES:

@@ -90,6 +90,13 @@ def biased_address(rnd, entries) -> int:
     return rnd.getrandbits(32)
 
 
+def replace(obj, **changes):
+    """A copy of the value object `obj` with the fields named in `changes`
+    set to their new values; an unknown field name raises TypeError."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj.FIELDS},
+                        **changes})
+
+
 def reseal(path) -> None:
     """Recompute the SHA-256 that ends a store file, so that a damaged file
     reaches the reader's other checks."""

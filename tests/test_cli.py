@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -147,6 +146,24 @@ class TestBlacklistEncrypt:
                      "--out", tmp_path / "s.bin")
         assert result.exit_code == 2
         assert "line 2" in result.output
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text + "scheme = paillier\n", "duplicate key field 'scheme'"),
+        (lambda text: text + "no equals sign\n", "malformed key file line"),
+        (lambda text: text.replace("HELB-KEY v1", "HELB-KEY v9"),
+         "missing key file header"),
+        (lambda text: text.replace("scheme = paillier\n", ""),
+         "key file does not declare a scheme"),
+    ], ids=["repeated", "malformed", "header", "no_scheme"])
+    def test_key_file_parse_error_names_the_file(self, edit, message,
+                                                 paillier_files, cidr_file,
+                                                 tmp_path):
+        pub = tmp_path / "edited.pub"
+        pub.write_text(edit(open(paillier_files[0]).read()))
+        result = run("blacklist", "encrypt", "--key", pub, "--cidr-file",
+                     cidr_file, "--out", tmp_path / "s.bin")
+        assert result.exit_code == 2, result.output
+        assert f"error: {pub}: {message}" in result.output
 
     def test_cidr_file_not_utf8_exits_two(self, paillier_files, tmp_path):
         pub, _ = paillier_files
@@ -507,7 +524,7 @@ class TestLatticeFlow:
         assert result.exit_code == 0, result.output
         q = keys.params.ciphertext_mod
         secret = ((keys.secret[0] + 1) % q,) + keys.secret[1:]
-        serial.write_key_files(dataclasses.replace(keys, secret=secret), base)
+        serial.write_key_files(support.replace(keys, secret=secret), base)
         result = run("match", "--keys", base + ".sec", "--store", store,
                      "--ip", "2.3.4.9", "--seed", 5)
         assert result.exit_code == 2, result.output
@@ -517,8 +534,8 @@ class TestLatticeFlow:
         # with sigma = 10^9 one subtraction can pass the decryption
         # threshold: a listed address would read NO-MATCH and exit 1
         keys = bfv.keygen(support.SMALL_PARAMS, RandomSource.seeded(46))
-        wide = dataclasses.replace(keys, public=dataclasses.replace(
-            keys.public, params=dataclasses.replace(keys.params, err_stddev=1e9)))
+        wide = support.replace(keys, public=support.replace(
+            keys.public, params=support.replace(keys.params, err_stddev=1e9)))
         base = str(tmp_path / "wide")
         serial.write_key_files(wide, base)
         store = str(tmp_path / "p.bin")
@@ -631,6 +648,36 @@ class TestImportFloor:
         assert [m for m in modules if m.startswith("helb.phe.")] == \
                ["helb.phe.paillier"]
         assert "helb.bench" not in modules
+
+    def test_commands_load_no_dataclasses_inspect_or_ipaddress(self, tmp_path):
+        # -S: no `site`, which on some hosts loads `ipaddress` and others
+        # itself; -I: no PYTHONPATH, so `src` goes on the path by hand
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = ("import json, sys\n"
+                  "sys.path.insert(0, sys.argv[1])\n"
+                  "from helb import cli\n"
+                  "def run(*args):\n"
+                  "    try:\n"
+                  "        cli.main(list(args))\n"
+                  "    except SystemExit as exc:\n"
+                  "        return exc.code\n"
+                  "base = sys.argv[2] + '/lat'\n"
+                  "statuses = [\n"
+                  "    run('keygen', '--scheme', 'bfv', '--out', base, '--seed', '1'),\n"
+                  "    run('blacklist', 'encrypt', '--key', base + '.pub', '--cidr-file',\n"
+                  "        sys.argv[3], '--out', base + '.bin', '--packed', '--seed', '2'),\n"
+                  "    run('match', '--keys', base + '.sec', '--store', base + '.bin',\n"
+                  "        '--ip', '2.3.4.5', '--json', '--seed', '3')]\n"
+                  "print(json.dumps([statuses, sorted(sys.modules)]))\n")
+        cidrs = tmp_path / "list.txt"
+        cidrs.write_text("2.3.4.0/24\n10.0.0.0/8\n")
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", script, src,
+                               str(tmp_path), str(cidrs)],
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        statuses, modules = json.loads(done.stdout.splitlines()[-1])
+        assert statuses == [0, 0, 0]
+        assert not {"dataclasses", "inspect", "ipaddress"} & set(modules)
 
     def test_bench_still_runs(self):
         result = run("bench", "--schemes", "bfv", "--iterations", 1, "--seed", 6)

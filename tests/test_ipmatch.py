@@ -1,8 +1,11 @@
-import dataclasses
+import ipaddress
 import random
+import re
 
 import pytest
 import support
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helb import bfv, ipmatch, phe
 from helb.errors import (
@@ -25,6 +28,8 @@ from helb.numtheory import RandomSource
 
 RNG = RandomSource.seeded
 SMALL = support.SMALL_PARAMS
+EXAMPLES = settings(max_examples=500, deadline=None, derandomize=True,
+                    database=None)
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +57,55 @@ class TestParseIpv4:
     def test_format_round_trip(self):
         for text in ("0.0.0.0", "255.255.255.255", "2.3.4.5"):
             assert ipmatch.format_ipv4(parse_ipv4(text)) == text
+
+
+class TestParserAgreesWithIpaddress:
+    """`parse_ipv4` reads exactly the strings that `ipaddress.IPv4Address`
+    reads, to the same value."""
+
+    @EXAMPLES
+    @given(st.integers(0, 2**32 - 1))
+    def test_round_trip(self, value):
+        text = ipmatch.format_ipv4(value)
+        assert text == str(ipaddress.IPv4Address(value))
+        assert parse_ipv4(text) == value == int(ipaddress.IPv4Address(text))
+
+    # octets that are mostly numbers, some above 255, or odd digit strings
+    @EXAMPLES
+    @given(st.lists(st.one_of(st.integers(0, 299).map(str),
+                              st.text("0123456789\u0661_+- \n", max_size=4)),
+                    min_size=3, max_size=5).map(".".join))
+    def test_near_quads(self, text):
+        try:
+            expected = int(ipaddress.IPv4Address(text))
+        except ipaddress.AddressValueError:
+            with pytest.raises(InvalidAddress):
+                parse_ipv4(text)
+        else:
+            assert parse_ipv4(text) == expected
+
+    @pytest.mark.parametrize("bad", [
+        "01.2.3.4", "1.2.3.256", "1.2.3", "1.2.3.4.5", "1..2.3", "+1.2.3.4",
+        "1_0.0.0.1", "\u0661.2.3.4", "1.2.3.4\n", " 1.2.3.4"])
+    def test_refusals_name_the_text(self, bad):
+        with pytest.raises(ipaddress.AddressValueError):
+            ipaddress.IPv4Address(bad)
+        with pytest.raises(InvalidAddress, match=re.escape(repr(bad))):
+            parse_ipv4(bad)
+
+    # every prefix text that `int()` reads keeps the length it gave
+    @pytest.mark.parametrize("prefix, length", [
+        ("24", 24), ("024", 24), ("+24", 24), ("2_4", 24), (" 24", 24),
+        ("\u0662\u0664", 24), ("-0", 0), ("0", 0), ("32", 32)])
+    def test_prefix_texts_int_reads(self, prefix, length):
+        entry = parse_cidr(f"10.1.2.3/{prefix}")
+        assert (entry.network, entry.prefix_len) == (
+            0x0A010203 & prefix_to_mask(length), length)
+
+    @pytest.mark.parametrize("prefix", ["", "2 4", "0x18", "24.0", "-1", "33"])
+    def test_prefix_texts_refused(self, prefix):
+        with pytest.raises(InvalidPrefix):
+            parse_cidr(f"10.1.2.3/{prefix}")
 
 
 class TestPrefixToMask:
@@ -153,8 +207,8 @@ class TestBuildStore:
         assert store == build_store(entries[::2], paillier_keys, RNG(3))
 
     def test_store_holds_what_its_file_holds(self):
-        assert [f.name for f in dataclasses.fields(ipmatch.EncryptedStore)] == [
-            "pub", "counts", "records", "packed", "duplicates_removed"]
+        assert ipmatch.EncryptedStore.FIELDS == (
+            "pub", "counts", "records", "packed", "duplicates_removed")
 
     def test_empty_list_rejected(self, paillier_keys):
         with pytest.raises(InvalidOptions):

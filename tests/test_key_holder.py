@@ -10,7 +10,6 @@ files whose private fields do not fit the public key are refused on
 load.
 """
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -226,7 +225,7 @@ def test_store_built_with_the_pair_is_byte_identical(paillier_keys, tmp_path):
 def test_tampered_private_field_is_a_violation(fixture, field, change, request):
     keys = request.getfixturevalue(fixture)
     assert keys.violations() == []
-    bad = dataclasses.replace(keys, **{field: change(getattr(keys, field))})
+    bad = support.replace(keys, **{field: change(getattr(keys, field))})
     assert bad.violations()
 
 

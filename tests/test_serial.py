@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import os
 import random
@@ -77,7 +76,7 @@ def _ou_low_order_g(keys):
     divide by zero; h = g^n to match."""
     pub = keys.public
     g = pow(pub.g, keys.p, pub.n)
-    return dataclasses.replace(pub, g=g, h=pow(g, pub.n, pub.n))
+    return support.replace(pub, g=g, h=pow(g, pub.n, pub.n))
 
 
 def _bfv_pk0_shifted(keys):
@@ -86,7 +85,7 @@ def _bfv_pk0_shifted(keys):
     q = keys.params.ciphertext_mod
     pk0 = list(keys.public.pk0)
     pk0[5] = (pk0[5] + q // 3) % q
-    return dataclasses.replace(keys.public, pk0=tuple(pk0))
+    return support.replace(keys.public, pk0=tuple(pk0))
 
 
 class TestKeyFileErrors:
@@ -149,22 +148,22 @@ class TestKeyFileErrors:
 
     @pytest.mark.parametrize("fixture, forge, message", [
         # an n^s-th residue as g: every ciphertext would read as zero
-        ("dj_keys", lambda keys: dataclasses.replace(keys.public, g=pow(
+        ("dj_keys", lambda keys: support.replace(keys.public, g=pow(
             2, keys.public.message_space, keys.public.cipher_modulus)),
          r"g is not n \+ 1"),
         # h = g^(n+1): a listed address would read as not listed
-        ("ou_keys", lambda keys: dataclasses.replace(keys.public, h=pow(
+        ("ou_keys", lambda keys: support.replace(keys.public, h=pow(
             keys.public.g, keys.public.n + 1, keys.public.n)),
          r"h is not g\^n"),
         ("ou_keys", _ou_low_order_g, r"g\^\(p-1\) is 1 modulo p\^2"),
         ("bfv_small_keys", _bfv_pk0_shifted, "not small noise"),
         # v_1 = v_0: an unlisted address would read as listed
-        ("ns_keys", lambda keys: dataclasses.replace(
+        ("ns_keys", lambda keys: support.replace(
             keys.public, v=keys.public.v[:1] * 2 + keys.public.v[2:]),
          r"v_i\^s is not p_i modulo p"),
         # v_1 = -v_1, so v_1^s = -3: the batch test alone misses it for
         # every even exponent, the Jacobi symbol of v_1 always shows it
-        ("ns_keys", lambda keys: dataclasses.replace(
+        ("ns_keys", lambda keys: support.replace(
             keys.public, v=keys.public.v[:1] + (keys.public.p - keys.public.v[1],)
             + keys.public.v[2:]),
          r"v_i\^s is not p_i modulo p"),
@@ -176,7 +175,7 @@ class TestKeyFileErrors:
         # carries the fingerprint of the .sec's public key
         keys = request.getfixturevalue(fixture)
         pub_path, sec_path = serial.write_key_files(
-            dataclasses.replace(keys, public=forge(keys)), str(tmp_path / "key"))
+            support.replace(keys, public=forge(keys)), str(tmp_path / "key"))
         if fixture == "dj_keys":  # the public key alone shows it
             with pytest.raises(FormatError, match=message):
                 serial.read_key_file(pub_path)
