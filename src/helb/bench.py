@@ -82,7 +82,7 @@ def _bench_iteration(scheme: str, bits: int, rng: RandomSource,
     else:
         keys = phe.keygen(SchemeId(scheme), bits, rng, test_mode=test_mode)
     t1 = time.perf_counter()
-    store = ipmatch.build_store([ipmatch.CidrEntry(network, 24)], keys, rng)
+    store = ipmatch.build_store([(network, 24)], keys, rng)
     t2 = time.perf_counter()
     seconds = ipmatch.match(target, store, keys, rng).seconds
     return (t1 - t0, t2 - t1 + seconds["encrypt"],
@@ -118,25 +118,20 @@ def bench_schemes(schemes=None, *, iterations: int = 3, bits: int = 512,
 
 
 def random_cidrs(count: int, rng: RandomSource, *,
-                 prefix_len: int | None = 24) -> list[ipmatch.CidrEntry]:
-    """`count` distinct random networks; fixed /24 by default, or random
-    prefix lengths when prefix_len is None.  Raises InvalidOptions, before
-    any draw, when fewer than `count` such networks exist."""
+                 prefix_len: int | None = 24) -> list[tuple[int, int]]:
+    """`count` distinct random (network, prefix length) pairs, in draw
+    order; fixed /24 by default, or random prefix lengths when prefix_len
+    is None.  Raises InvalidOptions, before any draw, when fewer than
+    `count` such networks exist."""
     networks = 2**33 - 1 if prefix_len is None else 2**prefix_len
     if count > networks:
         raise InvalidOptions(f"only {networks} distinct networks exist, "
                              f"{count} were asked for")
-    seen = set()
-    out = []
+    out = {}  # a dict keeps the first draw of each network, in order
     while len(out) < count:
         plen = rng.randrange(0, 33) if prefix_len is None else prefix_len
-        network = rng.getrandbits(32) & ipmatch.prefix_to_mask(plen)
-        key = (network, plen)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(ipmatch.CidrEntry(network, plen))
-    return out
+        out[rng.getrandbits(32) & ipmatch.prefix_to_mask(plen), plen] = None
+    return list(out)
 
 
 def bench_scale(counts=None, *, params: bfv.BfvParams | None = None,
@@ -160,7 +155,7 @@ def bench_scale(counts=None, *, params: bfv.BfvParams | None = None,
         t0 = time.perf_counter()
         store = ipmatch.build_store(entries, keys, rng, packed=packed)
         t1 = time.perf_counter()
-        target = entries[-1].network
+        target = entries[-1][0]
         result = ipmatch.match(target, store, keys, rng, exhaustive=True)
         t2 = time.perf_counter()
         if not result.matched:

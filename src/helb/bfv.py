@@ -173,15 +173,20 @@ class BfvKeyPair(Value, frozen=True):
         return _Operand(self.secret, q, q // 2)
 
     def violations(self) -> list[str]:
-        """A secret that is not a ring element, or does not fit the public key.
+        """A secret that is not ternary, or does not fit the public key.
 
-        pk0 + pk1*s is the key's noise, at most 6 sigma in every slot: a
-        public-key encryption's noise takes each of its slots, times u.
+        Every coefficient of s must be 0, 1 or q - 1: a public-key
+        encryption's noise holds e2*s, which `fresh_noise_bound` bounds
+        for a ternary s only.  pk0 + pk1*s is the key's noise, at most 6
+        sigma in every slot: that noise takes each of its slots, times u.
         The product packs the secret that `decrypt` reuses.
         """
         out = _ring_violation("s", self.secret, self.params)
         if not out:
             q, bound = self.params.ciphertext_mod, int(6 * self.params.err_stddev)
+            if not {0, 1, q - 1}.issuperset(self.secret):
+                out.append("s is not ternary: a coefficient is not 0, 1 or "
+                           "ciphertext_mod - 1")
             a_s = negacyclic_mul(self.public.pk1, self.packed_secret, q)
             # small noise lies within `bound` of 0 or of q
             if any(bound < (x + y) % q < q - bound
@@ -199,22 +204,6 @@ class BfvCiphertext(Value, frozen=True):
 
 # ---------------------------------------------------------------------------
 # negacyclic polynomial arithmetic
-
-
-def schoolbook_negacyclic_mul(a, b, q: int) -> list[int]:
-    """Quadratic negacyclic convolution; the test reference."""
-    n = len(a)
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            k = i + j
-            if k < n:
-                out[k] += ai * bj
-            else:
-                out[k - n] -= ai * bj
-    return [c % q for c in out]
 
 
 def _centred(coeffs, q: int) -> list[int]:
@@ -439,45 +428,18 @@ def decrypt(keys: BfvKeyPair, ct: BfvCiphertext,
     return tuple(((c0 + x) % q * t + half) // q % t for c0, x in zip(ct.c0, c1_s))
 
 
-def _combine(ct1: BfvCiphertext, ct2: BfvCiphertext, op) -> BfvCiphertext:
+def eval_sub(ct1: BfvCiphertext, ct2: BfvCiphertext) -> BfvCiphertext:
+    """Componentwise difference; decrypts to m1 - m2 mod t."""
     if ct1.params != ct2.params:
         raise ParamMismatch("ciphertexts come from different parameter sets")
     q = ct1.params.ciphertext_mod
-    c0 = tuple(op(a, b) % q for a, b in zip(ct1.c0, ct2.c0))
-    c1 = tuple(op(a, b) % q for a, b in zip(ct1.c1, ct2.c1))
+    c0 = tuple((a - b) % q for a, b in zip(ct1.c0, ct2.c0))
+    c1 = tuple((a - b) % q for a, b in zip(ct1.c1, ct2.c1))
     return BfvCiphertext(c0, c1, ct1.params)
-
-
-def eval_add(ct1: BfvCiphertext, ct2: BfvCiphertext) -> BfvCiphertext:
-    """Componentwise sum; decrypts to m1 + m2 mod t."""
-    return _combine(ct1, ct2, lambda a, b: a + b)
-
-
-def eval_sub(ct1: BfvCiphertext, ct2: BfvCiphertext) -> BfvCiphertext:
-    """Componentwise difference; decrypts to m1 - m2 mod t."""
-    return _combine(ct1, ct2, lambda a, b: a - b)
 
 
 # ---------------------------------------------------------------------------
 # noise accounting
-
-
-def measure_noise(keys: BfvKeyPair, ct: BfvCiphertext, expected_pt,
-                  params: BfvParams) -> int:
-    """Largest centered residue of c0 + c1*s - delta*m; must stay below
-    params.noise_threshold for decryption to be exact."""
-    q, t = params.ciphertext_mod, params.plaintext_mod
-    delta = params.delta
-    c1_s = negacyclic_mul(ct.c1, keys.packed_secret, q)
-    half = q // 2
-    worst = 0
-    for c0, x, m in zip(ct.c0, c1_s, expected_pt):
-        v = (c0 + x - delta * (m % t)) % q
-        if v > half:
-            v = q - v
-        if v > worst:
-            worst = v
-    return worst
 
 
 def fresh_noise_bound(params: BfvParams) -> int:

@@ -74,7 +74,7 @@ def blacklist_encrypt(args) -> int:
     store = ipmatch.build_store(entries, keys, _rng(args.seed), packed=args.packed)
     serial.write_store(store, args.out)
     print(f"wrote {args.out}: {store.entry_count} entries "
-          f"({store.duplicates_removed} duplicates removed)")
+          f"({len(entries) - store.entry_count} duplicates removed)")
     for prefix_len, count in sorted(store.counts, reverse=True):
         print(f"  /{prefix_len}: {count} entries")
     return 0

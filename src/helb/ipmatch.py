@@ -1,8 +1,10 @@
 """IPv4/CIDR handling, encrypted blacklist stores, and the match engine.
 
 Addresses are plain 32-bit integers (big-endian octet packing, validated
-at parse time).  A store holds the network count of each prefix length
-and its records, ciphertexts of masked network addresses in scan order.
+at parse time), and a network is a (network, prefix length) pair with
+its host bits clear.  A store holds the network count of each prefix
+length and its records, ciphertexts of masked network addresses in scan
+order.
 `slot_layout` derives every record's slot runs from those counts: one
 slot for a PHE or unpacked lattice record, up to ring_dim networks of any
 prefix lengths for a packed lattice record, longest prefix first.  A PHE
@@ -43,7 +45,7 @@ from .errors import (
 )
 from .numtheory import RandomSource
 from .phe import SchemeId
-from .value import Factory, Value
+from .value import Value
 
 BFV_SCHEME = bfv.BfvPublicKey.SCHEME
 # every backend's name: the lattice backend first, then the PHE schemes
@@ -65,12 +67,6 @@ def parse_ipv4(text: str) -> int:
         raise InvalidAddress(f"invalid IPv4 address {text!r}") from None
 
 
-def format_ipv4(value: int) -> str:
-    if not 0 <= value <= _MAX_ADDR:
-        raise InvalidAddress(f"address value out of range: {value}")
-    return f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}.{value & 255}"
-
-
 def prefix_to_mask(prefix_len: int) -> int:
     """Subnet mask with the top `prefix_len` bits set."""
     if not 0 <= prefix_len <= 32:
@@ -78,29 +74,24 @@ def prefix_to_mask(prefix_len: int) -> int:
     return (_MAX_ADDR << (32 - prefix_len)) & _MAX_ADDR
 
 
-class CidrEntry(Value, frozen=True, uncompared=("host_bits_cleared",)):
-    """A network in CIDR form, normalized so host bits are clear."""
-
-    network: int
-    prefix_len: int
-    host_bits_cleared: bool = False
-
-
-def parse_cidr(text: str) -> CidrEntry:
-    """Parse "a.b.c.d/p", masking away any set host bits (flagged, not fatal)."""
+def parse_cidr(text: str) -> tuple[int, int]:
+    """Parse "a.b.c.d/p" to (network, p), masking away any set host bits."""
     addr, sep, prefix = text.strip().partition("/")
     if not sep:
         raise InvalidPrefix(f"missing '/prefix' in {text!r}")
     value = parse_ipv4(addr)
     try:
-        prefix_len = int(prefix)
+        # ASCII digits only, as `ipaddress` reads it: int() alone also takes
+        # a sign, spaces, underscores and the digits of other scripts
+        if not (prefix.isascii() and prefix.isdigit()):
+            raise ValueError(prefix)
+        prefix_len = int(prefix)  # raises past int()'s digit limit
     except ValueError:
         raise InvalidPrefix(f"prefix is not an integer in {text!r}") from None
-    masked = value & prefix_to_mask(prefix_len)
-    return CidrEntry(masked, prefix_len, masked != value)
+    return value & prefix_to_mask(prefix_len), prefix_len
 
 
-def load_cidr_file(path) -> list[CidrEntry]:
+def load_cidr_file(path) -> list[tuple[int, int]]:
     """Read one CIDR per line; '#' starts a comment, blank lines are skipped."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -119,21 +110,19 @@ def load_cidr_file(path) -> list[CidrEntry]:
     return entries
 
 
-class EncryptedStore(Value, uncompared=("duplicates_removed",)):
+class EncryptedStore(Value):
     """An encrypted blacklist, as its store file holds it: the public key
     `pub` it was built under (the file carries only its fingerprint), the
     header's (prefix length, network count) pairs `counts` in entry-id
     order, and the `records`, bare ciphertexts in scan order.  `layout()`
     derives each record's slot runs from `counts`: up to ring_dim networks
-    in a packed lattice record, one in any other.  `duplicates_removed`
-    reports the build, and is neither stored nor compared.
+    in a packed lattice record, one in any other.
     """
 
     pub: object
     counts: list[tuple[int, int]]
     records: list
     packed: bool = False
-    duplicates_removed: int = 0
 
     @property
     def entry_count(self) -> int:
@@ -154,30 +143,27 @@ class EncryptedStore(Value, uncompared=("duplicates_removed",)):
 
 class MatchResult(Value):
     matched: bool
-    entry_id: int | None = None
-    differences: dict[int, int | None] | None = None
-    stats: dict = Factory(dict)
-    seconds: dict = Factory(dict)
+    entry_id: int | None
+    differences: dict[int, int | None] | None
+    stats: dict
+    seconds: dict
 
 
 def build_store(entries, keys, rng: RandomSource, *,
                 packed: bool = False) -> EncryptedStore:
-    """Mask, deduplicate, group and encrypt a CIDR list under `keys`."""
+    """Mask, deduplicate, group and encrypt (network, prefix length) pairs
+    under `keys`."""
     if not entries:
         raise InvalidOptions("cannot build a store from an empty blacklist")
     handler = record_handler(keys, packed)
 
     seen = set()
     cleaned: dict[int, list[int]] = {}
-    duplicates = 0
-    for entry in entries:
-        masked = entry.network & prefix_to_mask(entry.prefix_len)
-        key = (masked, entry.prefix_len)
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
-        cleaned.setdefault(entry.prefix_len, []).append(masked)
+    for network, prefix_len in entries:
+        masked = network & prefix_to_mask(prefix_len)
+        if (masked, prefix_len) not in seen:
+            seen.add((masked, prefix_len))
+            cleaned.setdefault(prefix_len, []).append(masked)
 
     # entry ids count networks prefix by prefix in first-appearance order
     values = [value for group in cleaned.values() for value in group]
@@ -189,8 +175,7 @@ def build_store(entries, keys, rng: RandomSource, *,
     with _spread(lambda chunk: handler.seal(chunk, rng), chunks,
                  [1] * len(chunks), rng) as cts:
         records = list(cts)
-    return EncryptedStore(phe.public_part(keys), counts, records, packed,
-                          duplicates)
+    return EncryptedStore(phe.public_part(keys), counts, records, packed)
 
 
 def slot_layout(counts, size: int) -> list[tuple[tuple[int, int, int], ...]]:

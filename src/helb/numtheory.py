@@ -92,10 +92,6 @@ class RandomSource:
     def is_seeded(self) -> bool:
         return self._seed is not None
 
-    @property
-    def seed(self) -> int | None:
-        return self._seed
-
     def getrandbits(self, k: int) -> int:
         return self._rng.getrandbits(k)
 

@@ -6,10 +6,10 @@ frozen :class:`~helb.value.Value` objects with a ``public`` part; each key class
 scheme in ``SCHEME`` and its key-file fields in ``FILE_FIELDS`` (see
 :mod:`helb.serial`).  A ciphertext is its group element, a unit modulo
 ``cipher_modulus`` of the public key: an ``int``, or for Goldwasser-Micali
-a tuple of per-bit ones, ``GM_WIDTH`` of them unless ``encrypt`` is given
-another width.  It carries no scheme tag, so the key decides the scheme:
-Goldwasser-Micali only XORs, the other schemes only add, subtract and
-scale, and any other operation raises ``CapabilityUnsupported``.
+a tuple of ``GM_WIDTH`` per-bit ones.  It carries no scheme tag, so the
+key decides the scheme: Goldwasser-Micali only XORs, the other schemes
+only add, subtract and scale, and any other operation raises
+``CapabilityUnsupported``.
 
 The group law is written once, here: a sum, difference or scalar multiple
 of additive ciphertexts, and the XOR of Goldwasser-Micali ones (element by
@@ -58,7 +58,7 @@ def _module(scheme: SchemeId):
 
 MIN_CRYPTO_BITS = 512
 MIN_TEST_BITS = 16
-# the bits of a Goldwasser-Micali ciphertext, unless `encrypt` is given a width
+# the bits of a Goldwasser-Micali ciphertext
 GM_WIDTH = 32
 
 
@@ -104,17 +104,7 @@ def keygen(scheme: SchemeId, security_bits: int, rng: RandomSource, *,
     return _module(scheme).keygen(security_bits, rng, **opts)
 
 
-def _width_args(scheme: SchemeId, width: int | None) -> tuple:
-    """The width argument of a Goldwasser-Micali message, GM_WIDTH unless
-    given; other schemes take none."""
-    if scheme is SchemeId.GOLDWASSER_MICALI:
-        return (GM_WIDTH if width is None else width,)
-    if width is not None:
-        raise InvalidOptions("width applies only to Goldwasser-Micali")
-    return ()
-
-
-def encode(keys, m: int, *, width: int | None = None):
+def encode(keys, m: int):
     """The factor of an encryption of `m` that draws no randomness, under
     the public part of `keys`: g^m, y^m or the product of the v_i of m's
     set bits, and for Goldwasser-Micali a or 1 per bit.  An encryption is
@@ -122,18 +112,16 @@ def encode(keys, m: int, *, width: int | None = None):
     `add_encrypted` (`xor_encrypted` for Goldwasser-Micali) of an
     encryption of 0 and `encode(m)` is the ciphertext that `encrypt`
     gives for m with the same draws."""
-    scheme = scheme_of(keys)
-    return _module(scheme).encode(public_part(keys), m, *_width_args(scheme, width))
+    return _module(scheme_of(keys)).encode(public_part(keys), m)
 
 
-def encrypt(keys, m: int, rng: RandomSource, *, width: int | None = None):
+def encrypt(keys, m: int, rng: RandomSource):
     """Encrypt `m` under the public part of `keys`.
 
     The scheme module gets `keys` as given: Paillier and Damgard-Jurik
     encrypt by CRT under a key pair, to a `CrtElement` of the same value.
     """
-    scheme = scheme_of(keys)
-    return _module(scheme).encrypt(keys, m, rng, *_width_args(scheme, width))
+    return _module(scheme_of(keys)).encrypt(keys, m, rng)
 
 
 def _holder(keys):

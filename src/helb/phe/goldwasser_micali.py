@@ -7,7 +7,7 @@ message is carried as one ciphertext per bit, most significant first.
 
 from __future__ import annotations
 
-
+from . import GM_WIDTH
 from ..errors import DecryptionFailure, MessageOutOfRange
 from ..numtheory import RandomSource, gen_prime, jacobi, rand_coprime
 from ..value import Value
@@ -64,21 +64,19 @@ def keygen(bits: int, rng: RandomSource, p: int | None = None,
     return GoldwasserMicaliKeyPair(GoldwasserMicaliPublicKey(n, a), p, q)
 
 
-def encode(pub: GoldwasserMicaliPublicKey, m: int, width: int) -> tuple[int, ...]:
-    """The factors of an encryption of m that draw no randomness, most
-    significant bit first: a for a 1-bit, 1 for a 0-bit."""
-    if width < 1:
-        raise MessageOutOfRange(f"width must be >= 1, got {width}")
-    if not 0 <= m < (1 << width):
-        raise MessageOutOfRange(f"message must fit in {width} bits, got {m}")
-    return tuple(pub.a if (m >> i) & 1 else 1 for i in reversed(range(width)))
+def encode(pub: GoldwasserMicaliPublicKey, m: int) -> tuple[int, ...]:
+    """The factors of an encryption of m that draw no randomness, one per
+    bit of `GM_WIDTH`, most significant first: a for a 1-bit, 1 for a 0-bit."""
+    if not 0 <= m < (1 << GM_WIDTH):
+        raise MessageOutOfRange(f"message must fit in {GM_WIDTH} bits, got {m}")
+    return tuple(pub.a if (m >> i) & 1 else 1 for i in reversed(range(GM_WIDTH)))
 
 
-def encrypt(keys, m: int, rng: RandomSource, width: int) -> tuple[int, ...]:
+def encrypt(keys, m: int, rng: RandomSource) -> tuple[int, ...]:
     """encode(m) times a fresh square per bit."""
     pub = getattr(keys, "public", keys)
     out = []
-    for e in encode(pub, m, width):
+    for e in encode(pub, m):
         r = rand_coprime(pub.n, rng)
         out.append(r * r % pub.n * e % pub.n)
     return tuple(out)

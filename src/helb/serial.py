@@ -24,10 +24,11 @@ of everything before them.  Nothing else is stored, in the file or in
 the `ipmatch.EncryptedStore` read from it: `EncryptedStore.layout()`
 derives every record's slot runs from the header's counts, so the file
 cannot express a bad layout.  The header also fixes the file's exact
-length, which the reader checks before it reads any record.  Reading a store needs its key, which the fingerprint
-must match, and every value is range-checked against it; a key that
-`read_key_file` loaded brings the digest of its file's public lines,
-which spares rendering the key when the file is as written.
+length, which the reader checks before it reads any record.  Reading a
+store needs its key, which the fingerprint must match, and every value
+is range-checked against it; a key that `read_key_file` loaded brings
+the digest of its file's public lines, which spares rendering the key
+when the file is as written.
 """
 
 from __future__ import annotations

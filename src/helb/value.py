@@ -2,14 +2,11 @@
 
 A class that derives from `Value` declares its fields by annotation, in
 constructor order; a class attribute of the same name is the field's
-default, and a `Factory(make)` default is made for each instance by
-`make()`.  Instances are built positionally or by keyword, compare equal
-only to instances of the same class whose compared fields are equal, and
-show their fields in `repr`.  Class keywords:
-
-- `frozen=True` refuses assignment and deletion after construction, and
-  hashes the compared fields; instances of other classes are unhashable;
-- `uncompared=(name, ...)` leaves fields out of `==` and the hash.
+default.  Instances are built positionally or by keyword, compare equal
+only to instances of the same class whose fields are all equal, and show
+their fields in `repr`.  The class keyword `frozen=True` refuses
+assignment and deletion after construction, and hashes the fields;
+instances of other classes are unhashable.
 
 Fields live in the instance `__dict__`, so instances take weak references
 and `functools.cached_property` attributes, and pickle as plain objects.
@@ -20,25 +17,15 @@ from __future__ import annotations
 from operator import attrgetter
 
 
-class Factory:
-    """A field default made for each instance by calling `make`."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-
 class Value:
     FIELDS = ()  # the declared field names, in constructor order
 
-    def __init_subclass__(cls, frozen: bool = False, uncompared=(), **kwargs):
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.FIELDS = tuple(cls.__annotations__)
         cls._defaults = {name: vars(cls)[name] for name in cls.FIELDS
                          if name in vars(cls)}
-        cls._compared = attrgetter(*[name for name in cls.FIELDS
-                                     if name not in uncompared])
+        cls._compared = attrgetter(*cls.FIELDS)
         if frozen:
             cls.__setattr__ = cls.__delattr__ = Value._refuse
             cls.__hash__ = Value._hash
@@ -66,9 +53,7 @@ class Value:
             if field not in values:
                 if field not in cls._defaults:
                     raise TypeError(f"{name}() is missing field {field!r}")
-                default = cls._defaults[field]
-                values[field] = (default.make() if isinstance(default, Factory)
-                                 else default)
+                values[field] = cls._defaults[field]
         return [values[field] for field in fields]
 
     def __eq__(self, other):

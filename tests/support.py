@@ -3,17 +3,19 @@
 The oracles here deliberately avoid the library's own code paths: trial
 division instead of Miller-Rabin, square enumeration instead of
 reciprocity, plain masking instead of encrypted matching, quadratic
-convolution instead of the Kronecker product.
+convolution instead of the Kronecker product.  A network is a (network,
+prefix length) pair, as `ipmatch` gives it.
 """
 
 import contextlib
 import hashlib
 import io
+import random
 import struct
 from typing import NamedTuple
 
 from helb import bfv, cli
-from helb.ipmatch import CidrEntry, prefix_to_mask
+from helb.ipmatch import prefix_to_mask
 
 # Small lattice profiles for protocol-level tests.  Plaintext moduli are
 # primes above 2^32 (so masked addresses are distinct residues) congruent
@@ -65,29 +67,88 @@ def dlog_by_enumeration(base: int, target: int, modulus: int, bound: int):
     return None
 
 
+def format_ipv4(value: int) -> str:
+    """A 32-bit integer as a dotted quad, first octet most significant."""
+    return f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}.{value & 255}"
+
+
 def plain_member(ip: int, entries) -> bool:
     """Plaintext membership oracle: any entry whose masked form equals the
     masked target."""
-    return any((ip & prefix_to_mask(e.prefix_len)) == e.network for e in entries)
+    return any((ip & prefix_to_mask(plen)) == network for network, plen in entries)
 
 
-def random_entries(rnd, count: int, prefixes=(8, 16, 24, 32)) -> list[CidrEntry]:
+def random_entries(rnd, count: int, prefixes=(8, 16, 24, 32)) -> list[tuple[int, int]]:
     """Random CIDR entries from a plain `random.Random` (not library code)."""
     out = []
     for _ in range(count):
         plen = rnd.choice(prefixes)
         network = rnd.getrandbits(32) & prefix_to_mask(plen)
-        out.append(CidrEntry(network, plen))
+        out.append((network, plen))
     return out
 
 
 def biased_address(rnd, entries) -> int:
     """Random target that hits an entry about half the time."""
     if entries and rnd.random() < 0.5:
-        entry = rnd.choice(entries)
-        host = rnd.getrandbits(32) & ~prefix_to_mask(entry.prefix_len) & 0xFFFFFFFF
-        return entry.network | host
+        network, plen = rnd.choice(entries)
+        host = rnd.getrandbits(32) & ~prefix_to_mask(plen) & 0xFFFFFFFF
+        return network | host
     return rnd.getrandbits(32)
+
+
+# ---------------------------------------------------------------------------
+# lattice oracles
+
+
+def schoolbook_negacyclic_mul(a, b, q: int) -> list[int]:
+    """Quadratic negacyclic convolution (oracle for `bfv.negacyclic_mul`)."""
+    n = len(a)
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            k = i + j
+            if k < n:
+                out[k] += ai * bj
+            else:
+                out[k - n] -= ai * bj
+    return [c % q for c in out]
+
+
+def eval_add(ct1, ct2):
+    """Componentwise sum of two BFV ciphertexts of one parameter set;
+    decrypts to m1 + m2 mod t."""
+    q = ct1.params.ciphertext_mod
+    return bfv.BfvCiphertext(tuple((a + b) % q for a, b in zip(ct1.c0, ct2.c0)),
+                             tuple((a + b) % q for a, b in zip(ct1.c1, ct2.c1)),
+                             ct1.params)
+
+
+def forge_uniform_secret(keys):
+    """A lattice key pair with a uniform s and a public key that fits it:
+    pk1 = a and pk0 = -(a*s + e) for small e.  A public-key encryption's
+    noise holds e2*s, which no bound covers for such an s, so a store
+    built from its `.pub` can read a listed address as not listed."""
+    q, n = keys.params.ciphertext_mod, keys.params.ring_dim
+    rnd = random.Random("uniform-secret")
+    secret = tuple(rnd.randrange(q) for _ in range(n))
+    a_s = bfv.negacyclic_mul(keys.public.pk1, secret, q)
+    pk0 = tuple((-x - rnd.randint(-3, 3)) % q for x in a_s)
+    return bfv.BfvKeyPair(replace(keys.public, pk0=pk0), secret)
+
+
+def measure_noise(keys, ct, expected_pt, params) -> int:
+    """Largest centred residue of c0 + c1*s - delta*m; must stay below
+    params.noise_threshold for decryption to be exact."""
+    q, t = params.ciphertext_mod, params.plaintext_mod
+    c1_s = bfv.negacyclic_mul(ct.c1, keys.packed_secret, q)
+    worst = 0
+    for c0, x, m in zip(ct.c0, c1_s, expected_pt):
+        v = (c0 + x - params.delta * (m % t)) % q
+        worst = max(worst, min(v, q - v))
+    return worst
 
 
 def replace(obj, **changes):

@@ -76,15 +76,15 @@ def test_random_cidrs_fixed_prefix_and_distinct():
     rng = RandomSource.seeded(6)
     entries = bench.random_cidrs(50, rng)
     assert len(entries) == 50
-    assert all(e.prefix_len == 24 for e in entries)
-    assert all(e.network & 0xFF == 0 for e in entries)
-    assert len({(e.network, e.prefix_len) for e in entries}) == 50
+    assert all(plen == 24 for _, plen in entries)
+    assert all(network & 0xFF == 0 for network, _ in entries)
+    assert len(set(entries)) == 50
 
 
 def test_random_cidrs_random_prefixes():
     rng = RandomSource.seeded(7)
     entries = bench.random_cidrs(80, rng, prefix_len=None)
-    assert len({e.prefix_len for e in entries}) > 5
+    assert len({plen for _, plen in entries}) > 5
 
 
 def test_random_cidrs_refuses_more_networks_than_exist():
@@ -94,7 +94,7 @@ def test_random_cidrs_refuses_more_networks_than_exist():
     with pytest.raises(InvalidOptions):
         bench.random_cidrs(2**33, rng, prefix_len=None)
     entries = bench.random_cidrs(256, rng, prefix_len=8)
-    assert sorted(e.network for e in entries) == [i << 24 for i in range(256)]
+    assert sorted(network for network, _ in entries) == [i << 24 for i in range(256)]
 
 
 @pytest.mark.parametrize("packed", [False, True])

@@ -134,7 +134,7 @@ class TestNegacyclicMul:
         for _ in range(pairs):
             a = _uniform(rnd, n, q)
             for b in (_uniform(rnd, n, q), _ternary(rnd, n, q), zero):
-                want = bfv.schoolbook_negacyclic_mul(a, b, q)
+                want = support.schoolbook_negacyclic_mul(a, b, q)
                 assert bfv.negacyclic_mul(a, b, q) == want
                 assert bfv.negacyclic_mul(b, a, q) == want
         assert bfv.negacyclic_mul(zero, zero, q) == zero
@@ -161,7 +161,7 @@ class TestNegacyclicMul:
         bottom = [-(q // 2) % q] * n
         for a, b in ((top, top), (top, bottom), (bottom, bottom)):
             assert bfv.negacyclic_mul(a, b, q) == \
-                   bfv.schoolbook_negacyclic_mul(a, b, q)
+                   support.schoolbook_negacyclic_mul(a, b, q)
 
     @pytest.mark.parametrize("n,q", [
         (16, 500_000_000_000 + 1),
@@ -191,7 +191,7 @@ class TestNegacyclicMul:
             operands.append([rnd.randrange(-3 * q, 3 * q) for _ in range(n)])
         for a in operands:
             assert bfv.negacyclic_mul(a, keys.packed_secret, q) == \
-                   bfv.schoolbook_negacyclic_mul(a, secret, q)
+                   support.schoolbook_negacyclic_mul(a, secret, q)
 
     def test_desk_secret_slots_are_28_digits(self, desk_keys):
         # 2 * n * floor(q/2) < 10^28 for the ternary secret at desk
@@ -436,7 +436,7 @@ class TestKeyHolderEncryption:
             pt = bfv.encode([rnd.randrange(t) for _ in range(n)], params)
             ct = bfv.encrypt(keys, pt, params, rng)
             assert bfv.decrypt(keys, ct, params) == pt
-            assert bfv.measure_noise(keys, ct, pt, params) <= \
+            assert support.measure_noise(keys, ct, pt, params) <= \
                    bfv.fresh_noise_bound(params)
 
     def test_store_record_minus_query_within_budget(self, desk_keys):
@@ -452,7 +452,7 @@ class TestKeyHolderEncryption:
                 bfv.encrypt(desk_keys, bfv.encode(query, DESK), DESK, rng),
                 bfv.encrypt(desk_keys.public, bfv.encode(record, DESK), DESK, rng))
             expected = bfv.encode([(a - b) % t for a, b in zip(query, record)], DESK)
-            assert bfv.measure_noise(desk_keys, diff, expected, DESK) <= budget
+            assert support.measure_noise(desk_keys, diff, expected, DESK) <= budget
             assert bfv.decrypt(desk_keys, diff, DESK) == expected
 
     def test_public_key_ciphertext_is_pinned(self, desk_keys):
@@ -522,17 +522,17 @@ class TestEval:
         rng = RNG(13)
         c2 = bfv.encrypt(bfv_small_keys, bfv.encode([2], SMALL), SMALL, rng)
         c3 = bfv.encrypt(bfv_small_keys, bfv.encode([3], SMALL), SMALL, rng)
-        assert bfv.decrypt(bfv_small_keys, bfv.eval_add(c2, c3), SMALL)[0] == 5
+        assert bfv.decrypt(bfv_small_keys, support.eval_add(c2, c3), SMALL)[0] == 5
 
     def test_add_identity_and_commutativity(self, bfv_small_keys):
         rng = RNG(14)
         m = bfv.encode([41, 5], SMALL)
         ct = bfv.encrypt(bfv_small_keys, m, SMALL, rng)
         zero = bfv.encrypt(bfv_small_keys, (0,) * SMALL.ring_dim, SMALL, rng)
-        assert bfv.decrypt(bfv_small_keys, bfv.eval_add(ct, zero), SMALL) == m
+        assert bfv.decrypt(bfv_small_keys, support.eval_add(ct, zero), SMALL) == m
         other = bfv.encrypt(bfv_small_keys, bfv.encode([1, 2, 3], SMALL), SMALL, rng)
-        assert bfv.decrypt(bfv_small_keys, bfv.eval_add(ct, other), SMALL) == \
-               bfv.decrypt(bfv_small_keys, bfv.eval_add(other, ct), SMALL)
+        assert bfv.decrypt(bfv_small_keys, support.eval_add(ct, other), SMALL) == \
+               bfv.decrypt(bfv_small_keys, support.eval_add(other, ct), SMALL)
 
     def test_sub_acts_on_every_coefficient(self, bfv_small_keys):
         rnd = random.Random("coef")
@@ -566,7 +566,7 @@ class TestNoise:
         for _ in range(20):
             pt = bfv.encode([rng.randrange(SMALL.plaintext_mod)], SMALL)
             ct = bfv.encrypt(bfv_small_keys, pt, SMALL, rng)
-            assert bfv.measure_noise(bfv_small_keys, ct, pt, SMALL) <= bound
+            assert support.measure_noise(bfv_small_keys, ct, pt, SMALL) <= bound
 
     def test_noise_grows_at_most_linearly(self, bfv_small_keys):
         rnd = random.Random("noise")
@@ -578,12 +578,13 @@ class TestNoise:
         for k in range(1, 101):
             value = rnd.randrange(t)
             fresh_pt = bfv.encode([value], SMALL)
-            acc = bfv.eval_add(acc, bfv.encrypt(bfv_small_keys, fresh_pt, SMALL, rng))
+            acc = support.eval_add(
+                acc, bfv.encrypt(bfv_small_keys, fresh_pt, SMALL, rng))
             total = (total + value) % t  # plaintext oracle for the running sum
             expected_first = (pt[0] + total - value) % t
         # after 100 additions the noise must respect the additive budget
         expected = bfv.encode([(pt[0] + total) % t], SMALL)
-        noise = bfv.measure_noise(bfv_small_keys, acc, expected, SMALL)
+        noise = support.measure_noise(bfv_small_keys, acc, expected, SMALL)
         assert noise <= bfv.additive_noise_budget(SMALL, 100)
         assert bfv.decrypt(bfv_small_keys, acc, SMALL) == expected
 
@@ -598,11 +599,11 @@ class TestNoise:
         step_ct = bfv.encrypt(desk_keys, bfv.encode([step], DESK), DESK, rng)
         total = start
         for _ in range(1000):
-            acc = bfv.eval_add(acc, step_ct)
+            acc = support.eval_add(acc, step_ct)
             total = (total + step) % t
         assert bfv.additive_noise_budget(DESK, 1000) < DESK.noise_threshold
         expected = bfv.encode([total], DESK)
-        assert bfv.measure_noise(desk_keys, acc, expected, DESK) <= \
+        assert support.measure_noise(desk_keys, acc, expected, DESK) <= \
                bfv.additive_noise_budget(DESK, 1000)
         assert bfv.decrypt(desk_keys, acc, DESK)[0] == total
 

@@ -530,6 +530,24 @@ class TestLatticeFlow:
         assert result.exit_code == 2, result.output
         assert "does not fit the public key" in result.output
 
+    def test_non_ternary_secret_exits_two(self, tmp_path):
+        # a uniform s with the public key that fits it: the store built
+        # from its .pub holds 10.0.0.0/8, and a match that loaded the .sec
+        # would read 10.1.2.3 as not listed and exit 1
+        keys = bfv.keygen(support.SMALL_PARAMS, RandomSource.seeded(3))
+        pub, sec = serial.write_key_files(support.forge_uniform_secret(keys),
+                                          str(tmp_path / "forged"))
+        cidrs, store = tmp_path / "one.txt", tmp_path / "s.bin"
+        cidrs.write_text("10.0.0.0/8\n")
+        result = run("blacklist", "encrypt", "--key", pub, "--cidr-file", cidrs,
+                     "--out", store, "--seed", 4)
+        assert result.exit_code == 0, result.output
+        result = run("match", "--keys", sec, "--store", store,
+                     "--ip", "10.1.2.3", "--seed", 5)
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {sec}: "), result.output
+        assert "s is not ternary" in result.output
+
     def test_key_without_noise_headroom_exits_two(self, cidr_file, tmp_path):
         # with sigma = 10^9 one subtraction can pass the decryption
         # threshold: a listed address would read NO-MATCH and exit 1

@@ -16,7 +16,6 @@ from helb.errors import (
     SchemeMismatch,
 )
 from helb.ipmatch import (
-    CidrEntry,
     build_store,
     load_cidr_file,
     match,
@@ -56,17 +55,18 @@ class TestParseIpv4:
 
     def test_format_round_trip(self):
         for text in ("0.0.0.0", "255.255.255.255", "2.3.4.5"):
-            assert ipmatch.format_ipv4(parse_ipv4(text)) == text
+            assert support.format_ipv4(parse_ipv4(text)) == text
 
 
 class TestParserAgreesWithIpaddress:
     """`parse_ipv4` reads exactly the strings that `ipaddress.IPv4Address`
-    reads, to the same value."""
+    reads, to the same value, and `parse_cidr` reads a prefix length
+    exactly as `ipaddress.ip_network` does."""
 
     @EXAMPLES
     @given(st.integers(0, 2**32 - 1))
     def test_round_trip(self, value):
-        text = ipmatch.format_ipv4(value)
+        text = support.format_ipv4(value)
         assert text == str(ipaddress.IPv4Address(value))
         assert parse_ipv4(text) == value == int(ipaddress.IPv4Address(text))
 
@@ -93,19 +93,47 @@ class TestParserAgreesWithIpaddress:
         with pytest.raises(InvalidAddress, match=re.escape(repr(bad))):
             parse_ipv4(bad)
 
-    # every prefix text that `int()` reads keeps the length it gave
-    @pytest.mark.parametrize("prefix, length", [
-        ("24", 24), ("024", 24), ("+24", 24), ("2_4", 24), (" 24", 24),
-        ("\u0662\u0664", 24), ("-0", 0), ("0", 0), ("32", 32)])
-    def test_prefix_texts_int_reads(self, prefix, length):
-        entry = parse_cidr(f"10.1.2.3/{prefix}")
-        assert (entry.network, entry.prefix_len) == (
-            0x0A010203 & prefix_to_mask(length), length)
+    @staticmethod
+    def _cidr_agrees(text):
+        """`parse_cidr(text)` is the masked network and length that
+        `ipaddress.ip_network` reads, or InvalidPrefix where it refuses."""
+        try:
+            network = ipaddress.ip_network(text, strict=False)
+        except ValueError:
+            with pytest.raises(InvalidPrefix):
+                parse_cidr(text)
+        else:
+            assert parse_cidr(text) == (int(network.network_address),
+                                        network.prefixlen)
 
-    @pytest.mark.parametrize("prefix", ["", "2 4", "0x18", "24.0", "-1", "33"])
+    # prefix texts that `int()` reads; `ipaddress` takes only those of
+    # ASCII digits
+    @pytest.mark.parametrize("prefix, length", [
+        ("24", 24), ("024", 24), ("08", 8), ("+24", 24), ("2_4", 24),
+        (" 24", 24), ("\u0662\u0664", 24), ("-0", 0), ("0", 0), ("32", 32)])
+    def test_prefix_texts_int_reads(self, prefix, length):
+        assert int(prefix) == length
+        self._cidr_agrees(f"10.1.2.3/{prefix}")
+        if prefix.isascii() and prefix.isdigit():
+            assert parse_cidr(f"10.1.2.3/{prefix}") == (
+                0x0A010203 & prefix_to_mask(length), length)
+
+    @pytest.mark.parametrize("prefix", [
+        "", "2 4", "0x18", "24.0", "-1", "33", "+8", " 8", "0_8", "\u0668",
+        pytest.param("9" * 5000, id="5000-digits")])
     def test_prefix_texts_refused(self, prefix):
+        with pytest.raises(ValueError):
+            ipaddress.ip_network(f"10.1.2.3/{prefix}", strict=False)
         with pytest.raises(InvalidPrefix):
             parse_cidr(f"10.1.2.3/{prefix}")
+
+    # prefix texts of digits, signs, separators and other scripts' digits,
+    # in a line stripped as `load_cidr_file` strips it
+    @EXAMPLES
+    @given(st.one_of(st.integers(0, 40).map(str),
+                     st.text("0123456789\u0668\u0662_+-/ \n", max_size=4)))
+    def test_prefix_lengths(self, prefix):
+        self._cidr_agrees(f"10.1.2.3/{prefix}".strip())
 
 
 class TestPrefixToMask:
@@ -133,16 +161,10 @@ class TestPrefixToMask:
 
 class TestParseCidr:
     def test_host_bits_cleared(self):
-        entry = parse_cidr("192.168.0.10/24")
-        assert entry.network == parse_ipv4("192.168.0.0")
-        assert entry.prefix_len == 24
-        assert entry.host_bits_cleared
+        assert parse_cidr("192.168.0.10/24") == (parse_ipv4("192.168.0.0"), 24)
 
     def test_already_normalized(self):
-        entry = parse_cidr("10.0.0.0/8")
-        assert entry.network == parse_ipv4("10.0.0.0")
-        assert entry.prefix_len == 8
-        assert not entry.host_bits_cleared
+        assert parse_cidr("10.0.0.0/8") == (parse_ipv4("10.0.0.0"), 8)
 
     def test_prefix_out_of_range(self):
         with pytest.raises(InvalidPrefix):
@@ -169,7 +191,8 @@ class TestLoadCidrFile:
             "192.168.0.10/24\n")
         entries = load_cidr_file(path)
         assert len(entries) == 3
-        assert entries[0] == CidrEntry(parse_ipv4("2.3.4.0"), 24)
+        assert entries == [(parse_ipv4("2.3.4.0"), 24), (parse_ipv4("10.0.0.0"), 8),
+                           (parse_ipv4("192.168.0.0"), 24)]
 
     def test_error_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -202,13 +225,12 @@ class TestBuildStore:
                    parse_cidr("2.3.4.0/16")]
         store = build_store(entries, paillier_keys, RNG(3))
         assert store.entry_count == 2
-        assert store.duplicates_removed == 1
-        # a build report, not a part of the store
+        # the duplicate leaves no trace in the store
         assert store == build_store(entries[::2], paillier_keys, RNG(3))
 
     def test_store_holds_what_its_file_holds(self):
         assert ipmatch.EncryptedStore.FIELDS == (
-            "pub", "counts", "records", "packed", "duplicates_removed")
+            "pub", "counts", "records", "packed")
 
     def test_empty_list_rejected(self, paillier_keys):
         with pytest.raises(InvalidOptions):
@@ -237,7 +259,7 @@ class TestBuildStore:
     def test_packed_chunking(self, bfv_small_keys):
         rnd = random.Random("pack")
         entries = support.random_entries(rnd, 150, prefixes=(24,))
-        entries = list({(e.network, e.prefix_len): e for e in entries}.values())
+        entries = list(dict.fromkeys(entries))
         store = build_store(entries, bfv_small_keys, RNG(9), packed=True)
         packs = store.layout()
         n = SMALL.ring_dim
@@ -249,7 +271,7 @@ class TestBuildStore:
     def test_packs_mix_prefixes_longest_first(self, bfv_small_keys):
         rnd = random.Random("mix")
         entries = support.random_entries(rnd, 150)
-        entries = list({(e.network, e.prefix_len): e for e in entries}.values())
+        entries = list(dict.fromkeys(entries))
         store = build_store(entries, bfv_small_keys, RNG(9), packed=True)
         packs = store.layout()
         n = SMALL.ring_dim
@@ -265,8 +287,8 @@ class TestBuildStore:
                  for i in range(count)]
         # ids still count the networks group by group in first-appearance order
         by_prefix = {}
-        for e in entries:
-            by_prefix.setdefault(e.prefix_len, []).append(e)
+        for network, prefix_len in entries:
+            by_prefix.setdefault(prefix_len, []).append(network)
         starts, next_id = {}, 0
         for p, group in by_prefix.items():
             starts[p] = next_id
@@ -366,8 +388,8 @@ class TestMatchSubtract:
         if fixture == "bfv_small_keys":
             t = SMALL.plaintext_mod
             assert hit.differences == {
-                i: ((ip & prefix_to_mask(e.prefix_len)) - e.network) % t
-                for i, e in enumerate(entries)}
+                i: ((ip & prefix_to_mask(prefix_len)) - network) % t
+                for i, (network, prefix_len) in enumerate(entries)}
 
     def test_blind_keeps_verdicts(self, paillier_keys):
         rnd = random.Random("blind")
@@ -487,7 +509,7 @@ class TestMatchBatch:
         rng = RNG(55)
         for _ in range(15):
             entries = support.random_entries(rnd, rnd.randrange(1, 120))
-            entries = list({(e.network, e.prefix_len): e for e in entries}.values())
+            entries = list(dict.fromkeys(entries))
             packed = build_store(entries, bfv_small_keys, rng, packed=True)
             unpacked = build_store(entries, bfv_small_keys, rng)
             ip = support.biased_address(rnd, entries)
@@ -502,7 +524,7 @@ class TestMatchBatch:
         n = SMALL.ring_dim
         for count in (1, n, n + 1, 150):
             entries = support.random_entries(rnd, count, prefixes=(24,))
-            entries = list({(e.network, e.prefix_len): e for e in entries}.values())
+            entries = list(dict.fromkeys(entries))
             store = build_store(entries, bfv_small_keys, RNG(56), packed=True)
             result = match(parse_ipv4("200.1.2.3"), store,
                            bfv_small_keys, RNG(57), exhaustive=True)
@@ -514,7 +536,7 @@ class TestMatchBatch:
         rng = RNG(58)
         for _ in range(10):
             entries = support.random_entries(rnd, 5, prefixes=(24,))
-            entries = list({(e.network, e.prefix_len): e for e in entries}.values())
+            entries = list(dict.fromkeys(entries))
             store = build_store(entries, bfv_small_keys, rng, packed=True)
             ip = rnd.getrandbits(32)
             got = match(ip, store, bfv_small_keys, rng).matched

@@ -386,9 +386,9 @@ def listed_store(request):
     for _ in range(24):
         prefix_len = rnd.choice((8, 16, 20, 24, 28, 32))
         network = rnd.getrandbits(32) & ipmatch.prefix_to_mask(prefix_len)
-        entries.append(ipmatch.CidrEntry(network, prefix_len))
+        entries.append((network, prefix_len))
     store = ipmatch.build_store(entries, keys.public, RNG(42))
-    hit = entries[len(entries) // 2].network
+    hit = entries[len(entries) // 2][0]
     miss = next(ip for ip in range(0x04040404, 0x04040504)
                 if not support.plain_member(ip, entries))
     return keys, store, miss, hit

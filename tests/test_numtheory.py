@@ -39,7 +39,6 @@ class TestRandomSource:
     def test_crypto_mode_has_no_seed(self):
         rng = RandomSource.crypto()
         assert not rng.is_seeded
-        assert rng.seed is None
 
     def test_seed_must_be_u64(self):
         with pytest.raises(ValueError):

@@ -40,12 +40,11 @@ def oracle(ip: int, entries) -> int | None:
     """Entry id of the longest listed network holding `ip`, by plain
     masking: ids count networks prefix by prefix, in first-appearance
     order."""
-    prefixes = list(dict.fromkeys(e.prefix_len for e in entries))
-    ordered = [e for p in prefixes for e in entries if e.prefix_len == p]
+    prefixes = list(dict.fromkeys(plen for _, plen in entries))
+    ordered = [e for p in prefixes for e in entries if e[1] == p]
     for prefix_len in sorted(prefixes, reverse=True):
-        for entry_id, entry in enumerate(ordered):
-            if (entry.prefix_len == prefix_len
-                    and ip & prefix_to_mask(prefix_len) == entry.network):
+        for entry_id, (network, plen) in enumerate(ordered):
+            if plen == prefix_len and ip & prefix_to_mask(plen) == network:
                 return entry_id
     return None
 
@@ -185,8 +184,8 @@ def test_parallel_built_store_reads_back_and_matches(fixture, key_file, request,
     serial.write_store(store, tmp_path / "store.bin")
     pair = serial.read_key_file(sec_path)
     stored = serial.read_store(tmp_path / "store.bin", pair)
-    for entry_id, entry in enumerate(ENTRIES):
-        ip = entry.network | (~prefix_to_mask(entry.prefix_len) & 0x12345678)
+    for entry_id, (network, prefix_len) in enumerate(ENTRIES):
+        ip = network | (~prefix_to_mask(prefix_len) & 0x12345678)
         result = match(ip, stored, pair, CRYPTO())
         assert (result.matched, result.entry_id) == (True, entry_id)
     assert not match(parse_ipv4(LOOKUPS["miss"]), stored, pair, CRYPTO()).matched

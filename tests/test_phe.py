@@ -31,8 +31,8 @@ def random_message(rnd, keys) -> int:
     """Uniform in the scheme's encryption space (capped for wide spaces).
 
     The encryption space can be narrower than the wrap modulus: 2^k bits
-    below the private prime for Okamoto-Uchiyama, 32 bits for the
-    Goldwasser-Micali default width.
+    below the private prime for Okamoto-Uchiyama, `phe.GM_WIDTH` = 32 bits
+    for Goldwasser-Micali.
     """
     scheme = phe.scheme_of(keys)
     if scheme is SchemeId.GOLDWASSER_MICALI:
@@ -269,9 +269,8 @@ class TestNaccacheSternCapacity:
 class TestGoldwasserMicali:
     def test_worked_example_17_xor_16(self, gm_keys):
         rng = RNG(43)
-        c17 = phe.encrypt(gm_keys, 17, rng, width=5)
-        c16 = phe.encrypt(gm_keys, 16, rng, width=5)
-        assert len(c17) == 5
+        c17 = phe.encrypt(gm_keys, 17, rng)
+        c16 = phe.encrypt(gm_keys, 16, rng)
         assert phe.decrypt(gm_keys, c17) == 17
         assert phe.decrypt(gm_keys, phe.xor_encrypted(gm_keys, c17, c16)) == 1
 
@@ -297,18 +296,19 @@ class TestGoldwasserMicali:
     def test_bit_semantics(self, gm_keys):
         # bit 0 -> quadratic residue (jacobi +1 mod p), bit 1 -> jacobi -1
         rng = RNG(59)
-        ct = phe.encrypt(gm_keys, 0b10, rng, width=2)
-        one_bit, zero_bit = ct
+        *_, one_bit, zero_bit = phe.encrypt(gm_keys, 0b10, rng)
         assert jacobi(one_bit % gm_keys.p, gm_keys.p) == -1
         assert jacobi(zero_bit % gm_keys.p, gm_keys.p) == 1
         assert jacobi(zero_bit, gm_keys.public.n) == 1
 
     def test_width_mismatch(self, gm_keys):
         rng = RNG(61)
-        a = phe.encrypt(gm_keys, 1, rng, width=4)
-        b = phe.encrypt(gm_keys, 1, rng, width=5)
+        a = phe.encrypt(gm_keys, 1, rng)
+        # zip() alone would XOR a short tuple into a short result
         with pytest.raises(WidthMismatch):
-            phe.xor_encrypted(gm_keys, a, b)
+            phe.xor_encrypted(gm_keys, a[1:], a)
+        with pytest.raises(WidthMismatch):
+            phe.xor_encrypted(gm_keys, a, a[1:])
 
     def test_default_width_is_32(self, gm_keys):
         assert len(phe.encrypt(gm_keys, 1, RNG(67))) == 32
@@ -403,9 +403,9 @@ def test_message_out_of_range(fixture, too_big, request):
 
 def test_gm_message_out_of_range(gm_keys):
     with pytest.raises(MessageOutOfRange):
-        phe.encrypt(gm_keys, 32, RNG(104), width=5)
+        phe.encrypt(gm_keys, 2**phe.GM_WIDTH, RNG(104))
     with pytest.raises(MessageOutOfRange):
-        phe.encrypt(gm_keys, 0, RNG(104), width=0)
+        phe.encrypt(gm_keys, -1, RNG(104))
 
 
 @pytest.mark.parametrize("fixture", ["paillier_keys", "dj_keys", "ou_keys",

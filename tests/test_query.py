@@ -14,7 +14,7 @@ import random
 import pytest
 
 from helb import bfv, ipmatch, phe
-from helb.ipmatch import CidrEntry, build_store, prefix_to_mask
+from helb.ipmatch import build_store, prefix_to_mask
 from helb.numtheory import RandomSource
 
 RNG = RandomSource.seeded
@@ -82,7 +82,7 @@ def _lattice_layouts(keys, packed: bool):
     """The (slot layout, masked address of each slot) pairs of every
     record of a store of networks of several prefix lengths."""
     rnd = random.Random(11)
-    entries = [CidrEntry(rnd.getrandbits(32) & prefix_to_mask(p), p)
+    entries = [(rnd.getrandbits(32) & prefix_to_mask(p), p)
                for p in (32, 24, 24, 16, 8) for _ in range(30)]
     store = build_store(entries, keys, RNG(12), packed=packed)
     ip = rnd.getrandbits(32)

@@ -157,6 +157,8 @@ class TestKeyFileErrors:
          r"h is not g\^n"),
         ("ou_keys", _ou_low_order_g, r"g\^\(p-1\) is 1 modulo p\^2"),
         ("bfv_small_keys", _bfv_pk0_shifted, "not small noise"),
+        # a whole key pair: a uniform s and the public key that fits it
+        ("bfv_small_keys", support.forge_uniform_secret, "s is not ternary"),
         # v_1 = v_0: an unlisted address would read as listed
         ("ns_keys", lambda keys: support.replace(
             keys.public, v=keys.public.v[:1] * 2 + keys.public.v[2:]),
@@ -168,14 +170,18 @@ class TestKeyFileErrors:
             + keys.public.v[2:]),
          r"v_i\^s is not p_i modulo p"),
     ], ids=["damgard_jurik", "okamoto_uchiyama", "okamoto_uchiyama_g_order",
-            "bfv_pk0_slot_5", "naccache_stern", "naccache_stern_negated"])
+            "bfv_pk0_slot_5", "bfv_uniform_secret", "naccache_stern",
+            "naccache_stern_negated"])
     def test_forged_generator_is_refused(self, fixture, forge, message,
                                          request, tmp_path):
         # forged alike in both files, so the store built from the .pub
-        # carries the fingerprint of the .sec's public key
+        # carries the fingerprint of the .sec's public key; `forge` gives
+        # a public key, or a whole key pair
         keys = request.getfixturevalue(fixture)
-        pub_path, sec_path = serial.write_key_files(
-            support.replace(keys, public=forge(keys)), str(tmp_path / "key"))
+        forged = forge(keys)
+        if not hasattr(forged, "public"):
+            forged = support.replace(keys, public=forged)
+        pub_path, sec_path = serial.write_key_files(forged, str(tmp_path / "key"))
         if fixture == "dj_keys":  # the public key alone shows it
             with pytest.raises(FormatError, match=message):
                 serial.read_key_file(pub_path)
@@ -216,7 +222,7 @@ class TestKeyFileErrors:
 def _random_store(keys, seed, count=12, packed=False):
     rnd = random.Random(seed)
     entries = support.random_entries(rnd, count)
-    entries = list({(e.network, e.prefix_len): e for e in entries}.values())
+    entries = list(dict.fromkeys(entries))
     return entries, ipmatch.build_store(entries, keys, RNG(seed), packed=packed)
 
 

@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 from helb import bfv, ipmatch
-from helb.value import Factory, Value
+from helb.value import Value
 
 
 class Pair(Value, frozen=True):
@@ -28,7 +28,8 @@ class Twin(Value, frozen=True):
 
 def test_fields_are_the_annotations_in_order():
     assert Pair.FIELDS == ("left", "right")
-    assert ipmatch.CidrEntry.FIELDS == ("network", "prefix_len", "host_bits_cleared")
+    assert ipmatch.MatchResult.FIELDS == ("matched", "entry_id", "differences",
+                                          "stats", "seconds")
     assert bfv.BfvParams.FIELDS == ("ring_dim", "plaintext_mod", "ciphertext_mod",
                                     "err_stddev")
 
@@ -52,13 +53,6 @@ def test_equality_is_type_strict():
     assert Pair(1, 2) != Pair(1, 3)
 
 
-def test_uncompared_fields_are_left_out_of_equality_and_hash():
-    flagged = ipmatch.CidrEntry(0x0A000000, 8, True)
-    plain = ipmatch.CidrEntry(0x0A000000, 8)
-    assert flagged == plain and hash(flagged) == hash(plain)
-    assert flagged.host_bits_cleared and not plain.host_bits_cleared
-
-
 def test_frozen_instances_refuse_assignment_and_hash():
     pair = Pair(1, 2)
     with pytest.raises(AttributeError):
@@ -70,17 +64,11 @@ def test_frozen_instances_refuse_assignment_and_hash():
 
 
 def test_mutable_instances_are_unhashable_and_assignable():
-    result = ipmatch.MatchResult(False)
+    result = ipmatch.MatchResult(False, None, None, {}, {})
     result.entry_id = 3
     assert result.entry_id == 3
     with pytest.raises(TypeError):
         hash(result)
-
-
-def test_factory_default_is_fresh_per_instance():
-    first, second = ipmatch.MatchResult(True), ipmatch.MatchResult(True)
-    first.stats["zero_tests"] = 1
-    assert second.stats == {} and isinstance(Factory(dict).make(), dict)
 
 
 def test_weak_references_cached_properties_and_pickling():
