@@ -85,8 +85,7 @@ def match(args) -> int:
     keys = serial.read_key_file(args.keys)
     store = serial.read_store(args.store, keys)
     result = ipmatch.match(ipmatch.parse_ipv4(args.ip), store, keys, _rng(args.seed),
-                           exhaustive=args.exhaustive, blind=args.blind,
-                           debug=args.debug)
+                           exhaustive=args.exhaustive, debug=args.debug)
     if args.json:
         payload = {
             "ip": args.ip,
@@ -204,9 +203,6 @@ def _parser(prog_name: str | None) -> argparse.ArgumentParser:
     p.add_argument("--ip", required=True, help="IPv4 address to test.")
     p.add_argument("--exhaustive", action="store_true",
                    help="Scan every entry instead of stopping at the first match.")
-    p.add_argument("--blind", action="store_true",
-                   help="Randomize differences before the zero test "
-                        "(additive schemes only).")
     p.add_argument("--json", action="store_true", help="Machine-readable output.")
     p.add_argument("--debug", action="store_true",
                    help="Include per-entry decrypted differences (reveals distances).")

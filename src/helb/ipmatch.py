@@ -55,6 +55,9 @@ _MAX_ADDR = 0xFFFFFFFF
 # the text of each octet value as `ipaddress.IPv4Address` reads it: ASCII
 # decimal digits up to 255, without a leading zero
 _OCTETS = {str(value): value for value in range(256)}
+# the whitespace around a CIDR text: ASCII only, since `str.strip()` alone
+# also takes U+00A0, U+2009, U+2028 and the other spaces `ipaddress` refuses
+_SPACE = " \t\n\r\v\f"
 
 
 def parse_ipv4(text: str) -> int:
@@ -76,7 +79,7 @@ def prefix_to_mask(prefix_len: int) -> int:
 
 def parse_cidr(text: str) -> tuple[int, int]:
     """Parse "a.b.c.d/p" to (network, p), masking away any set host bits."""
-    addr, sep, prefix = text.strip().partition("/")
+    addr, sep, prefix = text.strip(_SPACE).partition("/")
     if not sep:
         raise InvalidPrefix(f"missing '/prefix' in {text!r}")
     value = parse_ipv4(addr)
@@ -100,7 +103,7 @@ def load_cidr_file(path) -> list[tuple[int, int]]:
         raise FormatError(f"{path}: CIDR file is not UTF-8 text") from None
     entries = []
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(_SPACE)
         if not line:
             continue
         try:
@@ -241,10 +244,7 @@ class _LatticeRecords:
     op = "sub"
     low = 0
 
-    def __init__(self, keys, packed: bool, blind: bool, debug: bool):
-        if blind:
-            raise InvalidOptions("blinding is only available for the additive "
-                                 "PHE schemes")
+    def __init__(self, keys, packed: bool, debug: bool):
         self.keys, self.params = keys, keys.params
         if self.params.plaintext_mod <= _MAX_ADDR + 1:
             raise MessageOutOfRange(
@@ -276,7 +276,7 @@ class _LatticeRecords:
             values += [ip & prefix_to_mask(prefix_len)] * count
         return bfv.add_plain(zero, bfv.encode(values, self.params))
 
-    def combine(self, target, ct, rng: RandomSource):
+    def combine(self, target, ct):
         return bfv.eval_sub(target, ct)
 
     def test(self, diff, fill: int):
@@ -297,16 +297,11 @@ class _PheRecords:
     slots = 1
     low = 1
 
-    def __init__(self, keys, packed: bool, blind: bool, debug: bool):
+    def __init__(self, keys, packed: bool, debug: bool):
         if packed:
             raise InvalidOptions("packed stores require the lattice backend")
         self.scheme = phe.scheme_of(keys)
-        # a unit multiple keeps zero, and only zero, under one message modulus
-        if blind and phe.message_modulus(keys) is None:
-            raise InvalidOptions("blinding is only available for the additive "
-                                 "schemes with one message modulus, not "
-                                 f"{self.scheme.value}")
-        self.keys, self.blind, self.debug = keys, blind, debug
+        self.keys, self.debug = keys, debug
         xor = self.scheme is SchemeId.GOLDWASSER_MICALI
         self.op = "xor" if xor else "sub"
         self.width = phe.GM_WIDTH if xor else 1
@@ -332,19 +327,16 @@ class _PheRecords:
         return shift(self.keys, zero,
                      phe.encode(self.keys, ip & prefix_to_mask(prefix_len)))
 
-    def combine(self, target, ct, rng: RandomSource):
-        if self.op == "xor":
-            return phe.xor_encrypted(self.keys, target, ct)
-        diff = phe.sub_encrypted(self.keys, target, ct)
-        return phe.blind(self.keys, diff, rng) if self.blind else diff
+    def combine(self, target, ct):
+        combine = phe.xor_encrypted if self.op == "xor" else phe.sub_encrypted
+        return combine(self.keys, target, ct)
 
     def test(self, diff, fill: int):
         slot = 0 if phe.is_zero(self.keys, diff) else None
         return slot, _debug_decrypt(self.keys, diff) if self.debug else None
 
 
-def record_handler(keys, packed: bool = False, *, blind: bool = False,
-                   debug: bool = False):
+def record_handler(keys, packed: bool = False, *, debug: bool = False):
     """How the backend of `keys`, a key pair or a public key, handles the
     records of a store, packed or not.
 
@@ -357,19 +349,16 @@ def record_handler(keys, packed: bool = False, *, blind: bool = False,
     derives from it `query(zero, ip, layout)` for each record layout
     ((prefix length, count), ...): the same ciphertext that encrypting the
     layout's masked addresses would give with the zero's draws.  Then for
-    each record it `combine`s (`op`: "sub", blinded when asked, or "xor")
-    and `test`s: (first zero of the first `fill` slots or None, slot 0's
-    difference or None).
-    Refuses `packed` or `blind`, before any encryption, where the backend
-    cannot do them.
+    each record it `combine`s (`op`: "sub" or "xor") and `test`s: (first
+    zero of the first `fill` slots or None, slot 0's difference or None).
+    Refuses `packed`, before any encryption, where the backend cannot pack.
     """
     family = _LatticeRecords if keys.SCHEME == BFV_SCHEME else _PheRecords
-    return family(keys, packed, blind, debug)
+    return family(keys, packed, debug)
 
 
 def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
-          exhaustive: bool = False, blind: bool = False,
-          debug: bool = False) -> MatchResult:
+          exhaustive: bool = False, debug: bool = False) -> MatchResult:
     """Test `ip` against `store` under the key pair `keys`.
 
     Scans the records in store order, longest prefix first, cut
@@ -377,20 +366,18 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
     lookup encrypts zero once, before any worker starts, and each batch
     derives its query from that ciphertext, so `stats["encryptions"]` is
     1; the store's `record_handler` does each step.  The first match wins,
-    and `exhaustive` only keeps the scan going to the end.  `blind`
-    multiplies each difference by a fresh unit before the zero test
-    (additive schemes of one message modulus only).  `debug` reports each
-    record's decrypted difference by entry id; packed records, which hold
-    many entries, report none.  `seconds` holds the time spent in each
-    phase, summed over the batches scanned up to the answer: the query
-    (the encryption of zero, and each batch's derivation), the
-    homomorphic operation (with blinding) and the zero test (with
+    and `exhaustive` only keeps the scan going to the end.  `debug`
+    reports each record's decrypted difference by entry id; packed
+    records, which hold many entries, report none.  `seconds` holds the
+    time spent in each phase, summed over the batches scanned up to the
+    answer: the query (the encryption of zero, and each batch's
+    derivation), the homomorphic operation and the zero test (with
     `debug`'s decryption).  Batches go to worker processes as `_spread`
     decides, so `seconds` may exceed the wall time, while `stats` still
     counts the sequential scan up to the answer.
     """
     _check_store_keys(store, keys)
-    handler = record_handler(keys, store.packed, blind=blind, debug=debug)
+    handler = record_handler(keys, store.packed, debug=debug)
     debug_entries = debug and not store.packed
 
     def scan(batch):
@@ -405,7 +392,7 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
         found, scanned, differences = None, 0, {}
         for runs, ct in records:
             t1 = time.perf_counter()
-            diff = handler.combine(target, ct, rng)
+            diff = handler.combine(target, ct)
             t2 = time.perf_counter()
             slot, difference = handler.test(diff, fill)
             seconds["combine"] += t2 - t1

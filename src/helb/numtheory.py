@@ -435,8 +435,6 @@ class PrimePowerCrt:
         self.p, self.q = p, q
         self._p_s, self._q_s = p**s, q**s
         self._p_mod, self._q_mod = p * self._p_s, q * self._q_s
-        # orders of the unit groups modulo p^(s+1) and q^(s+1)
-        self._p_order, self._q_order = self._p_s * (p - 1), self._q_s * (q - 1)
         self._modulus = self._p_mod * self._q_mod
         self._r_exp_p, self._r_exp_q = self._q_s % (p - 1), self._p_s % (q - 1)
         self._q_mod_inv = mod_inv(self._q_mod, self._p_mod)
@@ -494,7 +492,7 @@ class CrtElement:
     """A unit modulo n^(s+1), held as its residue mod p^(s+1); its residue
     mod q^(s+1) is computed on first read, then kept.
 
-    `combine`, `invert` and `scale` act on each residue separately, the q
+    `combine` and `invert` act on each residue separately, the q
     side again on first read, so a zero test that fails modulo p^(s+1)
     never pays for the q side.  `int()` recombines the two residues into
     the integer that the arithmetic modulo n^(s+1) gives; `==` and `hash`
@@ -532,13 +530,6 @@ class CrtElement:
         crt = self.crt
         return CrtElement(crt, pow(self.xp, -1, crt._p_mod),
                           lambda: pow(self.xq, -1, crt._q_mod))
-
-    def scale(self, k: int) -> "CrtElement":
-        """self^k mod n^(s+1), each exponent reduced modulo the order of
-        its residue's unit group."""
-        crt = self.crt
-        return CrtElement(crt, pow(self.xp, k % crt._p_order, crt._p_mod),
-                          lambda: pow(self.xq, k % crt._q_order, crt._q_mod))
 
     def __int__(self) -> int:
         crt, xq = self.crt, self.xq

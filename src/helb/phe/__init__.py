@@ -1,30 +1,30 @@
 """Partially homomorphic schemes behind one interface.
 
-Five additive schemes (add, subtract, scalar multiply) and one bitwise-XOR
-scheme, Goldwasser-Micali, are dispatched by :class:`SchemeId`.  Keys are
+Five additive schemes (add, subtract) and one bitwise-XOR scheme,
+Goldwasser-Micali, are dispatched by :class:`SchemeId`.  Keys are
 frozen :class:`~helb.value.Value` objects with a ``public`` part; each key class names its
 scheme in ``SCHEME`` and its key-file fields in ``FILE_FIELDS`` (see
 :mod:`helb.serial`).  A ciphertext is its group element, a unit modulo
 ``cipher_modulus`` of the public key: an ``int``, or for Goldwasser-Micali
 a tuple of ``GM_WIDTH`` per-bit ones.  It carries no scheme tag, so the
 key decides the scheme: Goldwasser-Micali only XORs, the other schemes
-only add, subtract and scale, and any other operation raises
+only add and subtract, and any other operation raises
 ``CapabilityUnsupported``.
 
-The group law is written once, here: a sum, difference or scalar multiple
-of additive ciphertexts, and the XOR of Goldwasser-Micali ones (element by
-element), is a product, inverse or power modulo ``cipher_modulus``.  A
+The group law is written once, here: a sum or difference of additive
+ciphertexts, and the XOR of Goldwasser-Micali ones (element by element),
+is a product, or a product by an inverse, modulo ``cipher_modulus``.  A
 scheme's module exports only ``KEY_CLASSES``, ``keygen``, ``encode``,
-``encrypt``, ``decrypt``, ``is_zero`` and ``message_modulus``, and is
-imported on first use, so a process loads only the schemes whose keys it
-handles; its ``encrypt`` is ``encode`` times a randomizer.  Paillier is
+``encrypt``, ``decrypt`` and ``is_zero``, and is imported on first use,
+so a process loads only the schemes whose keys it handles; its
+``encrypt`` is ``encode`` times a randomizer.  Paillier is
 Damgard-Jurik at s = 1: the Damgard-Jurik module keeps its key format
 and takes its operations from the Paillier module, which it loads.
 
 A key holder's Paillier or Damgard-Jurik ciphertext is a
 :class:`~helb.numtheory.CrtElement`, which ``int()`` turns into the same
-element; the group law hands it to its own ``combine``, ``invert`` and
-``scale``, so its residue modulo q^(s+1) is computed only when read.  A
+element; the group law hands it to its own ``combine`` and ``invert``,
+so its residue modulo q^(s+1) is computed only when read.  A
 stored record subtracted under such a key pair is inverted the same way,
 by ``PrimePowerCrt.inverse``.
 """
@@ -35,7 +35,7 @@ import enum
 import importlib
 
 from ..errors import CapabilityUnsupported, InvalidOptions, SchemeMismatch, WidthMismatch
-from ..numtheory import CrtElement as _CrtElement, RandomSource, rand_coprime
+from ..numtheory import CrtElement as _CrtElement, RandomSource
 from ..numtheory import mod_inv as _mod_inv
 
 
@@ -174,12 +174,6 @@ def sub_encrypted(keys, ct1, ct2):
     return _mul(ct1, ct2, modulus)
 
 
-def scalar_mul(keys, ct, k: int):
-    """Ciphertext of k * m."""
-    modulus = _modulus(keys, "scalar_mul")
-    return ct.scale(k) if isinstance(ct, _CrtElement) else pow(ct, k, modulus)
-
-
 def xor_encrypted(keys, ct1: tuple[int, ...], ct2: tuple[int, ...]) -> tuple[int, ...]:
     """Bitwise XOR of two equal-width Goldwasser-Micali ciphertexts."""
     modulus = _modulus(keys, "xor")
@@ -196,25 +190,3 @@ def is_zero(keys, ct) -> bool:
     Paillier and Damgard-Jurik residue tests modulo p^(s+1) and q^(s+1)).
     """
     return _holder(keys).is_zero(keys, ct)
-
-
-def message_modulus(keys) -> int | None:
-    """Modulus of the additive message space, or None when not a single value."""
-    return _module(scheme_of(keys)).message_modulus(keys)
-
-
-def blind(keys, ct, rng: RandomSource):
-    """Randomize a difference ciphertext before a zero test.
-
-    Multiplies the plaintext by a fresh unit of the message space, so a
-    zero stays zero while a non-zero difference decrypts to an unrelated
-    value.  Only sound for schemes whose message space is a single
-    modulus, since multiplying by a unit must map zero, and only zero, to
-    zero.
-    """
-    modulus = message_modulus(keys)
-    if modulus is None:
-        raise CapabilityUnsupported(
-            f"{scheme_of(keys)} has no single message modulus; blinding would "
-            "not preserve the zero test")
-    return scalar_mul(keys, ct, rand_coprime(modulus, rng))

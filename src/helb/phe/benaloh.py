@@ -163,8 +163,3 @@ def is_zero(keys: BenalohKeyPair, c: int) -> bool:
     which is prime to r, so it is 1 exactly when c^((p-1)/r) is."""
     p = keys.p
     return c % keys.q != 0 and pow(c, (p - 1) // keys.public.r, p) == 1
-
-
-def message_modulus(keys) -> int:
-    pub = getattr(keys, "public", keys)
-    return pub.r

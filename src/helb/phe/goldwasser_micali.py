@@ -98,7 +98,3 @@ def decrypt(keys: GoldwasserMicaliKeyPair, ct: tuple[int, ...]) -> int:
 
 def is_zero(keys: GoldwasserMicaliKeyPair, ct: tuple[int, ...]) -> bool:
     return all(_decrypt_bit(keys, c) == 0 for c in ct)
-
-
-def message_modulus(keys) -> None:
-    return None

@@ -146,8 +146,3 @@ def is_zero(keys: NaccacheSternKeyPair, c: int) -> bool:
     if not 0 < c < keys.public.p:
         raise DecryptionFailure("ciphertext outside Z*_p")
     return c == 1
-
-
-def message_modulus(keys) -> None:
-    # additive capacity is per-prime, not a single modulus
-    return None

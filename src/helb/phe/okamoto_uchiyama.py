@@ -135,10 +135,3 @@ def decrypt(keys: OkamotoUchiyamaKeyPair, c: int) -> int:
 
 def is_zero(keys: OkamotoUchiyamaKeyPair, c: int) -> bool:
     return decrypt(keys, c) == 0
-
-
-def message_modulus(keys) -> int:
-    # homomorphic arithmetic wraps modulo p, which only the key holder knows
-    if not isinstance(keys, OkamotoUchiyamaKeyPair):
-        raise DecryptionFailure("message modulus requires the private key")
-    return keys.p

@@ -158,8 +158,3 @@ def is_zero(keys, c) -> bool:
     """decrypt(keys, c) == 0, raising where decrypt raises: c is an
     encryption of 0 exactly when it is an n^s-th residue modulo n^(s+1)."""
     return keys.crt.is_nth_residue(c)
-
-
-def message_modulus(keys) -> int:
-    pub = getattr(keys, "public", keys)
-    return pub.message_space

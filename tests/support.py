@@ -14,7 +14,7 @@ import random
 import struct
 from typing import NamedTuple
 
-from helb import bfv, cli
+from helb import bfv, cli, phe
 from helb.ipmatch import prefix_to_mask
 
 # Small lattice profiles for protocol-level tests.  Plaintext moduli are
@@ -95,6 +95,31 @@ def biased_address(rnd, entries) -> int:
         host = rnd.getrandbits(32) & ~prefix_to_mask(plen) & 0xFFFFFFFF
         return network | host
     return rnd.getrandbits(32)
+
+
+# ---------------------------------------------------------------------------
+# additive PHE arithmetic
+
+
+def message_modulus(keys):
+    """The modulus at which the additive arithmetic of the key pair `keys`
+    wraps: the secret prime p for Okamoto-Uchiyama; None for
+    Naccache-Stern, whose bits ride on separate primes, and for
+    Goldwasser-Micali, which only XORs."""
+    scheme = phe.scheme_of(keys)
+    if scheme in (phe.SchemeId.PAILLIER, phe.SchemeId.DAMGARD_JURIK):
+        return keys.public.message_space
+    if scheme is phe.SchemeId.OKAMOTO_UCHIYAMA:
+        return keys.p
+    if scheme is phe.SchemeId.BENALOH:
+        return keys.public.r
+    return None
+
+
+def scalar_mul(keys, ct, k: int) -> int:
+    """An encryption of k * m from one of m, under the additive scheme of
+    `keys`: ct to the k-th power modulo the cipher modulus."""
+    return pow(int(ct), k, phe.public_part(keys).cipher_modulus)
 
 
 # ---------------------------------------------------------------------------

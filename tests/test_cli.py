@@ -165,6 +165,21 @@ class TestBlacklistEncrypt:
         assert result.exit_code == 2, result.output
         assert f"error: {pub}: {message}" in result.output
 
+    # a space that `str.strip()` would take but `ipaddress` refuses; a line
+    # of one is not blank
+    @pytest.mark.parametrize("line", ["10.0.0.0/8\u00a0", "\u00a0"],
+                             ids=["no-break-space", "space-only"])
+    def test_unicode_space_in_a_line_exits_two(self, line, paillier_files,
+                                               tmp_path):
+        pub, _ = paillier_files
+        lst = tmp_path / "spaces.txt"
+        lst.write_text(f"2.3.4.0/24\n{line}\n", encoding="utf-8")
+        result = run("blacklist", "encrypt", "--key", pub, "--cidr-file", lst,
+                     "--out", tmp_path / "s.bin", "--seed", 6)
+        assert result.exit_code == 2, result.output
+        assert f"error: {lst}: line 2: " in result.output
+        assert not (tmp_path / "s.bin").exists()
+
     def test_cidr_file_not_utf8_exits_two(self, paillier_files, tmp_path):
         pub, _ = paillier_files
         lst = tmp_path / "bad.txt"
@@ -215,6 +230,22 @@ class TestMatch:
         assert result.exit_code == 1
         assert "NO-MATCH" in result.output
 
+    def test_removed_blind_flag_is_a_usage_error(self, paillier_files,
+                                                 paillier_store, monkeypatch):
+        # an old script that still passes `--blind` must not read as "not
+        # listed" (exit 1): argparse refuses it before any file is read
+        def refuse(*args):
+            raise AssertionError("a key or store file was read")
+
+        monkeypatch.setattr(serial, "read_key_file", refuse)
+        monkeypatch.setattr(serial, "read_store", refuse)
+        result = run("match", "--keys", paillier_files[1], "--store",
+                     paillier_store, "--ip", "4.4.4.4", "--blind", "--seed", 9)
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("usage: helb")
+        assert "unrecognized arguments: --blind" in result.output
+        assert "internal error" not in result.output
+
     def test_scheme_mismatch_exits_two(self, gm_files, paillier_store):
         result = run("match", "--keys", gm_files[1], "--store", paillier_store,
                      "--ip", "2.3.4.77", "--seed", 10)
@@ -252,11 +283,6 @@ class TestMatch:
                      "--ip", "2.3.4.77", "--json", "--seed", 13)
         assert result.exit_code == 0
         assert json.loads(result.output)["protocol"] == "xor"
-        # blinding needs an additive scheme
-        result = run("match", "--keys", sec, "--store", store,
-                     "--ip", "2.3.4.77", "--blind", "--seed", 12)
-        assert result.exit_code == 2
-        assert "additive" in result.output
 
     def test_json_output(self, paillier_files, paillier_store):
         result = run("match", "--keys", paillier_files[1],
@@ -442,29 +468,6 @@ class TestLatticeFlow:
         miss = run("match", "--keys", sec, "--store", store,
                    "--ip", "4.4.4.4", "--seed", 33)
         assert miss.exit_code == 1
-
-    def test_blind_flag_rejected_on_lattice_store(self, bfv_files, cidr_file,
-                                                  tmp_path):
-        pub, sec = bfv_files
-        store = tmp_path / "s.bin"
-        result = run("blacklist", "encrypt", "--key", pub,
-                     "--cidr-file", cidr_file, "--out", store, "--seed", 34)
-        assert result.exit_code == 0
-        result = run("match", "--keys", sec, "--store", store,
-                     "--ip", "2.3.4.5", "--blind", "--seed", 35)
-        assert result.exit_code == 2
-
-    def test_blind_flag_rejected_on_packed_store(self, bfv_files, cidr_file,
-                                                 tmp_path):
-        pub, sec = bfv_files
-        store = tmp_path / "p.bin"
-        result = run("blacklist", "encrypt", "--key", pub, "--cidr-file",
-                     cidr_file, "--out", store, "--packed", "--seed", 37)
-        assert result.exit_code == 0
-        result = run("match", "--keys", sec, "--store", store,
-                     "--ip", "2.3.4.5", "--blind", "--seed", 38)
-        assert result.exit_code == 2
-        assert "additive" in result.output
 
     def test_corrupt_packed_fill_exits_two(self, bfv_files, tmp_path):
         pub, sec = bfv_files

@@ -69,7 +69,7 @@ def _decrypt_by_formula(keys, c) -> int:
 
 def _crafted(keys, rng_seed=0) -> list[int]:
     """Edge values, multiples of the factors, and encrypted differences of
-    0, +-1 and +-2^32, plain and blinded."""
+    0, +-1 and +-2^32, plain and times a random unit of the message space."""
     pub = keys.public
     n, modulus = pub.n, pub.cipher_modulus
     p, q = keys.crt.p, keys.crt.q
@@ -81,7 +81,8 @@ def _crafted(keys, rng_seed=0) -> list[int]:
         diff = phe.sub_encrypted(keys, phe.encrypt(keys, base, rng),
                                  phe.encrypt(keys, base - delta, rng))
         values.append(diff)
-        values.append(phe.blind(keys, diff, rng))
+        unit = numtheory.rand_coprime(support.message_modulus(keys), rng)
+        values.append(support.scalar_mul(keys, diff, unit))
     return values
 
 
@@ -332,12 +333,11 @@ def test_deferred_arithmetic_converts_to_the_eager_integer(case):
     module, keys = case
     pub = keys.public
     modulus = pub.cipher_modulus
-    top = min(module.message_modulus(keys), 2**40) - 1
+    top = min(support.message_modulus(keys), 2**40) - 1
 
     @EXAMPLES
-    @given(st.integers(0, 2**32), st.integers(0, top), st.integers(0, top),
-           st.integers(-(2**80), 2**80))
-    def check(seed, m1, m2, k):
+    @given(st.integers(0, 2**32), st.integers(0, top), st.integers(0, top))
+    def check(seed, m1, m2):
         lazy1 = module.encrypt(keys, m1, RNG(seed))
         lazy2 = module.encrypt(keys, m2, RNG(seed + 1))
         eager1 = module.encrypt(pub, m1, RNG(seed))
@@ -351,12 +351,9 @@ def test_deferred_arithmetic_converts_to_the_eager_integer(case):
         assert int(phe.add_encrypted(pub, lazy1, eager2)) == eager1 * eager2 % modulus
         assert int(phe.sub_encrypted(pub, eager2, lazy1)) \
             == eager2 * pow(eager1, -1, modulus) % modulus
-        assert int(phe.scalar_mul(pub, lazy1, k)) == pow(eager1, k, modulus)
-        blinded = phe.scalar_mul(pub, diff, k)
-        assert int(blinded) == pow(int(diff), k, modulus)
-        assert module.is_zero(keys, blinded) == \
-            (module.decrypt(keys, blinded) == 0) == module.is_zero(keys, int(blinded))
-        assert module.decrypt(keys, diff) == (m1 - m2) % module.message_modulus(keys)
+        assert module.is_zero(keys, diff) == \
+            (module.decrypt(keys, diff) == 0) == module.is_zero(keys, int(diff))
+        assert module.decrypt(keys, diff) == (m1 - m2) % support.message_modulus(keys)
 
     check()
 
@@ -408,34 +405,28 @@ def q_residues(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("blind", [False, True], ids=["plain", "blind"])
-def test_a_miss_computes_no_q_residue_and_a_hit_one(listed_store, q_residues,
-                                                    blind):
+def test_a_miss_computes_no_q_residue_and_a_hit_one(listed_store, q_residues):
     keys, store, miss, hit = listed_store
-    result = ipmatch.match(miss, store, keys, RNG(43), blind=blind)
+    result = ipmatch.match(miss, store, keys, RNG(43))
     assert not result.matched and result.stats["encryptions"] == 1
     assert result.stats["sub_calls"] > 1
     assert q_residues == []
-    result = ipmatch.match(hit, store, keys, RNG(44), blind=blind)
+    result = ipmatch.match(hit, store, keys, RNG(44))
     assert result.matched
     assert len(q_residues) == 1
 
 
-# SHA-256 of the `helb match --blind --exhaustive --debug --json` output,
-# less its wall-clock "seconds", with one encryption of zero per lookup.
-# Against the earlier one query encryption per prefix group, only
-# "encryptions" and the blinded differences after the first group moved:
-# their blinding units come earlier in the same stream, which no longer
-# holds the draws of the later groups' queries
+# SHA-256 of the `helb match --exhaustive --debug --json` output, less its
+# wall-clock "seconds", with one encryption of zero per lookup
 DEBUG_JSON_SHA256 = {
     ("paillier", "2.3.4.77"):
-        "21ba947161d3519e92a3c613f49698beb9ee074bee696634c18020510e97045c",
+        "804d5611874859655a7be3e73984647a844ccc2ee1fc570fc1c1ce7abdd8b566",
     ("paillier", "4.4.4.4"):
-        "669ac7486bb965f342eb8561a4458612735587cbb6907f284ad9f465ecc4f95d",
+        "bc29613c2579daf8f5c7ffcaeada87336cc9bac897d5c8a761b5274c4cdc5ef5",
     ("damgard_jurik", "2.3.4.77"):
-        "d5f165f970e0c34d0f9d95ca303be77d4313fda94f8a98597fd0f8d158c53a0c",
+        "e64f9434530f6a9ade52e332740b924305810b17e1d7b4e3280ac90d211d9dd3",
     ("damgard_jurik", "4.4.4.4"):
-        "af6a1bc73021869ddb0874a1d8eef3722de7cd601ab70922326fca5729e729d3",
+        "229c45964a0fca2979c1b641d3468a656eec7c8ff790bca8fbaaf497a2273eea",
 }
 
 
@@ -457,7 +448,7 @@ def test_seeded_debug_json_is_pinned(scheme, tmp_path):
         "--out", store, "--seed", 3)
     for ip in ("2.3.4.77", "4.4.4.4"):
         result = run("match", "--keys", f"{base}.sec", "--store", store,
-                     "--ip", ip, "--blind", "--exhaustive", "--debug",
+                     "--ip", ip, "--exhaustive", "--debug",
                      "--json", "--seed", 17)
         payload = json.loads(result.output)
         del payload["seconds"]

@@ -87,13 +87,8 @@ def test_parallel_lookups_equal_the_sequential_scan(fixture, request, cpus):
     keys = request.getfixturevalue(fixture)
     cpus(1)
     store = build_store(ENTRIES, keys, CRYPTO())
-    # blinding needs one message modulus, which the lattice backend,
-    # Naccache-Stern and Goldwasser-Micali lack
-    additive = (store.pub.SCHEME != ipmatch.BFV_SCHEME
-                and phe.message_modulus(keys) is not None)
     modes = [{}, {"exhaustive": True}, {"debug": True},
              {"debug": True, "exhaustive": True}]
-    modes += [{"blind": True}, {"blind": True, "exhaustive": True}] if additive else []
     for name, text in LOOKUPS.items():
         ip = parse_ipv4(text)
         for mode in modes:

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+import support
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +40,7 @@ def random_message(rnd, keys) -> int:
         return rnd.getrandbits(32)
     if scheme in (SchemeId.OKAMOTO_UCHIYAMA, SchemeId.NACCACHE_STERN):
         return rnd.randrange(keys.public.message_space)
-    return rnd.randrange(min(phe.message_modulus(keys), 1 << 128))
+    return rnd.randrange(min(support.message_modulus(keys), 1 << 128))
 
 
 def _mu_by_power(n, lam):
@@ -179,7 +180,7 @@ def test_additive_homomorphism(fixture, request):
     keys = request.getfixturevalue(fixture)
     rnd = random.Random(fixture + "add")
     rng = RNG(23)
-    modulus = phe.message_modulus(keys)
+    modulus = support.message_modulus(keys)
     for _ in range(60):
         m1, m2 = random_message(rnd, keys), random_message(rnd, keys)
         total = phe.add_encrypted(
@@ -192,7 +193,7 @@ def test_subtraction_and_wraparound(fixture, request):
     keys = request.getfixturevalue(fixture)
     rnd = random.Random(fixture + "sub")
     rng = RNG(29)
-    modulus = phe.message_modulus(keys)
+    modulus = support.message_modulus(keys)
     for _ in range(60):
         m1, m2 = random_message(rnd, keys), random_message(rnd, keys)
         diff = phe.sub_encrypted(
@@ -205,11 +206,11 @@ def test_scalar_multiplication(fixture, request):
     keys = request.getfixturevalue(fixture)
     rnd = random.Random(fixture + "mul")
     rng = RNG(31)
-    modulus = phe.message_modulus(keys)
+    modulus = support.message_modulus(keys)
     for _ in range(40):
         m = random_message(rnd, keys)
         k = rnd.randrange(0, 1 << 16)
-        ct = phe.scalar_mul(keys, phe.encrypt(keys, m, rng), k)
+        ct = support.scalar_mul(keys, phe.encrypt(keys, m, rng), k)
         assert phe.decrypt(keys, ct) == m * k % modulus
 
 
@@ -223,9 +224,9 @@ def test_paillier_toy_arithmetic_examples():
     assert phe.decrypt(keys, phe.add_encrypted(keys, enc(2), enc(3))) == 5
     assert phe.decrypt(keys, phe.sub_encrypted(keys, enc(7), enc(3))) == 4
     assert phe.decrypt(keys, phe.sub_encrypted(keys, enc(3), enc(7))) == 35 - 4
-    assert phe.decrypt(keys, phe.scalar_mul(keys, enc(4), 3)) == 12
-    assert phe.decrypt(keys, phe.scalar_mul(keys, enc(4), 1)) == 4
-    assert phe.decrypt(keys, phe.scalar_mul(keys, enc(4), 0)) == 0
+    assert phe.decrypt(keys, support.scalar_mul(keys, enc(4), 3)) == 12
+    assert phe.decrypt(keys, support.scalar_mul(keys, enc(4), 1)) == 4
+    assert phe.decrypt(keys, support.scalar_mul(keys, enc(4), 0)) == 0
     assert phe.decrypt(keys, phe.add_encrypted(keys, enc(9), enc(0))) == 9
 
 
@@ -367,7 +368,7 @@ def test_benaloh_wide_block_refuses_full_decrypt(benaloh_wide_keys):
 
 
 # ---------------------------------------------------------------------------
-# capabilities, ranges, blinding
+# capabilities and ranges
 
 
 class TestCapabilities:
@@ -378,8 +379,6 @@ class TestCapabilities:
         for op in (phe.add_encrypted, phe.sub_encrypted):
             with pytest.raises(CapabilityUnsupported):
                 op(gm_keys, a, b)
-        with pytest.raises(CapabilityUnsupported):
-            phe.scalar_mul(gm_keys, a, 3)
 
     def test_additive_schemes_have_no_xor(self, paillier_keys):
         rng = RNG(101)
@@ -425,31 +424,6 @@ def test_naccache_stern_is_deterministic(ns_keys):
     # no blinding factor in this formulation: same message, same ciphertext
     rng = RNG(109)
     assert phe.encrypt(ns_keys, 77, rng) == phe.encrypt(ns_keys, 77, rng)
-
-
-@pytest.mark.parametrize("fixture", ADDITIVE_FIXTURES)
-def test_blinding_preserves_zero_test(fixture, request):
-    keys = request.getfixturevalue(fixture)
-    rnd = random.Random(fixture + "blind")
-    rng = RNG(113)
-    modulus = phe.message_modulus(keys)
-    for _ in range(25):
-        m1 = random_message(rnd, keys)
-        m2 = random_message(rnd, keys)
-        diff = phe.sub_encrypted(
-            keys, phe.encrypt(keys, m1, rng), phe.encrypt(keys, m2, rng))
-        blinded = phe.blind(keys, diff, rng)
-        assert phe.is_zero(keys, blinded) == ((m1 - m2) % modulus == 0)
-
-
-def test_blinding_unsupported_for_ns_and_gm(ns_keys, gm_keys):
-    rng = RNG(127)
-    ct = phe.encrypt(ns_keys, 3, rng)
-    with pytest.raises(CapabilityUnsupported):
-        phe.blind(ns_keys, ct, rng)
-    gm_ct = phe.encrypt(gm_keys, 3, rng)
-    with pytest.raises(CapabilityUnsupported):
-        phe.blind(gm_keys, gm_ct, rng)
 
 
 @pytest.mark.parametrize("fixture, scheme", [
@@ -517,7 +491,7 @@ PINNED_KEYS = [
     (SchemeId.NACCACHE_STERN, 224, 155, {}),
     (SchemeId.GOLDWASSER_MICALI, 128, 156, {}),
 ]
-PINNED_OPS_SHA256 = "8fc7b4cac61e2e77d8b63a8d605c73f1ca91f6a3b60f631aa2ea5839dc1f891b"
+PINNED_OPS_SHA256 = "8ea1877d249cb5b835f366687c2e7473012a1fe078603779e548610326ad1a9f"
 
 
 def _pinned_rows(keys, rnd, rng) -> list:
@@ -538,11 +512,10 @@ def _pinned_rows(keys, rnd, rng) -> list:
         else:
             diffs = [phe.sub_encrypted(keys, c1, c2), phe.sub_encrypted(keys, c1, c3),
                      phe.sub_encrypted(keys, c2, c1)]
-            if scheme is not SchemeId.NACCACHE_STERN:
-                diffs += [phe.blind(keys, d, rng) for d in diffs]
             k = rnd.randrange(1, 2**64)
             others = [phe.add_encrypted(keys, c1, c2), phe.add_encrypted(keys, c2, c1),
-                      phe.scalar_mul(keys, c1, k), phe.scalar_mul(keys, c2, -k)]
+                      support.scalar_mul(keys, c1, k),
+                      support.scalar_mul(keys, c2, -k)]
         rows.append([ct if isinstance(ct, tuple) else int(ct)
                      for ct in diffs + others])
         rows.append([phe.is_zero(keys, d) for d in diffs])
@@ -550,8 +523,9 @@ def _pinned_rows(keys, rnd, rng) -> list:
 
 
 def test_homomorphic_ops_are_pinned():
-    """The exact ciphertexts of add, sub, scalar_mul, blind and xor, and
-    their zero verdicts, for all six schemes."""
+    """The exact ciphertexts of add, sub and xor, and of a scalar multiple
+    under the group law, and the zero verdicts of sub and xor, for all six
+    schemes."""
     rows = []
     for scheme, bits, seed, opts in PINNED_KEYS:
         keys = phe.keygen(scheme, bits, RNG(seed), test_mode=True, **opts)
