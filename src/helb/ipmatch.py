@@ -175,8 +175,7 @@ def build_store(entries, keys, rng: RandomSource, *,
                for value in values[first_id:first_id + count]]
               for runs in slot_layout(counts, handler.slots)]
     getattr(keys, "crt", None)  # built once here, not once per worker
-    with _spread(lambda chunk: handler.seal(chunk, rng), chunks,
-                 [1] * len(chunks), rng) as cts:
+    with _spread(lambda chunk: handler.seal(chunk, rng), chunks, rng) as cts:
         records = list(cts)
     return EncryptedStore(phe.public_part(keys), counts, records, packed)
 
@@ -361,57 +360,42 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
           exhaustive: bool = False, debug: bool = False) -> MatchResult:
     """Test `ip` against `store` under the key pair `keys`.
 
-    Scans the records in store order, longest prefix first, cut
-    into batches of consecutive records that share a slot layout.  The
-    lookup encrypts zero once, before any worker starts, and each batch
-    derives its query from that ciphertext, so `stats["encryptions"]` is
-    1; the store's `record_handler` does each step.  The first match wins,
-    and `exhaustive` only keeps the scan going to the end.  `debug`
-    reports each record's decrypted difference by entry id; packed
-    records, which hold many entries, report none.  `seconds` holds the
-    time spent in each phase, summed over the batches scanned up to the
-    answer: the query (the encryption of zero, and each batch's
-    derivation), the homomorphic operation and the zero test (with
-    `debug`'s decryption).  Batches go to worker processes as `_spread`
-    decides, so `seconds` may exceed the wall time, while `stats` still
-    counts the sequential scan up to the answer.
+    Scans the records in store order, longest prefix first, one record
+    per job of `_spread`.  The lookup encrypts zero once, before any
+    worker starts, and each process derives the query of a slot layout
+    from that ciphertext once, on its first record of that layout, so
+    `stats["encryptions"]` is 1; the store's `record_handler` does each
+    step.  The first match wins, and `exhaustive` only keeps the scan
+    going to the end.  `debug` reports each record's decrypted difference
+    by entry id; packed records, which hold many entries, report none.
+    `seconds` holds the time spent in each phase, summed over the records
+    scanned up to the answer: the query (the encryption of zero, and each
+    layout's derivation), the homomorphic operation and the zero test
+    (with `debug`'s decryption).  Records go to worker processes
+    round-robin, so `seconds` may exceed the wall time, while `stats`
+    still counts the sequential scan up to the answer.
     """
     _check_store_keys(store, keys)
     handler = record_handler(keys, store.packed, debug=debug)
-    debug_entries = debug and not store.packed
+    queries = {}  # slot layout: query, filled by each process on first use
 
-    def scan(batch):
-        """(entry id of the first zero slot or None, records scanned,
-        seconds per phase, differences by entry id) of one batch."""
-        layout, records = batch
-        fill = sum(count for _, count in layout)
-        t0 = time.perf_counter()
-        target = handler.query(zero, ip, layout)
-        seconds = {"encrypt": time.perf_counter() - t0, "combine": 0.0,
-                   "zero_test": 0.0}
-        found, scanned, differences = None, 0, {}
-        for runs, ct in records:
-            t1 = time.perf_counter()
-            diff = handler.combine(target, ct)
-            t2 = time.perf_counter()
-            slot, difference = handler.test(diff, fill)
-            seconds["combine"] += t2 - t1
-            seconds["zero_test"] += time.perf_counter() - t2
-            scanned += 1
-            if debug_entries:
-                differences[runs[0][1]] = difference
-            if slot is not None and found is None:
-                found = _entry_id(runs, slot)
-                if not exhaustive:
-                    break
-        return found, scanned, seconds, differences
-
-    batches = []  # (slot layout, (runs, ct) of each record)
-    for runs, ct in zip(store.layout(), store.records):
+    def scan(record):
+        """(entry id of the first zero slot or None, seconds per phase,
+        slot 0's difference) of one record."""
+        runs, ct = record
         layout = tuple((p, count) for p, _, count in runs)
-        if not batches or batches[-1][0] != layout:
-            batches.append((layout, []))
-        batches[-1][1].append((runs, ct))
+        t0 = time.perf_counter()
+        if layout not in queries:
+            queries[layout] = handler.query(zero, ip, layout)
+        t1 = time.perf_counter()
+        diff = handler.combine(queries[layout], ct)
+        t2 = time.perf_counter()
+        slot, difference = handler.test(diff, sum(count for _, count in layout))
+        seconds = {"encrypt": t1 - t0, "combine": t2 - t1,
+                   "zero_test": time.perf_counter() - t2}
+        return None if slot is None else _entry_id(runs, slot), seconds, difference
+
+    records = list(zip(store.layout(), store.records))
     # once, before `_spread` forks: this also builds the key pair's `crt`
     # or `packed_secret` for every worker
     t0 = time.perf_counter()
@@ -419,23 +403,21 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
     seconds = {"encrypt": time.perf_counter() - t0, "combine": 0.0,
                "zero_test": 0.0}
 
-    op = f"{handler.op}_calls"
-    stats = {"encryptions": 1, op: 0, "zero_tests": 0}
-    differences = {} if debug_entries else None
-    matched_id = None
-    with _spread(scan, batches, [len(records) for _, records in batches],
-                 rng) as outcomes:
-        for found, scanned, batch_seconds, batch_differences in outcomes:
-            stats[op] += scanned
-            stats["zero_tests"] += scanned
-            for phase, spent in batch_seconds.items():
-                seconds[phase] += spent
+    differences = {} if debug and not store.packed else None
+    scanned, matched_id = 0, None
+    with _spread(scan, records, rng) as outcomes:
+        for (runs, _), (found, spent, difference) in zip(records, outcomes):
+            scanned += 1
+            for phase in seconds:
+                seconds[phase] += spent[phase]
             if differences is not None:
-                differences.update(batch_differences)
+                differences[runs[0][1]] = difference
             if found is not None and matched_id is None:
                 matched_id = found
                 if not exhaustive:
                     break
+    stats = {"encryptions": 1, f"{handler.op}_calls": scanned,
+             "zero_tests": scanned}
     return MatchResult(matched_id is not None, matched_id, differences, stats,
                        seconds)
 
@@ -445,27 +427,22 @@ def match(ip: int, store: EncryptedStore, keys, rng: RandomSource, *,
 
 
 @contextlib.contextmanager
-def _spread(run, jobs: list, costs: list[int], rng: RandomSource):
+def _spread(run, jobs: list, rng: RandomSource):
     """Yields an iterator of run(job) for every job, in job order.
 
     Seeded randomness, a platform without `os.fork`, one job or one usable
     CPU run the jobs in this process, lazily, so that a consumer that
     stops early skips the rest.  Otherwise one forked worker per usable CPU
-    (at most one per job) takes jobs in order, each to the worker with the
-    least cost so far (`pool.forked`).  An error raised by a job is raised
-    again here when its turn comes, and a worker that ends without a job's
-    result raises HelbError then.  On leaving the context, however it is
-    left, every worker is killed and reaped.
+    (at most one per job) takes the jobs round-robin: of `count` workers,
+    worker w runs jobs[w::count] (`pool.forked`).  An error raised by a job
+    is raised again here when its turn comes, and a worker that ends
+    without a job's result raises HelbError then.  On leaving the context,
+    however it is left, every worker is killed and reaped.
     """
     count = 1 if rng.is_seeded else pool.worker_count(len(jobs))
     if count < 2:
         yield map(run, jobs)
         return
-    owner, load = [], [0] * count
-    for cost in costs:
-        owner.append(load.index(min(load)))
-        load[owner[-1]] += cost
-    shares = [[job for job, w in zip(jobs, owner) if w == worker]
-              for worker in range(count)]
-    with pool.forked(run, shares) as workers:
-        yield (workers[w].receive(f"job {index}") for index, w in enumerate(owner))
+    with pool.forked(run, [jobs[w::count] for w in range(count)]) as workers:
+        yield (workers[index % count].receive(f"job {index}")
+               for index in range(len(jobs)))

@@ -17,7 +17,7 @@ import functools
 from ..errors import InvalidModulus, InvalidOptions
 from ..numtheory import PrimePowerCrt, RandomSource
 from ..value import Value
-from .paillier import _extract_exponent, _generate, decrypt, encode, encrypt, is_zero
+from .paillier import _generate, decrypt, encode, encrypt, is_zero
 
 MAX_S = 4
 

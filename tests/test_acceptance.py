@@ -280,27 +280,31 @@ def test_criterion_7_benchmark_structure(monkeypatch):
         for column in timing_columns:
             assert float(row[header.index(column)]) > 0
 
-    # the CPU time of each scan, which a seeded match runs in this process;
-    # another process on the host disturbs it far less than wall time
-    scan_cpu_s = []
-    match = ipmatch.match
+    # the CPU time of each build and scan, which a seeded bench runs in this
+    # process; another process on the host disturbs it far less than wall time
+    build_cpu_s, scan_cpu_s = [], []
 
-    def timed_match(*args, **kwargs):
-        start = time.process_time()
-        result = match(*args, **kwargs)
-        scan_cpu_s.append(time.process_time() - start)
-        return result
+    def timed(spent, call):
+        def wrapper(*args, **kwargs):
+            start = time.process_time()
+            result = call(*args, **kwargs)
+            spent.append(time.process_time() - start)
+            return result
 
-    monkeypatch.setattr(ipmatch, "match", timed_match)
+        return wrapper
+
+    monkeypatch.setattr(ipmatch, "build_store", timed(build_cpu_s, ipmatch.build_store))
+    monkeypatch.setattr(ipmatch, "match", timed(scan_cpu_s, ipmatch.match))
     scale_rows = bench.bench_scale(bench.DEFAULT_SCALE_COUNTS,
                                    params=support.SCALE_PARAMS, seed=72)
-    assert [r.n_addresses for r in scale_rows] == [50, 100, 200, 400, 800]
-    for row in scale_rows:
-        assert row.encrypt_total_s > row.search_total_s, (
-            f"N={row.n_addresses}: encryption must dominate the search")
-
     xs = [r.n_addresses for r in scale_rows]
-    assert len(scan_cpu_s) == len(xs), "one scan per count"
+    assert xs == [50, 100, 200, 400, 800]
+    assert len(build_cpu_s) == len(scan_cpu_s) == len(xs), "one build and scan per count"
+    for n, build_s, scan_s in zip(xs, build_cpu_s, scan_cpu_s):
+        assert build_s > scan_s, (
+            f"N={n}: encryption must dominate the search, but the build took "
+            f"{build_s:.3f} CPU s against the scan's {scan_s:.3f}")
+
     ys = scan_cpu_s
     x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
     slope = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / \
@@ -310,7 +314,9 @@ def test_criterion_7_benchmark_structure(monkeypatch):
     ss_tot = sum((y - y_mean) ** 2 for y in ys)
     r_squared = 1 - ss_res / ss_tot
     print(f"  [search CPU-time linear fit R^2 = {r_squared:.4f}]")
-    assert r_squared >= 0.95
+    assert r_squared >= 0.95, (
+        f"search CPU time is not linear in N: R^2 = {r_squared:.4f} < 0.95 "
+        f"over scan CPU s {[round(y, 3) for y in ys]} at N = {xs}")
 
 
 @criterion(8, "hardware metadata and non-comparability statement")

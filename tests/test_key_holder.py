@@ -60,7 +60,7 @@ def _decrypt_by_formula(keys, c) -> int:
     if not 0 < c < modulus:
         raise DecryptionFailure("ciphertext outside Z*_{n^(s+1)}")
     if pub.SCHEME == "damgard_jurik":
-        return damgard_jurik._extract_exponent(pow(c, keys.d, modulus), pub.n, pub.s)
+        return paillier._extract_exponent(pow(c, keys.d, modulus), pub.n, pub.s)
     x = pow(c, keys.lam, modulus)
     if (x - 1) % pub.n:
         raise DecryptionFailure("value is not congruent to 1 modulo n")

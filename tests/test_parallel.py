@@ -103,12 +103,40 @@ def test_parallel_lookups_equal_the_sequential_scan(fixture, request, cpus):
                 assert set(got.seconds) == set(want.seconds)
 
 
-def test_seconds_sum_the_phases_of_every_batch(paillier_keys, cpus):
+def test_seconds_sum_the_phases_of_every_record(paillier_keys, cpus):
     cpus(2)
     store = build_store(ENTRIES, paillier_keys, CRYPTO())
     result = match(parse_ipv4(LOOKUPS["miss"]), store, paillier_keys, CRYPTO())
     assert result.stats == {"encryptions": 1, "sub_calls": 10, "zero_tests": 10}
     assert all(spent > 0 for spent in result.seconds.values())
+
+
+def test_records_go_to_workers_round_robin(cpus):
+    forks = cpus(3)
+    with ipmatch._spread(lambda job: os.getpid(), list(range(10)), CRYPTO()) as pids:
+        pids = list(pids)
+    assert len(forks) == 3
+    assert all(pids[i] == pids[i + 3] for i in range(7))
+    assert len(set(pids)) == 3 and os.getpid() not in pids
+
+
+@pytest.mark.parametrize("fixture", ["paillier_keys", "bfv_small_keys"])
+def test_a_lookup_derives_each_layouts_query_once(fixture, request, monkeypatch):
+    keys = request.getfixturevalue(fixture)
+    store = build_store(ENTRIES, keys, RandomSource.seeded(1))
+    assert len(store.records) == 10
+    handler = type(ipmatch.record_handler(keys))
+    query, layouts = handler.query, []
+
+    def counting(self, zero, ip, layout):
+        layouts.append(layout)
+        return query(self, zero, ip, layout)
+
+    monkeypatch.setattr(handler, "query", counting)
+    result = match(parse_ipv4(LOOKUPS["miss"]), store, keys, RandomSource.seeded(2))
+    assert result.stats["zero_tests"] == 10
+    # one derivation per layout, /8 to /32, not one per record
+    assert sorted(layouts) == [((p, 1),) for p in (8, 16, 20, 24, 32)]
 
 
 @pytest.fixture
@@ -261,7 +289,7 @@ def test_workers_are_reaped_on_keyboard_interrupt(cpus):
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         with ipmatch._spread(lambda seconds: time.sleep(seconds) or seconds,
-                             [0, 60, 60], [1, 1, 1], CRYPTO()) as results:
+                             [0, 60, 60], CRYPTO()) as results:
             assert next(results) == 0
             raise KeyboardInterrupt
     with pytest.raises(ChildProcessError):
